@@ -23,6 +23,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .metrics import (
     ScoreSet,
+    _check_alpha,
     ap_standard_error,
     ranking_error,
     ranking_standard_error,
@@ -34,13 +35,6 @@ _BISECT_TOL = 1e-12
 _MEAN_TOL = 1e-12
 _REL_OBJ_TOL = 1e-10
 _MAX_ITER = 10**5
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0:
-        raise ValidationError(f"alpha must be a positive finite real, got {alpha}")
-    return alpha
 
 
 def _check_r(r: float) -> float:

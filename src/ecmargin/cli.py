@@ -12,16 +12,18 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import sys
 
 from . import __version__, verify
 from .bounds import envelope, slope_m, SLOPE_MODES
-from .errors import EcmError
+from .errors import EcmError, ValidationError
 from .margins import optimal_margins, weights
 from .metrics import (
     HALF,
     STRICT,
+    _check_alpha,
     average_precision,
     load_scores,
     pr_curve,
@@ -39,7 +41,7 @@ _CURVE_STEPS = 100
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _config_comment(config: dict) -> str:
@@ -55,20 +57,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _csv_text(config: dict, header: list[str], rows: list[list]) -> str:
-    class _Buf:
-        def __init__(self):
-            self.parts = []
-
-        def write(self, s):
-            self.parts.append(s)
-
-    buf = _Buf()
+    buf = io.StringIO()
     buf.write(_config_comment(config))
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return "".join(buf.parts)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _sig12(x: float) -> float:
@@ -194,9 +188,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    try:
+        alpha = _check_alpha(args.alpha)
+    except ValidationError:
+        raise EcmError(f"--alpha must be > 0 and finite, got {args.alpha}") from None
     ss = load_scores(args.scores)
-    if args.alpha <= 0:
-        raise EcmError(f"--alpha must be > 0, got {args.alpha}")
     config = _resolved(
         args,
         "metrics",
@@ -205,21 +201,23 @@ def _cmd_metrics(args) -> int:
         ties=args.ties,
         pr_curve=args.pr_curve,
     )
-    ap = average_precision(ss, args.alpha)
+    ap = average_precision(ss, alpha)
     r = ranking_error(ss, ties=args.ties)
     fields = {
         "n_plus": ss.n_plus,
         "n_minus": ss.n_minus,
-        "alpha": args.alpha,
+        "alpha": alpha,
         "average_precision": ap,
         "ranking_error": r,
         "det_error": 1.0 - ap,
     }
     if args.pr_curve is not None:
-        curve = pr_curve(ss, args.alpha)
-        rows = [[p.threshold, p.recall, p.precision] for p in curve.points]
+        curve = pr_curve(ss, alpha)
+        columns = (curve.thresholds.tolist(), curve.recall.tolist(), curve.precision.tolist())
+        # csv.writer writes a float as its repr, so these are _csv_text's bytes
+        rows = "".join([f"{t!r},{rec!r},{prec!r}\n" for t, rec, prec in zip(*columns)])
         _emit(
-            _csv_text(config, ["threshold", "recall", "precision"], rows),
+            _config_comment(config) + "threshold,recall,precision\n" + rows,
             args.pr_curve,
         )
     if args.format == "csv":

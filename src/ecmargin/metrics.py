@@ -10,6 +10,8 @@ breaking ties uniformly at random), with a strict mode behind a flag.
 from __future__ import annotations
 
 import csv
+import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,18 @@ HALF = "half"
 STRICT = "strict"
 
 _BRUTEFORCE_PAIR_LIMIT = 10**8
+
+_HEADER = b"score,label\n"
+# bytes a plain data row `<score>,<0|1>\n` may hold: score digits and '.', ',' and '\n'
+_PLAIN_BYTES = np.zeros(256, dtype=bool)
+_PLAIN_BYTES[list(b"0123456789.,\n")] = True
+
+
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha <= 0:
+        raise ValidationError(f"alpha must be a positive finite real, got {alpha}")
+    return alpha
 
 
 def _as_scores(name: str, values) -> np.ndarray:
@@ -71,32 +85,35 @@ class ScoreSet:
 
 
 @dataclass(frozen=True)
-class PRPoint:
-    threshold: float
-    recall: float
-    precision: float
-
-
-@dataclass(frozen=True)
 class PrecisionRecallCurve:
-    """PR points sorted by descending threshold; recall is non-decreasing."""
+    """A PR curve as three equal-length float64 arrays, one entry per point.
 
-    points: tuple[PRPoint, ...]
+    Thresholds strictly descend, recall is non-decreasing along them, and all
+    three arrays lie in [0,1].
+    """
+
+    thresholds: np.ndarray
+    recall: np.ndarray
+    precision: np.ndarray
 
     def __post_init__(self):
-        last_t = np.inf
-        last_r = -np.inf
-        for p in self.points:
-            if not 0.0 <= p.precision <= 1.0:
-                raise ValidationError(f"precision {p.precision} outside [0,1]")
-            if not 0.0 <= p.recall <= 1.0:
-                raise ValidationError(f"recall {p.recall} outside [0,1]")
-            if p.threshold >= last_t:
-                raise ValidationError("thresholds must be strictly descending")
-            if p.recall < last_r:
-                raise ValidationError("recall must be non-decreasing as threshold drops")
-            last_t = p.threshold
-            last_r = p.recall
+        for field in ("thresholds", "recall", "precision"):
+            object.__setattr__(
+                self, field, np.asarray(getattr(self, field), dtype=np.float64)
+            )
+        t, r, p = self.thresholds, self.recall, self.precision
+        if t.ndim != 1 or r.shape != t.shape or p.shape != t.shape:
+            raise ValidationError(
+                "thresholds, recall and precision must be 1-D arrays of one length"
+            )
+        for name, arr in (("threshold", t), ("recall", r), ("precision", p)):
+            outside = ~((arr >= 0.0) & (arr <= 1.0))
+            if outside.any():
+                raise ValidationError(f"{name} {arr[outside][0]} outside [0,1]")
+        if not (np.diff(t) < 0.0).all():
+            raise ValidationError("thresholds must be strictly descending")
+        if not (np.diff(r) >= 0.0).all():
+            raise ValidationError("recall must be non-decreasing as threshold drops")
 
 
 def _require_positives(s: ScoreSet):
@@ -123,8 +140,7 @@ def precision_at(s: ScoreSet, t: float, alpha: float) -> float:
     """
     _require_positives(s)
     _require_negatives(s)
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
+    alpha = _check_alpha(alpha)
     r = recall_at(s, t)
     g = float(np.count_nonzero(s.negatives > t)) / s.n_minus
     if r == 0.0 and g == 0.0:
@@ -166,18 +182,11 @@ def positive_precisions(s: ScoreSet, alpha: float) -> np.ndarray:
     """
     _require_positives(s)
     _require_negatives(s)
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
+    alpha = _check_alpha(alpha)
     p_ge, n_ge, _, _ = _rank_counts(s)
     r = p_ge / s.n_plus
     g = n_ge / s.n_minus
     return r / (r + alpha * g)
-
-
-def _pair_counts(s: ScoreSet) -> tuple[int, int]:
-    """(#pairs with pos < neg, #tied pairs) via sort + merge."""
-    _, _, less, ties = _rank_counts(s)
-    return less, ties
 
 
 def _pair_counts_bruteforce(s: ScoreSet) -> tuple[int, int]:
@@ -208,7 +217,7 @@ def ranking_error(s: ScoreSet, ties: str = HALF) -> float:
     """
     _require_positives(s)
     _require_negatives(s)
-    less, tied = _pair_counts(s)
+    _, _, less, tied = _rank_counts(s)
     return _ranking_from_counts(less, tied, s.n_plus * s.n_minus, ties)
 
 
@@ -237,19 +246,17 @@ def pr_curve(s: ScoreSet, alpha: float) -> PrecisionRecallCurve:
     """
     _require_positives(s)
     _require_negatives(s)
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
+    alpha = _check_alpha(alpha)
     thresholds = np.unique(np.concatenate([s.positives, s.negatives]))[::-1]
     pos = s.pos_sorted
     neg = s.neg_sorted
     r = (pos.size - np.searchsorted(pos, thresholds, side="right")) / pos.size
     g = (neg.size - np.searchsorted(neg, thresholds, side="right")) / neg.size
     keep = (r > 0.0) | (g > 0.0)
-    points = tuple(
-        PRPoint(threshold=float(t), recall=float(rv), precision=float(rv / (rv + alpha * gv)))
-        for t, rv, gv in zip(thresholds[keep], r[keep], g[keep])
+    r, g = r[keep], g[keep]
+    return PrecisionRecallCurve(
+        thresholds=thresholds[keep], recall=r, precision=r / (r + alpha * g)
     )
-    return PrecisionRecallCurve(points=points)
 
 
 def ranking_standard_error(s: ScoreSet) -> float:
@@ -276,9 +283,42 @@ def ap_standard_error(s: ScoreSet, alpha: float) -> float:
     return float(np.sqrt(np.var(prec) / s.n_plus)) + 2.0 * inv
 
 
-def load_scores(path: str) -> ScoreSet:
-    """Load a score,label CSV (label 1 = positive, 0 = negative)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(scores, is_positive) when every row of ``data`` is plain ``<score>,<0|1>\\n``.
+
+    A plain score is digits with at most one '.', in [0,1].  Returns None when
+    this vectorized pass cannot prove every row valid; the file then goes to
+    the csv row loop, which owns every diagnostic and the rarer valid layouts
+    (quoted or padded fields, CRLF, blank lines, no trailing newline).
+    """
+    if not data.startswith(_HEADER) or not data.endswith(b"\n") or len(data) == len(_HEADER):
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=len(_HEADER))
+    ends = np.flatnonzero(body == ord("\n"))
+    # each line has >= 1 score byte, the only ',' just before a 0/1 label
+    if not (
+        _PLAIN_BYTES[body].all()
+        and (np.diff(ends, prepend=-1) >= 4).all()
+        and np.count_nonzero(body == ord(",")) == ends.size
+        and (body[ends - 2] == ord(",")).all()
+        and ((body[ends - 1] == ord("0")) | (body[ends - 1] == ord("1"))).all()
+    ):
+        return None
+    text = data[len(_HEADER) :].decode("ascii")
+    try:
+        scores = np.loadtxt(
+            text.splitlines(), delimiter=",", usecols=0, comments=None, ndmin=1
+        )
+    except ValueError:  # '.', '1.2.3': float() rejects these too
+        return None
+    if not ((scores >= 0.0) & (scores <= 1.0)).all():
+        return None
+    return scores, body[ends - 1] == ord("1")
+
+
+def _parse_rows(path: str, data: bytes) -> tuple[list[float], list[float]]:
+    """(positives, negatives) by the csv row loop, with line-numbered errors."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -313,6 +353,19 @@ def load_scores(path: str) -> ScoreSet:
                 raise InputFormatError(
                     f"{path}: line {lineno}: label must be 1 or 0, got {row[1]!r}"
                 )
-    if not positives or not negatives:
+    return positives, negatives
+
+
+def load_scores(path: str) -> ScoreSet:
+    """Load a score,label CSV (label 1 = positive, 0 = negative)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    plain = _parse_plain(data)
+    if plain is None:
+        positives, negatives = map(np.array, _parse_rows(path, data))
+    else:
+        scores, is_pos = plain
+        positives, negatives = scores[is_pos], scores[~is_pos]
+    if not positives.size or not negatives.size:
         raise InputFormatError(f"{path}: need at least one positive and one negative row")
-    return ScoreSet(positives=np.array(positives), negatives=np.array(negatives))
+    return ScoreSet(positives=positives, negatives=negatives)

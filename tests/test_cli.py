@@ -19,6 +19,43 @@ COUNTS_JSON = json.dumps(
         "background_ratio": 1.0,
     }
 )
+# ties within and across sides, a top score with empty tails, long float reprs
+TIED_SCORES = (
+    "score,label\n0.9,1\n0.3,0\n0.7,1\n0.3,1\n0.55,0\n0.7,0\n0.1,0\n0.3,0\n"
+    "0.123456789,1\n1,0\n0,1\n"
+)
+GOLDEN_PR_CURVE = (
+    '# {"alpha":3.0,"command":"metrics","format":"json","out":null,"pr_curve":"pr.csv",'
+    '"scores":"scores.csv","seed":0,"ties":"half"}\n'
+    "threshold,recall,precision\n"
+    "0.9,0.0,0.0\n"
+    "0.7,0.2,0.28571428571428575\n"
+    "0.55,0.4,0.28571428571428575\n"
+    "0.3,0.4,0.2105263157894737\n"
+    "0.123456789,0.6,0.1935483870967742\n"
+    "0.1,0.8,0.24242424242424246\n"
+    "0.0,0.8,0.2105263157894737\n"
+)
+GOLDEN_METRICS_REPORT = """\
+{
+  "alpha": 3.0,
+  "average_precision": 0.25148024018991766,
+  "config": {
+    "alpha": 3.0,
+    "command": "metrics",
+    "format": "json",
+    "out": null,
+    "pr_curve": "pr.csv",
+    "scores": "scores.csv",
+    "seed": 0,
+    "ties": "half"
+  },
+  "det_error": 0.7485197598100823,
+  "n_minus": 6,
+  "n_plus": 5,
+  "ranking_error": 0.5833333333333334
+}
+"""
 TRAIN_CONFIG = {
     "num_classes": 3,
     "total_samples": 400,
@@ -235,6 +272,27 @@ class TestMetricsCommand:
         )
         assert code == 2
         assert "--alpha must be > 0" in err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_nonfinite_alpha_rejected_before_the_file_is_read(self, capsys, tmp_path, alpha):
+        missing = tmp_path / "missing.csv"
+        code, out, err = run_cli(
+            capsys, ["metrics", "--scores", str(missing), "--alpha", alpha]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --alpha must be > 0 and finite, got {alpha}\n"
+
+    def test_report_and_pr_curve_bytes_are_golden(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scores.csv").write_text(TIED_SCORES)
+        code, out, err = run_cli(
+            capsys,
+            ["metrics", "--scores", "scores.csv", "--alpha", "3", "--pr-curve", "pr.csv"],
+        )
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_METRICS_REPORT
+        assert (tmp_path / "pr.csv").read_bytes() == GOLDEN_PR_CURVE.encode()
 
     def test_malformed_scores_rejected_with_line_number(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

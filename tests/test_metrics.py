@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from ecmargin import (
     ranking_standard_error,
     recall_at,
 )
+from ecmargin.metrics import _parse_plain
 
 EXAMPLE = ScoreSet(positives=[0.9, 0.4], negatives=[0.5, 0.1])
 
@@ -145,7 +148,9 @@ class TestRankingError:
 class TestPRCurve:
     def test_worked_example_points(self):
         curve = pr_curve(EXAMPLE, alpha=1.0)
-        rows = [(p.threshold, p.recall, p.precision) for p in curve.points]
+        rows = list(
+            zip(curve.thresholds.tolist(), curve.recall.tolist(), curve.precision.tolist())
+        )
         assert rows == [
             (0.5, 0.5, 1.0),
             (0.4, 0.5, 0.5),
@@ -155,23 +160,30 @@ class TestPRCurve:
     def test_top_threshold_dropped_when_undefined(self):
         """The max score has empty tails on both sides; no convention is invented."""
         curve = pr_curve(EXAMPLE, alpha=1.0)
-        assert all(p.threshold != 0.9 for p in curve.points)
+        assert 0.9 not in curve.thresholds
 
     def test_recall_non_decreasing(self, rng):
         s = ScoreSet(positives=rng.random(50), negatives=rng.random(50))
-        recs = [p.recall for p in pr_curve(s, alpha=1.0).points]
-        assert all(b >= a for a, b in zip(recs, recs[1:]))
+        assert np.all(np.diff(pr_curve(s, alpha=1.0).recall) >= 0.0)
 
     def test_curve_validation_rejects_unsorted_thresholds(self):
-        from ecmargin.metrics import PRPoint
-
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="descending"):
             PrecisionRecallCurve(
-                points=(
-                    PRPoint(threshold=0.2, recall=0.1, precision=1.0),
-                    PRPoint(threshold=0.5, recall=0.9, precision=0.5),
-                )
+                thresholds=[0.2, 0.5], recall=[0.1, 0.9], precision=[1.0, 0.5]
             )
+
+    @pytest.mark.parametrize(
+        "thresholds, recall, precision, message",
+        [
+            ([0.5, 0.2], [0.9, 0.1], [0.5, 1.0], "non-decreasing"),
+            ([0.5, 0.2], [0.1, 0.9], [1.5, 0.5], "precision 1.5 outside"),
+            ([0.5, np.nan, 0.2], [0.1, 0.5, 0.9], [1.0, 0.7, 0.5], "threshold nan outside"),
+            ([0.5, 0.2], [0.1, 0.9], [1.0], "one length"),
+        ],
+    )
+    def test_curve_validation_rejects_bad_arrays(self, thresholds, recall, precision, message):
+        with pytest.raises(ValidationError, match=message):
+            PrecisionRecallCurve(thresholds=thresholds, recall=recall, precision=precision)
 
 
 class TestStandardErrors:
@@ -219,3 +231,115 @@ class TestLoadScores:
         path.write_text("score,label\n0.9,1\n0.8,1\n")
         with pytest.raises(InputFormatError):
             load_scores(str(path))
+
+
+def reference_load_scores(path: str) -> ScoreSet:
+    """The csv row-loop loader load_scores had before its vectorized pass; the oracle."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputFormatError(f"{path}: empty file") from None
+        if [h.strip() for h in header] != ["score", "label"]:
+            raise InputFormatError(
+                f"{path}: line 1: expected header 'score,label', got {','.join(header)!r}"
+            )
+        positives, negatives = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise InputFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+            try:
+                score = float(row[0])
+            except ValueError:
+                raise InputFormatError(
+                    f"{path}: line {lineno}: field 'score' is not a number: {row[0]!r}"
+                ) from None
+            if not 0.0 <= score <= 1.0:
+                raise InputFormatError(
+                    f"{path}: line {lineno}: score {score} outside [0,1]"
+                )
+            label = row[1].strip()
+            if label == "1":
+                positives.append(score)
+            elif label == "0":
+                negatives.append(score)
+            else:
+                raise InputFormatError(
+                    f"{path}: line {lineno}: label must be 1 or 0, got {row[1]!r}"
+                )
+    if not positives or not negatives:
+        raise InputFormatError(f"{path}: need at least one positive and one negative row")
+    return ScoreSet(positives=np.array(positives), negatives=np.array(negatives))
+
+
+def _load_outcome(load, path: str):
+    """Bit patterns of both sides, or the exception type and message."""
+    try:
+        s = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return s.positives.tobytes(), s.negatives.tobytes()
+
+
+PLAIN_SCORE = st.floats(min_value=0.0, max_value=1.0).flatmap(
+    lambda x: st.sampled_from([f"{x:.6f}", repr(x), f"{x:.25f}", f"{x:.0f}"])
+)
+ODD_SCORE = st.sampled_from(
+    ["nan", "inf", "-0.0", "1_0", "1.4", "1.2.3", ".", ".5", "5.", "0007", "1e-3",
+     "", " 0.25", "0.25 ", '"0.75"', "abc", "0." + "3" * 30]
+)
+ODD_LABEL = st.sampled_from(["+1", "1.0", "yes", " 1", "0 ", '"1"', "", "2"])
+PLAIN_ROW = st.tuples(PLAIN_SCORE, st.sampled_from(["0", "1"])).map(",".join)
+ODD_ROW = st.one_of(
+    st.tuples(ODD_SCORE, st.sampled_from(["0", "1"])).map(",".join),
+    st.tuples(PLAIN_SCORE, ODD_LABEL).map(",".join),
+    st.sampled_from(["", "   ", "0.5", "0.5,1,0", "0.5,,1", ",", ",1", '"0.5,1"']),
+)
+
+
+@st.composite
+def score_files(draw) -> bytes:
+    """Mostly plain score,label files, some with a few odd rows or another layout."""
+    rows = draw(st.lists(PLAIN_ROW, max_size=25))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(ODD_ROW))
+    header = draw(st.sampled_from(
+        ["score,label"] * 4 + ["", " score , label", '"score","label"', "label,score", "score,label,x"]
+    ))
+    newline = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
+    text = newline.join([header, *rows])
+    if draw(st.sampled_from([True, True, True, False])):
+        text += newline
+    data = text.encode("utf-8")
+    if draw(st.sampled_from([False] * 9 + [True])):  # not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+class TestLoadScoresMatchesRowLoop:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=score_files())
+    def test_same_values_or_same_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("scores") / "scores.csv"
+        path.write_bytes(data)
+        assert _load_outcome(load_scores, str(path)) == _load_outcome(
+            reference_load_scores, str(path)
+        )
+
+    def test_plain_file_takes_the_vectorized_pass(self, tmp_path, rng):
+        k = rng.integers(0, 10**6, size=3000)
+        labels = rng.integers(0, 2, size=k.size)
+        data = ("score,label\n" + "".join(
+            f"{a // 10**6}.{a % 10**6:06d},{b}\n" for a, b in zip(k.tolist(), labels.tolist())
+        )).encode()
+        scores, is_pos = _parse_plain(data)
+        assert np.array_equal(is_pos, labels == 1)
+        path = tmp_path / "scores.csv"
+        path.write_bytes(data)
+        assert _load_outcome(load_scores, str(path)) == _load_outcome(
+            reference_load_scores, str(path)
+        )
