@@ -48,15 +48,20 @@ def ap_upper(alpha: float, r: float) -> float:
     """Upper bound on AP at ranking error r: 1 + alpha*ln(1 - r/(1+alpha))."""
     alpha = _check_alpha(alpha)
     r = _check_r(r)
-    return 1.0 + alpha * math.log1p(-r / (1.0 + alpha))
+    x = -r / (1.0 + alpha)
+    if x == -1.0:
+        # r = 1 and 1 + alpha rounds to 1: ln(1 - 1/(1+alpha)) = ln(alpha) - ln(1+alpha)
+        return 1.0 + alpha * (math.log(alpha) - math.log1p(alpha))
+    return 1.0 + alpha * math.log1p(x)
 
 
 def ap_lower_branches(alpha: float, r: float) -> tuple[float, float]:
     """The two lower-bound branches (sqrt branch, rational branch)."""
     alpha = _check_alpha(alpha)
     r = _check_r(r)
-    b1 = 1.0 - math.sqrt(2.0 * alpha * r / 3.0)
-    b2 = (8.0 / 9.0) / (1.0 + 2.0 * alpha * r)
+    two_alpha_r = 2.0 * (alpha * r)  # not (2 alpha) r, which is inf * 0 at r = 0
+    b1 = 1.0 - math.sqrt(two_alpha_r / 3.0)
+    b2 = (8.0 / 9.0) / (1.0 + two_alpha_r)
     return b1, b2
 
 
@@ -131,6 +136,20 @@ def _meet_radius(alpha: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _slope_lower(alpha: float) -> float:
+    inverse = 1.0 / alpha
+    if inverse == math.inf:
+        # subnormal alpha: ln((1+alpha)/alpha) without the overflowing 1/alpha
+        return alpha * (math.log1p(alpha) - math.log(alpha))
+    return alpha * math.log1p(inverse)
+
+
+def _slope_upper(alpha: float) -> float:
+    # (1/9 + 2 alpha)/(1 + 2 alpha) with both terms halved, so that 2 alpha
+    # cannot overflow; halving is exact, so the quotient is the same float
+    return (1.0 / 18.0 + alpha) / (0.5 + alpha)
+
+
 def slope_m(alpha: float, mode: str = "upper") -> float:
     """Linear slope m relating detection error to ranking error.
 
@@ -146,16 +165,14 @@ def slope_m(alpha: float, mode: str = "upper") -> float:
     if mode == "unit":
         return 1.0
     if mode == "lower":
-        return alpha * math.log1p(1.0 / alpha)
+        return _slope_lower(alpha)
     if mode == "upper":
-        return (1.0 / 9.0 + 2.0 * alpha) / (1.0 + 2.0 * alpha)
+        return _slope_upper(alpha)
     if mode == "meet":
         r_star = _meet_radius(alpha)
         det_at_star = 1.0 - ap_lower(alpha, r_star)
         raw = det_at_star / r_star
-        lo = alpha * math.log1p(1.0 / alpha)
-        hi = (1.0 / 9.0 + 2.0 * alpha) / (1.0 + 2.0 * alpha)
-        return min(max(raw, lo), hi)
+        return min(max(raw, _slope_lower(alpha)), _slope_upper(alpha))
     raise ValidationError(f"mode must be one of {SLOPE_MODES}, got {mode!r}")
 
 

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 
 from . import __version__, verify
@@ -38,6 +39,13 @@ from .sandbox import (
 )
 
 _CURVE_STEPS = 100
+# the JSON values a train config field of each annotated type accepts
+_CONFIG_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a finite number"),
+    "str": (str, "a string"),
+    "bool": (bool, "true or false"),
+}
 
 
 def _json_text(payload: dict) -> str:
@@ -95,8 +103,8 @@ def _cmd_margins(args) -> int:
     ratio = args.background_ratio
     if ratio is None:
         ratio = counts.background_ratio if counts.background_ratio is not None else 0.0
-    if ratio < 0:
-        raise EcmError(f"--background-ratio must be >= 0, got {ratio}")
+    if not 0.0 <= ratio < math.inf:
+        raise EcmError(f"--background-ratio must be >= 0 and finite, got {ratio}")
     background = background_count(counts, ratio)
     config = _resolved(
         args,
@@ -258,15 +266,25 @@ def _cmd_train(args) -> int:
         if not isinstance(flat, dict):
             raise EcmError(f"config file {args.config}: expected a JSON object")
 
-    synth_names = {f.name for f in dataclasses.fields(SyntheticConfig)}
-    train_names = {f.name for f in dataclasses.fields(TrainConfig)}
-    known = synth_names | train_names | {"train_seed"}
-    unknown = sorted(set(flat) - known)
+    types = {
+        f.name: f.type for cls in (SyntheticConfig, TrainConfig) for f in dataclasses.fields(cls)
+    }
+    types["train_seed"] = "int"
+    unknown = sorted(set(flat) - set(types))
     if unknown:
         raise EcmError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in flat.items():
+        accepted, description = _CONFIG_TYPES[types[key]]
+        # bool is an int to isinstance, so a bool passes only where one is expected
+        if (
+            isinstance(value, bool) != (types[key] == "bool")
+            or not isinstance(value, accepted)
+            or (isinstance(value, float) and not math.isfinite(value))
+        ):
+            raise EcmError(f"config key {key} must be {description}, got {json.dumps(value)}")
 
-    seed = args.seed if args.seed is not None else int(flat.get("seed", 0))
-    train_seed = int(flat.get("train_seed", seed))
+    seed = args.seed if args.seed is not None else flat.get("seed", 0)
+    train_seed = flat.get("train_seed", seed)
     scfg = _dataclass_from(flat, SyntheticConfig, {"seed": seed})
     tcfg = _dataclass_from(flat, TrainConfig, {"seed": train_seed})
 

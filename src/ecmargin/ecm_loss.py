@@ -4,14 +4,15 @@ Everything is evaluated in logit space through softplus/log-sigmoid, never by
 exponentiating probabilities and taking logs afterwards, so the kernels stay
 finite for logits up to +-1e4 and weights from counts up to 1e9.
 
-With z = 2f - ln(w-/w+) and s_hat = sigmoid(z):
+With z = 2f - ln(w-/w+) and s_hat = sigmoid(z), each label keeps one cross
+entropy term.  Both kernels take the signed argument t = -z for a positive and
+t = z for a negative, so softplus(t) = -ln p and sigmoid(t) = 1 - p, p being
+the probability s_hat assigns the label.  With sign = -2 and a = focal_alpha
+for a positive, sign = +2 and a = 1 - focal_alpha for a negative:
 
-    ecm positive:  value = m * softplus(-z)          grad = -2m (1 - s_hat)
-    ecm negative:  value = m * softplus(z)           grad = +2m s_hat
-    focal positive: value = fa * (1-s_hat)^fg * (m * softplus(-z))
-    focal negative: value = (1-fa) * s_hat^fg * (m * softplus(z))
-
-The focal gradients follow from the product rule and d s_hat/df = 2 s_hat (1 - s_hat).
+    ecm:   value = m softplus(t)          grad = sign m sigmoid(t)
+    focal: value = mod m softplus(t)      mod = a sigmoid(t)^g
+           grad = sign m mod (g sigmoid(-t) softplus(t) + sigmoid(t))
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ def _check_finite(name: str, x: float) -> float:
     return x
 
 
+def _check_args(f: float, label: str, m: float = 1.0) -> tuple[float, bool, float]:
+    """The scalar API's shared checks: finite f, finite m > 0, a known label."""
+    f = _check_finite("f", f)
+    m = _check_finite("m", m)
+    if m <= 0:
+        raise ValidationError(f"m must be > 0, got {m}")
+    return f, _check_label(label), m
+
+
 def log_weight_ratio(w: MarginWeights) -> float:
     """ln(w- / w+), the logit shift that encodes the margins."""
     return math.log(w.w_minus) - math.log(w.w_plus)
@@ -95,24 +105,20 @@ def _ecm_value_grad(z, positive, m):
     shapes broadcast.  Single source of truth for the scalar API and the
     sandbox trainer.
     """
-    value = m * np.where(positive, _softplus(-z), _softplus(z))
-    grad = np.where(positive, -2.0 * m * _sigmoid(-z), 2.0 * m * _sigmoid(z))
-    return value, grad
+    t = np.where(positive, -z, z)
+    sign = np.where(positive, -2.0, 2.0)
+    return m * _softplus(t), sign * m * _sigmoid(t)
 
 
 def _focal_value_grad(z, positive, m, focal_gamma, focal_alpha):
     """Vectorized focal-ECM value/gradient at z = 2f - ln(w-/w+)."""
-    sp_pos = _softplus(-z)  # -ln s_hat
-    sp_neg = _softplus(z)  # -ln (1 - s_hat)
-    s = _sigmoid(z)
-    one_minus_s = _sigmoid(-z)
-    # (1-s)^g = exp(-g * softplus(z)), s^g = exp(-g * softplus(-z))
-    mod_pos = focal_alpha * np.exp(-focal_gamma * sp_neg)
-    mod_neg = (1.0 - focal_alpha) * np.exp(-focal_gamma * sp_pos)
-    value = m * np.where(positive, mod_pos * sp_pos, mod_neg * sp_neg)
-    grad_pos = -2.0 * m * mod_pos * (focal_gamma * s * sp_pos + one_minus_s)
-    grad_neg = 2.0 * m * mod_neg * (focal_gamma * one_minus_s * sp_neg + s)
-    grad = np.where(positive, grad_pos, grad_neg)
+    t = np.where(positive, -z, z)
+    sign = np.where(positive, -2.0, 2.0)
+    sp_t = _softplus(t)  # -ln of the label's own probability
+    sp_o = _softplus(-t)  # -ln of the other label's probability
+    mod = np.where(positive, focal_alpha, 1.0 - focal_alpha) * np.exp(-focal_gamma * sp_o)
+    value = m * (mod * sp_t)
+    grad = sign * m * mod * (focal_gamma * np.exp(-sp_t) * sp_t + np.exp(-sp_o))
     return value, grad
 
 
@@ -122,13 +128,8 @@ def ecm_loss(f: float, label: str, w: MarginWeights, m: float = 1.0) -> LossEval
     Positive label: m * softplus(-2f + ln(w-/w+)); negative label:
     m * softplus(2f - ln(w-/w+)).  Gradients are -2m(1-s_hat) and +2m s_hat.
     """
-    f = _check_finite("f", f)
-    m = _check_finite("m", m)
-    if m <= 0:
-        raise ValidationError(f"m must be > 0, got {m}")
-    is_pos = _check_label(label)
-    z = 2.0 * f - log_weight_ratio(w)
-    value, grad = _ecm_value_grad(z, is_pos, m)
+    f, is_pos, m = _check_args(f, label, m)
+    value, grad = _ecm_value_grad(2.0 * f - log_weight_ratio(w), is_pos, m)
     return LossEval(value=float(value), grad_logit=float(grad))
 
 
@@ -146,15 +147,11 @@ def focal_ecm_loss(
     negative: (1-focal_alpha) * s_hat^focal_gamma * ecm negative term.
     Defaults focal_gamma=2, focal_alpha=0.25.
     """
-    f = _check_finite("f", f)
-    m = _check_finite("m", m)
-    if m <= 0:
-        raise ValidationError(f"m must be > 0, got {m}")
+    f, is_pos, m = _check_args(f, label, m)
     if focal_gamma < 0:
         raise ValidationError(f"focal_gamma must be >= 0, got {focal_gamma}")
     if not 0.0 < focal_alpha < 1.0:
         raise ValidationError(f"focal_alpha must lie in (0,1), got {focal_alpha}")
-    is_pos = _check_label(label)
     z = 2.0 * f - log_weight_ratio(w)
     value, grad = _focal_value_grad(z, is_pos, m, focal_gamma, focal_alpha)
     return LossEval(value=float(value), grad_logit=float(grad))
@@ -166,9 +163,8 @@ def bce_loss(f: float, label: str) -> LossEval:
     Only the weight ratio enters the kernel, so any w+ = w- gives the same
     value; this is ecm_loss with z = 2f.
     """
-    f = _check_finite("f", f)
-    is_pos = _check_label(label)
-    value, grad = _ecm_value_grad(2.0 * f, is_pos, 1.0)
+    f, is_pos, m = _check_args(f, label)
+    value, grad = _ecm_value_grad(2.0 * f, is_pos, m)
     return LossEval(value=float(value), grad_logit=float(grad))
 
 

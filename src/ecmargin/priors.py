@@ -41,9 +41,9 @@ class ClassCounts:
             if e.class_id in seen:
                 raise ValidationError(f"duplicate class_id {e.class_id}")
             seen.add(e.class_id)
-        if self.background_ratio is not None and self.background_ratio < 0:
+        if self.background_ratio is not None and not 0.0 <= self.background_ratio < math.inf:
             raise ValidationError(
-                f"background_ratio must be >= 0, got {self.background_ratio}"
+                f"background_ratio must be >= 0 and finite, got {self.background_ratio}"
             )
 
     def total_foreground(self) -> int:
@@ -163,8 +163,8 @@ def background_count(counts: ClassCounts, ratio: float) -> int:
     Rounding is half-away-from-zero (2.5 -> 3), since all inputs are
     nonnegative this is floor(x + 0.5).
     """
-    if ratio < 0:
-        raise ValidationError(f"ratio must be >= 0, got {ratio}")
+    if not 0.0 <= ratio < math.inf:
+        raise ValidationError(f"ratio must be >= 0 and finite, got {ratio}")
     total = counts.total_foreground()
     if total < 1:
         raise ValidationError("total foreground count is 0; background ratio is meaningless")

@@ -65,6 +65,231 @@ TRAIN_CONFIG = {
     "checkpoint_every": 2,
 }
 
+# train stdout for GOLDEN_TRAIN_CONFIG plus "loss", run from the config's directory
+GOLDEN_TRAIN_CONFIG = {
+    "num_classes": 2,
+    "total_samples": 200,
+    "feature_dim": 4,
+    "epochs": 2,
+    "seed": 3,
+    "checkpoint_every": 2,
+}
+GOLDEN_TRAIN_REPORTS = {
+    "ecm": """\
+{
+  "bound_audit": true,
+  "config": {
+    "command": "train",
+    "config_file": "train.json",
+    "format": "json",
+    "loss_curve": null,
+    "out": null,
+    "seed": null,
+    "synthetic": {
+      "background_fraction": 0.5,
+      "class_separation": 2.0,
+      "feature_dim": 4,
+      "noise_sigma": 1.0,
+      "num_classes": 2,
+      "seed": 3,
+      "total_samples": 200,
+      "zipf_exponent": 1.5
+    },
+    "train": {
+      "batch_size": 256,
+      "checkpoint_every": 2,
+      "epochs": 2,
+      "hidden": 32,
+      "holdout_fraction": 0.0,
+      "learning_rate": 0.1,
+      "loss": "ecm",
+      "m_mode": "unit",
+      "model": "linear",
+      "seed": 3,
+      "temperature_head": false
+    }
+  },
+  "loss_curve": [
+    [
+      1,
+      0.6116698902153829
+    ],
+    [
+      2,
+      0.5810601335405643
+    ]
+  ],
+  "mean_ap": 0.5259713366644653,
+  "per_class": [
+    {
+      "ap": 0.731889699431,
+      "ap_lower": 0.6136605591976243,
+      "ap_upper": 0.9149372094310637,
+      "class_id": 0,
+      "det_error": 0.268110300569,
+      "n_minus": 126,
+      "n_plus": 74,
+      "ranking_error": 0.1317031317031317,
+      "within_bounds": true
+    },
+    {
+      "ap": 0.32005297389793047,
+      "ap_lower": 0.29000429000428996,
+      "ap_upper": 0.8644047902270167,
+      "class_id": 1,
+      "det_error": 0.6799470261020695,
+      "n_minus": 174,
+      "n_plus": 26,
+      "ranking_error": 0.15428824049513704,
+      "within_bounds": true
+    }
+  ]
+}
+""",
+    "bce": """\
+{
+  "bound_audit": true,
+  "config": {
+    "command": "train",
+    "config_file": "train.json",
+    "format": "json",
+    "loss_curve": null,
+    "out": null,
+    "seed": null,
+    "synthetic": {
+      "background_fraction": 0.5,
+      "class_separation": 2.0,
+      "feature_dim": 4,
+      "noise_sigma": 1.0,
+      "num_classes": 2,
+      "seed": 3,
+      "total_samples": 200,
+      "zipf_exponent": 1.5
+    },
+    "train": {
+      "batch_size": 256,
+      "checkpoint_every": 2,
+      "epochs": 2,
+      "hidden": 32,
+      "holdout_fraction": 0.0,
+      "learning_rate": 0.1,
+      "loss": "bce",
+      "m_mode": "unit",
+      "model": "linear",
+      "seed": 3,
+      "temperature_head": false
+    }
+  },
+  "loss_curve": [
+    [
+      1,
+      0.6931471805599452
+    ],
+    [
+      2,
+      0.6607694790328779
+    ]
+  ],
+  "mean_ap": 0.5144945427867971,
+  "per_class": [
+    {
+      "ap": 0.734288918559087,
+      "ap_lower": 0.6125793550913108,
+      "ap_upper": 0.9144399351333965,
+      "class_id": 0,
+      "det_error": 0.26571108144091304,
+      "n_minus": 126,
+      "n_plus": 74,
+      "ranking_error": 0.13245388245388245,
+      "within_bounds": true
+    },
+    {
+      "ap": 0.2947001670145071,
+      "ap_lower": 0.2651760321663234,
+      "ap_upper": 0.8453420129772371,
+      "class_id": 1,
+      "det_error": 0.7052998329854929,
+      "n_minus": 174,
+      "n_plus": 26,
+      "ranking_error": 0.17572944297082227,
+      "within_bounds": true
+    }
+  ]
+}
+""",
+    "focal_ecm": """\
+{
+  "bound_audit": true,
+  "config": {
+    "command": "train",
+    "config_file": "train.json",
+    "format": "json",
+    "loss_curve": null,
+    "out": null,
+    "seed": null,
+    "synthetic": {
+      "background_fraction": 0.5,
+      "class_separation": 2.0,
+      "feature_dim": 4,
+      "noise_sigma": 1.0,
+      "num_classes": 2,
+      "seed": 3,
+      "total_samples": 200,
+      "zipf_exponent": 1.5
+    },
+    "train": {
+      "batch_size": 256,
+      "checkpoint_every": 2,
+      "epochs": 2,
+      "hidden": 32,
+      "holdout_fraction": 0.0,
+      "learning_rate": 0.1,
+      "loss": "focal_ecm",
+      "m_mode": "unit",
+      "model": "linear",
+      "seed": 3,
+      "temperature_head": false
+    }
+  },
+  "loss_curve": [
+    [
+      1,
+      0.07149651930802683
+    ],
+    [
+      2,
+      0.06974926830425314
+    ]
+  ],
+  "mean_ap": 0.5161405354070062,
+  "per_class": [
+    {
+      "ap": 0.7297753128153058,
+      "ap_lower": 0.6042149398653867,
+      "ap_upper": 0.9105277183251328,
+      "class_id": 0,
+      "det_error": 0.27022468718469417,
+      "n_minus": 126,
+      "n_plus": 74,
+      "ranking_error": 0.13835263835263836,
+      "within_bounds": true
+    },
+    {
+      "ap": 0.3025057579987066,
+      "ap_lower": 0.27263561201855213,
+      "ap_upper": 0.8514401465383659,
+      "class_id": 1,
+      "det_error": 0.6974942420012934,
+      "n_minus": 174,
+      "n_plus": 26,
+      "ranking_error": 0.16887709991158267,
+      "within_bounds": true
+    }
+  ]
+}
+""",
+}
+
 
 @pytest.fixture
 def scores_file(tmp_path):
@@ -137,13 +362,15 @@ class TestMarginsCommand:
         assert doc["config"]["background_count"] == 0
         assert doc["classes"][0]["n_minus"] == 4704 - 16
 
-    def test_negative_ratio_rejected(self, capsys, counts_file):
-        code, _, err = run_cli(
+    @pytest.mark.parametrize("ratio", ["-1", "nan", "inf"])
+    def test_negative_ratio_rejected(self, capsys, counts_file, ratio):
+        code, out, err = run_cli(
             capsys,
-            ["margins", "--counts", counts_file, "--background-ratio", "-1"],
+            ["margins", "--counts", counts_file, "--background-ratio", ratio],
         )
         assert code == 2
-        assert "error:" in err and ">= 0" in err
+        assert out == ""
+        assert err == f"error: --background-ratio must be >= 0 and finite, got {float(ratio)}\n"
 
     def test_missing_counts_file_is_an_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -170,6 +397,40 @@ class TestBoundsCommand:
         assert code == 2
         assert out == ""
         assert "error: alpha must be a positive finite real, got -1.0" in err
+
+    # (alpha, r, mode, ap_lower, ap_upper, slope_m): the limits of the closed
+    # forms at alphas where 1 + alpha rounds to 1, 1/alpha overflows, or
+    # 2 * alpha overflows
+    @pytest.mark.parametrize(
+        "alpha,r,mode,ap_lo,ap_hi,slope",
+        [
+            ("1e-16", "1", "unit", 1.0, 1.0, 1.0),
+            ("1e-16", "1", "lower", 1.0, 1.0, 0.0),
+            ("1e-16", "1", "upper", 1.0, 1.0, 1.0 / 9.0),
+            ("1e-16", "1", "meet", 1.0, 1.0, 0.0),
+            ("1e-300", "1", "upper", 1.0, 1.0, 1.0 / 9.0),
+            ("5e-324", "1", "lower", 1.0, 1.0, 0.0),
+            ("5e-324", "0.5", "meet", 1.0, 1.0, 0.0),
+            ("1.7e308", "0", "upper", 1.0, 1.0, 1.0),
+            ("1.7e308", "0", "lower", 1.0, 1.0, 1.0),
+            ("1.7e308", "1", "upper", 0.0, 0.0, 1.0),
+            ("1.7e308", "0.5", "meet", 0.0, 0.5, 1.0),
+        ],
+    )
+    def test_extreme_alphas_give_finite_bounds(
+        self, capsys, tmp_path, alpha, r, mode, ap_lo, ap_hi, slope
+    ):
+        curve = tmp_path / "curve.csv"
+        argv = ["bounds", "--alpha", alpha, "--r", r, "--mode", mode, "--emit-curve", str(curve)]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["ap_lower"] == pytest.approx(ap_lo, abs=1e-6)
+        assert doc["ap_upper"] == pytest.approx(ap_hi, abs=1e-6)
+        assert 0.0 < doc["slope_m"] == pytest.approx(slope, abs=1e-6)
+        rows = curve.read_text().strip().split("\n")[2:]
+        assert len(rows) == 101
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
     def test_requires_a_point_or_a_curve(self, capsys):
         code, _, err = run_cli(capsys, ["bounds", "--alpha", "1"])
@@ -389,6 +650,46 @@ class TestTrainCommand:
         code, _, err = run_cli(capsys, ["train", "--config", str(path)])
         assert code == 2
         assert "unknown config keys: bogus" in err
+
+    @pytest.mark.parametrize("loss", sorted(GOLDEN_TRAIN_REPORTS))
+    def test_report_bytes_are_golden(self, capsys, tmp_path, monkeypatch, loss):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "train.json").write_text(json.dumps(dict(GOLDEN_TRAIN_CONFIG, loss=loss)))
+        code, out, err = run_cli(capsys, ["train", "--config", "train.json"])
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_TRAIN_REPORTS[loss]
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("epochs", "5", 'config key epochs must be an integer, got "5"'),
+            ("epochs", True, "config key epochs must be an integer, got true"),
+            ("epochs", 2.0, "config key epochs must be an integer, got 2.0"),
+            ("seed", "x", 'config key seed must be an integer, got "x"'),
+            ("seed", False, "config key seed must be an integer, got false"),
+            ("train_seed", 2.5, "config key train_seed must be an integer, got 2.5"),
+            ("learning_rate", "0.1", 'config key learning_rate must be a finite number, got "0.1"'),
+            ("learning_rate", math.nan, "config key learning_rate must be a finite number, got NaN"),
+            ("noise_sigma", None, "config key noise_sigma must be a finite number, got null"),
+            ("loss", 3, "config key loss must be a string, got 3"),
+            ("temperature_head", 1, "config key temperature_head must be true or false, got 1"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_rejected(self, capsys, tmp_path, key, value, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(TRAIN_CONFIG, **{key: value})))
+        code, out, err = run_cli(capsys, ["train", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_integer_values_accepted_for_float_keys(self, capsys, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(dict(TRAIN_CONFIG, learning_rate=1, noise_sigma=2)))
+        code, out, _ = run_cli(capsys, ["train", "--config", str(path)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["train"]["learning_rate"] == 1
+        assert doc["config"]["synthetic"]["noise_sigma"] == 2
 
     def test_loss_curve_file_has_one_row_per_epoch(self, capsys, train_config_file, tmp_path):
         curve = tmp_path / "loss.csv"

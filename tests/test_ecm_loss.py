@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from ecmargin import (
     surrogate_score,
     weights,
 )
+from ecmargin.ecm_loss import _ecm_value_grad, _focal_value_grad
 
 BALANCED = MarginWeights(w_plus=2.0, w_minus=2.0)
 SKEWED = weights(optimal_margins(ClassStats(n_plus=16, n_minus=81, alpha=81 / 16)))
@@ -120,6 +122,96 @@ class TestGradients:
             focal = focal_ecm_loss(f, POSITIVE, SKEWED, focal_gamma=0.0, focal_alpha=0.25)
             assert focal.value == 0.25 * plain.value
             assert focal.grad_logit == 0.25 * plain.grad_logit
+
+
+def reference_ecm_value_grad(z, positive, m):
+    """Per-label closed forms: both branches evaluated, one kept by label."""
+    softplus_pos = np.logaddexp(0.0, -z)  # -ln s_hat
+    softplus_neg = np.logaddexp(0.0, z)  # -ln (1 - s_hat)
+    s = np.exp(-np.logaddexp(0.0, -z))
+    one_minus_s = np.exp(-np.logaddexp(0.0, z))
+    value = m * np.where(positive, softplus_pos, softplus_neg)
+    grad = np.where(positive, -2.0 * m * one_minus_s, 2.0 * m * s)
+    return value, grad
+
+
+def reference_focal_value_grad(z, positive, m, gamma, alpha):
+    """Focal closed forms per label: alpha (1-s)^g ecm+ and (1-alpha) s^g ecm-."""
+    sp_pos = np.logaddexp(0.0, -z)
+    sp_neg = np.logaddexp(0.0, z)
+    s = np.exp(-np.logaddexp(0.0, -z))
+    one_minus_s = np.exp(-np.logaddexp(0.0, z))
+    mod_pos = alpha * np.exp(-gamma * sp_neg)
+    mod_neg = (1.0 - alpha) * np.exp(-gamma * sp_pos)
+    value = m * np.where(positive, mod_pos * sp_pos, mod_neg * sp_neg)
+    grad_pos = -2.0 * m * mod_pos * (gamma * s * sp_pos + one_minus_s)
+    grad_neg = 2.0 * m * mod_neg * (gamma * one_minus_s * sp_neg + s)
+    return value, np.where(positive, grad_pos, grad_neg)
+
+
+# both tails out to +-1e4, the +-50 saturation band, and the region near 0
+Z_GRID = np.unique(
+    np.concatenate(
+        [
+            np.linspace(-1e4, 1e4, 2001),
+            np.linspace(-50.0, 50.0, 2001),
+            np.linspace(-1.0, 1.0, 401),
+            [-1e4, -50.0, -1e-300, -0.0, 0.0, 1e-300, 50.0, 1e4],
+        ]
+    )
+)
+FOCAL_PARAMS = [(2.0, 0.25), (0.5, 0.7), (0.0, 0.25), (3.7, 0.01)]
+
+
+def assert_bitwise(ours, reference):
+    for got, want in zip(ours, reference):
+        assert np.array_equal(got, want)
+
+
+class TestKernelsMatchTheTwoBranchReference:
+    """The kernels reproduce the per-label closed forms bit for bit."""
+
+    def grid(self):
+        # every z once per label, as a column against a row of margins m
+        z = np.concatenate([Z_GRID, Z_GRID])[:, None]
+        positive = np.repeat([True, False], Z_GRID.size)[:, None]
+        return z, positive, np.array([1.0, 0.37, 2.5, 1e-3])
+
+    def test_ecm_array_path(self):
+        z, positive, m = self.grid()
+        assert_bitwise(
+            _ecm_value_grad(z, positive, m), reference_ecm_value_grad(z, positive, m)
+        )
+        assert_bitwise(
+            _ecm_value_grad(z, positive, 1.0), reference_ecm_value_grad(z, positive, 1.0)
+        )
+
+    @pytest.mark.parametrize("gamma,alpha", FOCAL_PARAMS)
+    def test_focal_array_path(self, gamma, alpha):
+        z, positive, m = self.grid()
+        assert_bitwise(
+            _focal_value_grad(z, positive, m, gamma, alpha),
+            reference_focal_value_grad(z, positive, m, gamma, alpha),
+        )
+
+    @pytest.mark.parametrize("label", [POSITIVE, NEGATIVE])
+    @pytest.mark.parametrize("w", [BALANCED, SKEWED])
+    def test_scalar_api(self, label, w):
+        positive = label == POSITIVE
+        shift = log_weight_ratio(w)
+        for f in Z_GRID[::7].tolist() + [-5e3, 5e3, -25.0, 25.0]:
+            z = 2.0 * f - shift
+            for m in (1.0, 0.37):
+                ours = ecm_loss(f, label, w, m)
+                want = reference_ecm_value_grad(z, positive, m)
+                assert (ours.value, ours.grad_logit) == tuple(map(float, want))
+            for gamma, alpha in FOCAL_PARAMS:
+                ours = focal_ecm_loss(f, label, w, 1.7, gamma, alpha)
+                want = reference_focal_value_grad(z, positive, 1.7, gamma, alpha)
+                assert (ours.value, ours.grad_logit) == tuple(map(float, want))
+            ours = bce_loss(f, label)
+            want = reference_ecm_value_grad(2.0 * f, positive, 1.0)
+            assert (ours.value, ours.grad_logit) == tuple(map(float, want))
 
 
 class TestStability:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -50,9 +51,10 @@ class TestClassCounts:
         with pytest.raises(ValidationError):
             ClassCounts(entries=(ClassEntry(class_id=0, name="a", instance_count=-1),))
 
-    def test_negative_background_ratio_rejected(self):
+    @pytest.mark.parametrize("ratio", [-0.5, math.nan, math.inf])
+    def test_negative_background_ratio_rejected(self, ratio):
         with pytest.raises(ValidationError):
-            ClassCounts(entries=COUNTS.entries, background_ratio=-0.5)
+            ClassCounts(entries=COUNTS.entries, background_ratio=ratio)
 
 
 class TestClassStats:
@@ -78,9 +80,10 @@ class TestBackgroundCount:
         assert background_count(counts, 0.1) == 1
         assert background_count(counts, 0.0) == 0
 
-    def test_negative_ratio_rejected(self):
+    @pytest.mark.parametrize("ratio", [-1.0, math.nan, math.inf])
+    def test_negative_ratio_rejected(self, ratio):
         with pytest.raises(ValidationError):
-            background_count(COUNTS, -1.0)
+            background_count(COUNTS, ratio)
 
 
 class TestClassStatsFromCounts:
