@@ -31,7 +31,6 @@ from .metrics import (
 
 SLOPE_MODES = ("unit", "lower", "upper", "meet")
 
-_BISECT_TOL = 1e-12
 _MEAN_TOL = 1e-12
 _REL_OBJ_TOL = 1e-10
 _MAX_ITER = 10**5
@@ -44,19 +43,32 @@ def _check_r(r: float) -> float:
     return r
 
 
-def ap_upper(alpha: float, r: float) -> float:
-    """Upper bound on AP at ranking error r: 1 + alpha*ln(1 - r/(1+alpha))."""
+def _elementwise(fn, *args, nout: int = 1):
+    """fn(*args) for scalars, else fn on each element of the broadcast args as
+    float64 array(s): every element takes the scalar ``math`` closed form, so
+    array and scalar results are bit-identical and a bad element raises the
+    scalar path's ValidationError."""
+    if all(np.ndim(a) == 0 for a in args):
+        return fn(*args)
+    # the float arithmetic may overflow to inf by design, which Python does
+    # silently; numpy would warn about it from the FPU flags
+    with np.errstate(all="ignore"):
+        out = np.frompyfunc(fn, len(args), nout)(*args)
+    return out.astype(np.float64) if nout == 1 else tuple(o.astype(np.float64) for o in out)
+
+
+def _ap_upper(alpha: float, r: float) -> float:
     alpha = _check_alpha(alpha)
     r = _check_r(r)
     x = -r / (1.0 + alpha)
     if x == -1.0:
         # r = 1 and 1 + alpha rounds to 1: ln(1 - 1/(1+alpha)) = ln(alpha) - ln(1+alpha)
         return 1.0 + alpha * (math.log(alpha) - math.log1p(alpha))
-    return 1.0 + alpha * math.log1p(x)
+    # positive in exact arithmetic; at r = 1 and alpha ~ 1e308 it rounds below 0
+    return max(0.0, 1.0 + alpha * math.log1p(x))
 
 
-def ap_lower_branches(alpha: float, r: float) -> tuple[float, float]:
-    """The two lower-bound branches (sqrt branch, rational branch)."""
+def _ap_lower_branches(alpha: float, r: float) -> tuple[float, float]:
     alpha = _check_alpha(alpha)
     r = _check_r(r)
     two_alpha_r = 2.0 * (alpha * r)  # not (2 alpha) r, which is inf * 0 at r = 0
@@ -65,10 +77,23 @@ def ap_lower_branches(alpha: float, r: float) -> tuple[float, float]:
     return b1, b2
 
 
-def ap_lower(alpha: float, r: float) -> float:
+def _ap_lower(alpha: float, r: float) -> float:
+    return max(_ap_lower_branches(alpha, r))
+
+
+def ap_upper(alpha, r):
+    """Upper bound on AP at ranking error r: 1 + alpha*ln(1 - r/(1+alpha))."""
+    return _elementwise(_ap_upper, alpha, r)
+
+
+def ap_lower_branches(alpha, r):
+    """The two lower-bound branches (sqrt branch, rational branch)."""
+    return _elementwise(_ap_lower_branches, alpha, r, nout=2)
+
+
+def ap_lower(alpha, r):
     """Lower bound on AP at ranking error r: the larger of the two branches."""
-    b1, b2 = ap_lower_branches(alpha, r)
-    return max(b1, b2)
+    return _elementwise(_ap_lower, alpha, r)
 
 
 @dataclass(frozen=True)
@@ -99,8 +124,8 @@ class BoundEnvelope:
 
 def envelope(alpha: float, r: float, mode: str = "upper") -> BoundEnvelope:
     """Assemble the full bound envelope at one (alpha, ranking_error) point."""
-    lo = ap_lower(alpha, r)
-    hi = ap_upper(alpha, r)
+    lo = _ap_lower(alpha, r)
+    hi = _ap_upper(alpha, r)
     return BoundEnvelope(
         alpha=float(alpha),
         ranking_error=float(r),
@@ -108,32 +133,9 @@ def envelope(alpha: float, r: float, mode: str = "upper") -> BoundEnvelope:
         ap_upper=hi,
         det_lower=1.0 - hi,
         det_upper=1.0 - lo,
-        slope_m=slope_m(alpha, mode),
+        slope_m=_slope_m(alpha, mode),
         slope_mode=mode,
     )
-
-
-def _meet_radius(alpha: float) -> float:
-    """Ranking error where the two det-error upper-bound branches cross.
-
-    Root of sqrt(2 a R / 3) = 1 - (8/9)/(1+2 a R) on (0, 1], by bisection to
-    1e-12; when the branches do not cross inside the domain the crossing is
-    taken at R = 1.
-    """
-
-    def h(r: float) -> float:
-        return math.sqrt(2.0 * alpha * r / 3.0) - 1.0 + (8.0 / 9.0) / (1.0 + 2.0 * alpha * r)
-
-    lo, hi = 0.0, 1.0
-    if h(hi) <= 0.0:
-        return 1.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if h(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _slope_lower(alpha: float) -> float:
@@ -141,7 +143,8 @@ def _slope_lower(alpha: float) -> float:
     if inverse == math.inf:
         # subnormal alpha: ln((1+alpha)/alpha) without the overflowing 1/alpha
         return alpha * (math.log1p(alpha) - math.log(alpha))
-    return alpha * math.log1p(inverse)
+    # both slopes round to 1 at large alpha; keep the bracket's order there
+    return min(alpha * math.log1p(inverse), _slope_upper(alpha))
 
 
 def _slope_upper(alpha: float) -> float:
@@ -150,17 +153,7 @@ def _slope_upper(alpha: float) -> float:
     return (1.0 / 18.0 + alpha) / (0.5 + alpha)
 
 
-def slope_m(alpha: float, mode: str = "upper") -> float:
-    """Linear slope m relating detection error to ranking error.
-
-    unit -> 1; lower -> alpha*ln((1+alpha)/alpha); upper ->
-    (1/9 + 2 alpha)/(1 + 2 alpha); meet -> the slope of the chord from the
-    origin through the branch-crossing point of the det-error upper bound.
-    The raw chord slope can leave the theorem's [lower, upper] bracket (it
-    approaches 2*alpha as the crossing moves toward the origin), so it is
-    clamped into the bracket; every mode then respects
-    slope_m(lower) <= slope_m(mode in {meet, upper}) <= slope_m(upper).
-    """
+def _slope_m(alpha: float, mode: str) -> float:
     alpha = _check_alpha(alpha)
     if mode == "unit":
         return 1.0
@@ -169,11 +162,28 @@ def slope_m(alpha: float, mode: str = "upper") -> float:
     if mode == "upper":
         return _slope_upper(alpha)
     if mode == "meet":
-        r_star = _meet_radius(alpha)
-        det_at_star = 1.0 - ap_lower(alpha, r_star)
-        raw = det_at_star / r_star
+        # the branches cross at alpha*R = 1/6 (R = 1 caps it for alpha <= 1/6);
+        # (1/6)/alpha, because 6*alpha overflows near the float maximum
+        r_star = min(1.0, (1.0 / 6.0) / alpha)
+        raw = (1.0 - _ap_lower(alpha, r_star)) / r_star
         return min(max(raw, _slope_lower(alpha)), _slope_upper(alpha))
     raise ValidationError(f"mode must be one of {SLOPE_MODES}, got {mode!r}")
+
+
+def slope_m(alpha, mode: str = "upper"):
+    """Linear slope m relating detection error to ranking error.
+
+    unit -> 1; lower -> alpha*ln((1+alpha)/alpha); upper ->
+    (1/9 + 2 alpha)/(1 + 2 alpha); meet -> the slope of the chord from the
+    origin through the point where the det-error upper bound switches
+    branch, R* = min(1, 1/(6 alpha)): with u = 2 alpha R the branches meet
+    where sqrt(u/3) = 1 - (8/9)/(1+u), whose only root is alpha*R = 1/6.
+    The raw chord slope can leave the theorem's [lower, upper] bracket (it
+    is 2*alpha once the crossing lies inside the domain), so it is clamped
+    into the bracket; every mode then respects
+    slope_m(lower) <= slope_m(mode in {meet, upper}) <= slope_m(upper).
+    """
+    return _elementwise(lambda a: _slope_m(a, mode), alpha)
 
 
 def binary_bound_check(s: ScoreSet, t: float) -> tuple[float, bool]:
@@ -201,8 +211,8 @@ def audit_interval(s: ScoreSet, alpha: float) -> tuple[float, float]:
     r = ranking_error(s)
     sr = ranking_standard_error(s)
     sap = ap_standard_error(s, alpha)
-    lo = ap_lower(alpha, min(1.0, r + 3.0 * sr)) - 3.0 * sap
-    hi = ap_upper(alpha, max(0.0, r - 3.0 * sr)) + 3.0 * sap
+    lo = _ap_lower(alpha, min(1.0, r + 3.0 * sr)) - 3.0 * sap
+    hi = _ap_upper(alpha, max(0.0, r - 3.0 * sr)) + 3.0 * sap
     return lo, hi
 
 

@@ -17,8 +17,10 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__, verify
-from .bounds import envelope, slope_m, SLOPE_MODES
+from .bounds import SLOPE_MODES, ap_lower, ap_upper, envelope
 from .errors import EcmError, ValidationError
 from .margins import optimal_margins, weights
 from .metrics import (
@@ -163,13 +165,13 @@ def _cmd_bounds(args) -> int:
     )
 
     if args.emit_curve is not None:
-        rows = []
-        for i in range(_CURVE_STEPS + 1):
-            r = i / _CURVE_STEPS
-            env = envelope(args.alpha, r, args.mode)
-            rows.append(
-                [r, env.ap_lower, env.ap_upper, env.det_lower, env.det_upper]
-            )
+        r = np.arange(_CURVE_STEPS + 1) / _CURVE_STEPS  # the floats i / 100
+        lower = ap_lower(args.alpha, r)
+        upper = ap_upper(args.alpha, r)
+        if np.any(lower > upper + 1e-12):
+            i = int(np.argmax(lower - upper))
+            raise ValidationError(f"ap_lower {lower[i]} exceeds ap_upper {upper[i]}")
+        rows = np.column_stack([r, lower, upper, 1.0 - upper, 1.0 - lower]).tolist()
         header = ["r", "ap_lower", "ap_upper", "det_lower", "det_upper"]
         _emit(_csv_text(config, header, rows), args.emit_curve)
 

@@ -65,8 +65,13 @@ def optimal_margins(stats: ClassStats) -> Margins:
     denom = q_plus + q_minus
     gamma_plus = q_minus / denom
     gamma_minus = q_plus / denom
-    # the closed form always lands strictly inside (0,1) for positive counts
-    assert 0.0 < gamma_plus < 1.0
+    # inside (0,1) in exact arithmetic; one rounds to 1 once a fourth root
+    # exceeds the other by more than about 2^53
+    if not (gamma_plus < 1.0 and gamma_minus < 1.0):
+        raise ValidationError(
+            f"margins are not representable at alpha = n_minus/n_plus = {stats.alpha:g}: "
+            f"they round to ({gamma_plus}, {gamma_minus})"
+        )
     return Margins(gamma_plus=gamma_plus, gamma_minus=gamma_minus)
 
 

@@ -168,7 +168,12 @@ def background_count(counts: ClassCounts, ratio: float) -> int:
     total = counts.total_foreground()
     if total < 1:
         raise ValidationError("total foreground count is 0; background ratio is meaningless")
-    return int(math.floor(ratio * total + 0.5))
+    background = ratio * total
+    if not math.isfinite(background):
+        raise ValidationError(
+            f"ratio {ratio} times the {total} foreground instances overflows a float"
+        )
+    return int(math.floor(background + 0.5))
 
 
 def class_stats(counts: ClassCounts, class_id: int, background: int) -> ClassStats:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -337,7 +337,7 @@ def train(
 
     stats = dataset_stats(dataset)
     delta = np.array([log_weight_ratio(margins[c]) for c in range(num_classes)])
-    m = np.array([slope_m(stats[c].alpha, tcfg.m_mode) for c in range(num_classes)])
+    m = slope_m([stats[c].alpha for c in range(num_classes)], tcfg.m_mode)
 
     temperature = _TEMPERATURE if tcfg.temperature_head else None
     rng = np.random.default_rng(tcfg.seed)
@@ -403,24 +403,7 @@ class TrainReport:
     loss_curve: tuple[tuple[int, float], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "per_class": [
-                {
-                    "class_id": p.class_id,
-                    "n_plus": p.n_plus,
-                    "n_minus": p.n_minus,
-                    "ap": p.ap,
-                    "ranking_error": p.ranking_error,
-                    "det_error": p.det_error,
-                    "ap_lower": p.ap_lower,
-                    "ap_upper": p.ap_upper,
-                    "within_bounds": p.within_bounds,
-                }
-                for p in self.per_class
-            ],
-            "mean_ap": self.mean_ap,
-            "loss_curve": [[epoch, loss] for epoch, loss in self.loss_curve],
-        }
+        return asdict(self)
 
 
 def _unit_scores(raw: np.ndarray) -> np.ndarray:

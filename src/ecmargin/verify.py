@@ -82,34 +82,19 @@ def _run_bounds(rng: np.random.Generator, trials: int) -> dict:
 
     rs = np.linspace(0.0, 1.0, 101)
     alphas = np.logspace(-2.0, 3.0, 21)
-    mono_ok = True
-    for alpha in alphas:
-        uppers = [bnd.ap_upper(alpha, r) for r in rs]
-        lowers = [bnd.ap_lower(alpha, r) for r in rs]
-        if np.any(np.diff(uppers) > 1e-15) or np.any(np.diff(lowers) > 1e-15):
-            mono_ok = False
-    for r in rs[1:]:
-        uppers = [bnd.ap_upper(alpha, r) for alpha in alphas]
-        lowers = [bnd.ap_lower(alpha, r) for alpha in alphas]
-        if np.any(np.diff(uppers) > 1e-15) or np.any(np.diff(lowers) > 1e-15):
-            mono_ok = False
-    at_zero = all(
-        bnd.ap_upper(alpha, 0.0) == 1.0 and bnd.ap_lower(alpha, 0.0) == 1.0
-        for alpha in alphas
-    )
+    # one alpha x r grid per bound: rows alpha, columns r
+    grids = [bound(alphas[:, None], rs) for bound in (bnd.ap_upper, bnd.ap_lower)]
+    mono_ok = not any(np.any(np.diff(g, axis=axis) > 1e-15) for g in grids for axis in (0, 1))
+    at_zero = all(np.all(g[:, 0] == 1.0) for g in grids)
     checks.append(_check("monotone_in_r_and_alpha", mono_ok and at_zero))
 
     n_slope = max(trials, 1000)
     slope_alphas = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), size=n_slope))
-    worst_gap = 0.0
-    bracket_ok = True
-    for alpha in slope_alphas:
-        lo = bnd.slope_m(alpha, "lower")
-        mid = bnd.slope_m(alpha, "meet")
-        hi = bnd.slope_m(alpha, "upper")
-        worst_gap = max(worst_gap, lo - mid, mid - hi)
-        if mid < lo - 1e-9 or mid > hi + 1e-9 or lo > hi + 1e-9:
-            bracket_ok = False
+    lo = bnd.slope_m(slope_alphas, "lower")
+    mid = bnd.slope_m(slope_alphas, "meet")
+    hi = bnd.slope_m(slope_alphas, "upper")
+    worst_gap = max(0.0, float(np.max(lo - mid)), float(np.max(mid - hi)))
+    bracket_ok = not np.any((mid < lo - 1e-9) | (mid > hi + 1e-9) | (lo > hi + 1e-9))
     asym = max(
         abs(bnd.slope_m(1e6, "lower") - 1.0), abs(bnd.slope_m(1e6, "upper") - 1.0)
     )

@@ -28,6 +28,35 @@ from ecmargin import (
 alphas = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 errors = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
+# alphas where 1 + alpha rounds to 1, 1/alpha overflows or 2*alpha overflows
+EXTREME_ALPHAS = [5e-324, 1e-300, 1e-16, 1.7e308]
+
+
+def reference_meet_radius(alpha: float) -> float:
+    """Crossing of the two det-error upper-bound branches by bisection: the
+    root of sqrt(2 a R / 3) = 1 - (8/9)/(1+2 a R) on (0, 1] to 1e-12, or
+    R = 1 when the branches do not cross inside the domain."""
+
+    def h(r: float) -> float:
+        return math.sqrt(2.0 * alpha * r / 3.0) - 1.0 + (8.0 / 9.0) / (1.0 + 2.0 * alpha * r)
+
+    lo, hi = 0.0, 1.0
+    if h(hi) <= 0.0:
+        return 1.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if h(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_meet_slope(alpha: float) -> float:
+    r_star = reference_meet_radius(alpha)
+    raw = (1.0 - ap_lower(alpha, r_star)) / r_star
+    return min(max(raw, slope_m(alpha, "lower")), slope_m(alpha, "upper"))
+
 
 class TestClosedForms:
     def test_upper_at_half(self):
@@ -170,12 +199,12 @@ class TestSlope:
         assert abs(slope_m(1.0, "upper") - 19.0 / 27.0) <= 1e-15
 
     def test_meet_stays_inside_bracket(self):
-        grid = np.logspace(-3, 6, 300)
+        grid = [*np.logspace(-3, 6, 300), *EXTREME_ALPHAS]
         for alpha in grid:
             lo = slope_m(alpha, "lower")
             mid = slope_m(alpha, "meet")
             hi = slope_m(alpha, "upper")
-            assert lo <= mid <= hi
+            assert 0.0 < lo <= mid <= hi <= 1.0
             assert lo <= hi
 
     def test_all_proper_modes_approach_one_at_large_alpha(self):
@@ -192,6 +221,78 @@ class TestSlope:
     def test_bad_mode(self):
         with pytest.raises(ValidationError, match="mode"):
             slope_m(1.0, "chord")
+
+
+class TestClosedFormMeetPoint:
+    # h(R) behaves like (3 sqrt(2 alpha R / 3) - 1)^3 near its root, so it is
+    # flat there and the bisection's radius is noisy for alpha near 1/6
+    WINDOW = (1.0 / 6.0 * (1.0 - 2e-5), 1.0 / 6.0 * (1.0 + 2e-5))
+
+    def test_matches_the_bisection_exactly_away_from_one_sixth(self):
+        rng = np.random.default_rng(20240611)
+        sample = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), size=20000))
+        lo, hi = self.WINDOW
+        sample = sample[(sample < lo) | (sample > hi)]
+        got = slope_m(sample, "meet")
+        expected = np.array([reference_meet_slope(float(a)) for a in sample])
+        assert np.array_equal(got, expected)
+
+    def test_matches_the_bisection_within_2_3e_16_near_one_sixth(self):
+        window = np.linspace(*self.WINDOW, 2001)
+        got = slope_m(window, "meet")
+        expected = np.array([reference_meet_slope(float(a)) for a in window])
+        assert np.max(np.abs(got - expected)) <= 2.3e-16
+
+
+class TestArrayArguments:
+    ALPHAS = np.array([*EXTREME_ALPHAS, 1e-3, 0.1, 1.0 / 6.0, 1.0, 42.0, 1e6, 1e15])
+    RS = np.array([0.0, 1e-300, 0.01, 0.3, 0.5, 1.0 - 2.0**-53, 1.0])
+
+    @pytest.mark.parametrize("bound", [ap_upper, ap_lower])
+    def test_bounds_equal_the_scalar_calls_elementwise(self, bound):
+        got = bound(self.ALPHAS[:, None], self.RS)
+        expected = np.array([[bound(float(a), float(r)) for r in self.RS] for a in self.ALPHAS])
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected)
+
+    def test_branches_equal_the_scalar_calls_elementwise(self):
+        b1, b2 = ap_lower_branches(self.ALPHAS[:, None], self.RS)
+        pairs = [[ap_lower_branches(float(a), float(r)) for r in self.RS] for a in self.ALPHAS]
+        assert b1.dtype == b2.dtype == np.float64
+        assert np.array_equal(b1, np.array([[p[0] for p in row] for row in pairs]))
+        assert np.array_equal(b2, np.array([[p[1] for p in row] for row in pairs]))
+
+    @pytest.mark.parametrize("mode", ["unit", "lower", "upper", "meet"])
+    def test_slopes_equal_the_scalar_calls_elementwise(self, mode):
+        got = slope_m(self.ALPHAS, mode)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, [slope_m(float(a), mode) for a in self.ALPHAS])
+
+    def test_scalars_give_python_floats_and_lists_give_arrays(self):
+        assert type(ap_upper(np.float64(2.0), 0.5)) is float
+        assert type(slope_m(np.array(2.0), "meet")) is float
+        assert all(type(b) is float for b in ap_lower_branches(2.0, 0.5))
+        assert ap_lower([1.0, 2.0], 0.5).shape == (2,)
+        assert slope_m([], "upper").shape == (0,)
+
+    @pytest.mark.parametrize(
+        "call,scalar",
+        [
+            (lambda: ap_upper(np.array([1.0, -1.0, 2.0]), 0.5), lambda: ap_upper(-1.0, 0.5)),
+            (lambda: ap_lower(np.array([1.0, math.inf]), 0.5), lambda: ap_lower(math.inf, 0.5)),
+            (lambda: ap_lower_branches(1.0, np.array([0.0, 1.5])), lambda: ap_lower_branches(1.0, 1.5)),
+            (lambda: ap_upper(2.0, np.array([0.5, math.nan])), lambda: ap_upper(2.0, math.nan)),
+            (lambda: slope_m(np.array([1.0, 0.0]), "meet"), lambda: slope_m(0.0, "meet")),
+            (lambda: slope_m(np.array([1.0, 2.0]), "chord"), lambda: slope_m(1.0, "chord")),
+        ],
+        ids=["negative-alpha", "infinite-alpha", "r-above-one", "nan-r", "zero-alpha", "bad-mode"],
+    )
+    def test_a_bad_element_raises_the_scalar_message(self, call, scalar):
+        with pytest.raises(ValidationError) as scalar_error:
+            scalar()
+        with pytest.raises(ValidationError) as array_error:
+            call()
+        assert str(array_error.value) == str(scalar_error.value)
 
 
 class TestBinaryBound:

@@ -2,10 +2,11 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from ecmargin import __version__
+from ecmargin import __version__, slope_m
 from ecmargin.cli import main
 
 EXAMPLE_SCORES = "score,label\n0.9,1\n0.4,1\n0.5,0\n0.1,0\n"
@@ -56,6 +57,12 @@ GOLDEN_METRICS_REPORT = """\
   "ranking_error": 0.5833333333333334
 }
 """
+# stdout of `bounds --alpha A --r 0.3 --mode M` (key "point/A/M"), the
+# `bounds --alpha A --emit-curve curve.csv` file ("curve/A") and stdout of
+# `verify --suite bounds --trials 50 --seed 3` ("verify_bounds"), recorded from
+# the scalar, bisection-based bounds; the alphas stay away from the branch
+# crossing at alpha*R = 1/6, so the closed-form meet point keeps every byte
+GOLDEN_BOUNDS = json.loads((Path(__file__).parent / "golden_bounds.json").read_text())
 TRAIN_CONFIG = {
     "num_classes": 3,
     "total_samples": 400,
@@ -372,6 +379,21 @@ class TestMarginsCommand:
         assert out == ""
         assert err == f"error: --background-ratio must be >= 0 and finite, got {float(ratio)}\n"
 
+    # 1e64: n_minus/n_plus passes 2^212 and gamma_plus rounds to 1;
+    # 1e308: ratio * foreground count overflows a float
+    @pytest.mark.parametrize(
+        "ratio,message",
+        [("1e64", "margins are not representable at alpha"), ("1e308", "overflows a float")],
+    )
+    def test_extreme_ratio_rejected(self, capsys, counts_file, ratio, message):
+        code, out, err = run_cli(
+            capsys,
+            ["margins", "--counts", counts_file, "--background-ratio", ratio],
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_missing_counts_file_is_an_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, ["margins", "--counts", str(tmp_path / "absent.json")]
@@ -428,9 +450,30 @@ class TestBoundsCommand:
         assert doc["ap_lower"] == pytest.approx(ap_lo, abs=1e-6)
         assert doc["ap_upper"] == pytest.approx(ap_hi, abs=1e-6)
         assert 0.0 < doc["slope_m"] == pytest.approx(slope, abs=1e-6)
+        # the theorem's order holds exactly, not only up to a tolerance
+        assert 0.0 <= doc["ap_lower"] <= doc["ap_upper"] <= 1.0
+        assert 0.0 < slope_m(float(alpha), "lower") <= slope_m(float(alpha), "upper") <= 1.0
         rows = curve.read_text().strip().split("\n")[2:]
         assert len(rows) == 101
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+        for row in rows:
+            _, lo, hi, _, _ = (float(v) for v in row.split(","))
+            assert 0.0 <= lo <= hi <= 1.0
+
+    @pytest.mark.parametrize("alpha", ["0.05", "0.5", "3", "1000"])
+    @pytest.mark.parametrize("mode", ["unit", "lower", "upper", "meet"])
+    def test_point_bytes_are_golden(self, capsys, alpha, mode):
+        argv = ["bounds", "--alpha", alpha, "--r", "0.3", "--mode", mode]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_BOUNDS[f"point/{alpha}/{mode}"]
+
+    @pytest.mark.parametrize("alpha", ["0.05", "3", "1000"])
+    def test_curve_bytes_are_golden(self, capsys, tmp_path, monkeypatch, alpha):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, ["bounds", "--alpha", alpha, "--emit-curve", "curve.csv"])
+        assert (code, out, err) == (0, "", "")
+        assert (tmp_path / "curve.csv").read_bytes() == GOLDEN_BOUNDS[f"curve/{alpha}"].encode()
 
     def test_requires_a_point_or_a_curve(self, capsys):
         code, _, err = run_cli(capsys, ["bounds", "--alpha", "1"])
@@ -575,6 +618,12 @@ class TestVerifyCommand:
         assert doc["config"]["trials"] == 25
         assert doc["config"]["seed"] == 7
         assert doc["suites"][0]["suite"] == "margins"
+
+    def test_bounds_suite_bytes_are_golden(self, capsys):
+        argv = ["verify", "--suite", "bounds", "--trials", "50", "--seed", "3"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_BOUNDS["verify_bounds"]
 
     def test_output_is_byte_deterministic(self, capsys):
         argv = ["verify", "--suite", "estimators", "--trials", "25", "--seed", "1"]

@@ -38,6 +38,14 @@ class TestOptimalMargins:
         m = optimal_margins(stats(10, 10000))
         assert m.gamma_plus > m.gamma_minus
 
+    @pytest.mark.parametrize(
+        "n_plus,n_minus", [(16, 10**66), (10**70, 1)], ids=["rare", "frequent"]
+    )
+    def test_counts_too_far_apart_rejected(self, n_plus, n_minus):
+        # a fourth-root ratio past 2^53 rounds one margin to 1
+        with pytest.raises(ValidationError, match="margins are not representable"):
+            optimal_margins(stats(n_plus, n_minus))
+
     @given(counts, counts)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_margins_complement_each_other(self, n_plus, n_minus):

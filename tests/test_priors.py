@@ -85,6 +85,11 @@ class TestBackgroundCount:
         with pytest.raises(ValidationError):
             background_count(COUNTS, ratio)
 
+    def test_ratio_whose_count_overflows_rejected(self):
+        with pytest.raises(ValidationError, match="overflows"):
+            background_count(COUNTS, 1e308)
+        assert background_count(COUNTS, 1e300) == int(1e300 * 4704 + 0.5)
+
 
 class TestClassStatsFromCounts:
     def test_negatives_are_rest_plus_background(self):
