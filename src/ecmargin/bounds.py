@@ -24,6 +24,7 @@ from .errors import NumericalError, ValidationError
 from .metrics import (
     ScoreSet,
     _check_alpha,
+    _count_above,
     ap_standard_error,
     ranking_error,
     ranking_standard_error,
@@ -60,12 +61,19 @@ def _elementwise(fn, *args, nout: int = 1):
 def _ap_upper(alpha: float, r: float) -> float:
     alpha = _check_alpha(alpha)
     r = _check_r(r)
-    x = -r / (1.0 + alpha)
-    if x == -1.0:
+    u = r / (1.0 + alpha)
+    if alpha >= 1e4:
+        # 1 + alpha*log1p(-u) cancels, losing digits in proportion to alpha.
+        # Its terms 1 - alpha*u are a = (1 + alpha(1-r))/(1+alpha); the rest of
+        # the log1p series is summed to u^6, and u <= 1e-4 leaves a relative
+        # remainder below 1e-20
+        a = (1.0 + alpha * (1.0 - r)) / (1.0 + alpha)
+        tail = 0.5 + u * (1.0 / 3.0 + u * (0.25 + u * (0.2 + u / 6.0)))
+        return a - (alpha * u) * u * tail
+    if u == 1.0:
         # r = 1 and 1 + alpha rounds to 1: ln(1 - 1/(1+alpha)) = ln(alpha) - ln(1+alpha)
         return 1.0 + alpha * (math.log(alpha) - math.log1p(alpha))
-    # positive in exact arithmetic; at r = 1 and alpha ~ 1e308 it rounds below 0
-    return max(0.0, 1.0 + alpha * math.log1p(x))
+    return 1.0 + alpha * math.log1p(-u)
 
 
 def _ap_lower_branches(alpha: float, r: float) -> tuple[float, float]:
@@ -186,16 +194,24 @@ def slope_m(alpha, mode: str = "upper"):
     return _elementwise(lambda a: _slope_m(a, mode), alpha)
 
 
-def binary_bound_check(s: ScoreSet, t: float) -> tuple[float, bool]:
+def binary_bound_check(s: ScoreSet, t):
     """Threshold bound on the ranking error: R <= P(s+ <= t) + P(s- > t).
 
-    Returns the right-hand side and whether the inequality holds (with 1e-12
-    slack for the float comparison).
+    Returns the right-hand side, from exact integer tail counts, and whether
+    the inequality holds (with 1e-12 slack for the float comparison): floats
+    for a scalar t, arrays for an array of thresholds.  A NaN t raises
+    ValidationError.
     """
-    rhs = float(np.count_nonzero(s.positives <= t)) / s.n_plus + float(
-        np.count_nonzero(s.negatives > t)
+    r = ranking_error(s)
+    t = np.asarray(t, dtype=np.float64)
+    if np.isnan(t).any():
+        raise ValidationError("threshold must not be NaN")
+    rhs = (s.n_plus - _count_above(s.pos_sorted, t)) / s.n_plus + _count_above(
+        s.neg_sorted, t
     ) / s.n_minus
-    holds = ranking_error(s) <= rhs + 1e-12
+    holds = r <= rhs + 1e-12
+    if t.ndim == 0:
+        return float(rhs), bool(holds)
     return rhs, holds
 
 

@@ -32,7 +32,7 @@ from .metrics import (
     pr_curve,
     ranking_error,
 )
-from .priors import background_count, class_stats, load_counts
+from .priors import all_class_stats, background_count, load_counts
 from .sandbox import (
     SyntheticConfig,
     TrainConfig,
@@ -66,7 +66,25 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _csv_text(config: dict, header: list[str], rows: list[list]) -> str:
+def _emit_document(args, config: dict, body: dict, rows: list[dict]) -> None:
+    """The main output, to --out or stdout: a JSON document of the config and
+    the body, or with --format csv the rows under the config comment."""
+    if args.format == "csv":
+        text = _csv_text(config, list(rows[0]), [list(row.values()) for row in rows])
+    else:
+        text = _json_text({"config": config, **body})
+    _emit(text, args.out)
+
+
+def _emit_report(args, payload: dict) -> None:
+    """verify and train print their JSON report, and also write it to --out."""
+    text = _json_text(payload)
+    sys.stdout.write(text)
+    if args.out is not None:
+        _emit(text, args.out)
+
+
+def _csv_text(config: dict, header: list[str], rows) -> str:
     buf = io.StringIO()
     buf.write(_config_comment(config))
     writer = csv.writer(buf, lineterminator="\n")
@@ -85,14 +103,7 @@ def _require_json_format(args, command: str) -> None:
 
 
 def _resolved(args, command: str, **extra) -> dict:
-    config = {
-        "command": command,
-        "seed": args.seed,
-        "format": args.format,
-        "out": args.out,
-    }
-    config.update(extra)
-    return config
+    return {"command": command, "seed": args.seed, "format": args.format, "out": args.out, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +128,12 @@ def _cmd_margins(args) -> int:
     )
 
     classes = []
-    for entry in sorted(counts.entries, key=lambda e: e.class_id):
-        stats = class_stats(counts, entry.class_id, background)
+    for class_id, stats in all_class_stats(counts, background).items():
         margins = optimal_margins(stats)
         w = weights(margins)
         classes.append(
             {
-                "id": entry.class_id,
+                "id": class_id,
                 "n_plus": stats.n_plus,
                 "n_minus": stats.n_minus,
                 "alpha": _sig12(stats.alpha),
@@ -133,22 +143,7 @@ def _cmd_margins(args) -> int:
                 "w_minus": _sig12(w.w_minus),
             }
         )
-
-    if args.format == "csv":
-        header = [
-            "id",
-            "n_plus",
-            "n_minus",
-            "alpha",
-            "gamma_plus",
-            "gamma_minus",
-            "w_plus",
-            "w_minus",
-        ]
-        rows = [[c[k] for k in header] for c in classes]
-        _emit(_csv_text(config, header, rows), args.out)
-    else:
-        _emit(_json_text({"config": config, "classes": classes}), args.out)
+    _emit_document(args, config, {"classes": classes}, classes)
     return 0
 
 
@@ -176,22 +171,8 @@ def _cmd_bounds(args) -> int:
         _emit(_csv_text(config, header, rows), args.emit_curve)
 
     if args.r is not None:
-        env = envelope(args.alpha, args.r, args.mode)
-        fields = {
-            "alpha": env.alpha,
-            "ranking_error": env.ranking_error,
-            "ap_lower": env.ap_lower,
-            "ap_upper": env.ap_upper,
-            "det_lower": env.det_lower,
-            "det_upper": env.det_upper,
-            "slope_m": env.slope_m,
-            "slope_mode": env.slope_mode,
-        }
-        if args.format == "csv":
-            header = list(fields)
-            _emit(_csv_text(config, header, [[fields[k] for k in header]]), args.out)
-        else:
-            _emit(_json_text({"config": config, **fields}), args.out)
+        fields = dataclasses.asdict(envelope(args.alpha, args.r, args.mode))
+        _emit_document(args, config, fields, [fields])
     elif args.out is not None:
         raise EcmError("--out without --r has nothing to write; use --emit-curve")
     return 0
@@ -212,13 +193,12 @@ def _cmd_metrics(args) -> int:
         pr_curve=args.pr_curve,
     )
     ap = average_precision(ss, alpha)
-    r = ranking_error(ss, ties=args.ties)
     fields = {
         "n_plus": ss.n_plus,
         "n_minus": ss.n_minus,
         "alpha": alpha,
         "average_precision": ap,
-        "ranking_error": r,
+        "ranking_error": ranking_error(ss, ties=args.ties),
         "det_error": 1.0 - ap,
     }
     if args.pr_curve is not None:
@@ -230,11 +210,7 @@ def _cmd_metrics(args) -> int:
             _config_comment(config) + "threshold,recall,precision\n" + rows,
             args.pr_curve,
         )
-    if args.format == "csv":
-        header = list(fields)
-        _emit(_csv_text(config, header, [[fields[k] for k in header]]), args.out)
-    else:
-        _emit(_json_text({"config": config, **fields}), args.out)
+    _emit_document(args, config, fields, [fields])
     return 0
 
 
@@ -242,10 +218,7 @@ def _cmd_verify(args) -> int:
     _require_json_format(args, "verify")
     config = _resolved(args, "verify", suite=args.suite, trials=args.trials)
     report = verify.run(suite=args.suite, trials=args.trials, seed=args.seed)
-    text = _json_text({"config": config, **report})
-    sys.stdout.write(text)
-    if args.out is not None:
-        _emit(text, args.out)
+    _emit_report(args, {"config": config, **report})
     return 0 if report["passed"] else 1
 
 
@@ -263,7 +236,7 @@ def _cmd_train(args) -> int:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 flat = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
             raise EcmError(f"config file {args.config}: {exc}") from exc
         if not isinstance(flat, dict):
             raise EcmError(f"config file {args.config}: expected a JSON object")
@@ -301,14 +274,9 @@ def _cmd_train(args) -> int:
     _, report = run_experiment(scfg, tcfg)
     audit_ok = bound_audit(report)
 
-    payload = {"config": config, **report.to_dict(), "bound_audit": audit_ok}
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out is not None:
-        _emit(text, args.out)
+    _emit_report(args, {"config": config, **report.to_dict(), "bound_audit": audit_ok})
     if args.loss_curve is not None:
-        rows = [[epoch, loss] for epoch, loss in report.loss_curve]
-        _emit(_csv_text(config, ["epoch", "mean_loss"], rows), args.loss_curve)
+        _emit(_csv_text(config, ["epoch", "mean_loss"], report.loss_curve), args.loss_curve)
     return 0 if audit_ok else 1
 
 
@@ -447,10 +415,7 @@ def main(argv: list[str] | None = None) -> int:
         args.seed = 0
     try:
         return args.handler(args)
-    except EcmError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (EcmError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -126,10 +126,15 @@ def _require_negatives(s: ScoreSet):
         raise ValidationError("score set has no negatives")
 
 
+def _count_above(sorted_scores: np.ndarray, t):
+    """How many of the sorted scores lie strictly above t (a scalar or an array)."""
+    return sorted_scores.size - np.searchsorted(sorted_scores, t, side="right")
+
+
 def recall_at(s: ScoreSet, t: float) -> float:
     """Fraction of positives scoring strictly above t."""
     _require_positives(s)
-    return float(np.count_nonzero(s.positives > t)) / s.n_plus
+    return float(_count_above(s.pos_sorted, t)) / s.n_plus
 
 
 def precision_at(s: ScoreSet, t: float, alpha: float) -> float:
@@ -142,7 +147,7 @@ def precision_at(s: ScoreSet, t: float, alpha: float) -> float:
     _require_negatives(s)
     alpha = _check_alpha(alpha)
     r = recall_at(s, t)
-    g = float(np.count_nonzero(s.negatives > t)) / s.n_minus
+    g = float(_count_above(s.neg_sorted, t)) / s.n_minus
     if r == 0.0 and g == 0.0:
         raise UndefinedPrecisionError(f"no positive or negative mass above t={t}")
     return r / (r + alpha * g)
@@ -248,10 +253,8 @@ def pr_curve(s: ScoreSet, alpha: float) -> PrecisionRecallCurve:
     _require_negatives(s)
     alpha = _check_alpha(alpha)
     thresholds = np.unique(np.concatenate([s.positives, s.negatives]))[::-1]
-    pos = s.pos_sorted
-    neg = s.neg_sorted
-    r = (pos.size - np.searchsorted(pos, thresholds, side="right")) / pos.size
-    g = (neg.size - np.searchsorted(neg, thresholds, side="right")) / neg.size
+    r = _count_above(s.pos_sorted, thresholds) / s.n_plus
+    g = _count_above(s.neg_sorted, thresholds) / s.n_minus
     keep = (r > 0.0) | (g > 0.0)
     r, g = r[keep], g[keep]
     return PrecisionRecallCurve(

@@ -10,9 +10,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InputFormatError, UnknownClassError, ValidationError
+
+# counts enter float arithmetic (alpha, the margins), so they must fit a float
+_MAX_COUNT = int(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -31,12 +35,18 @@ class ClassCounts:
 
     def __post_init__(self):
         seen: set[int] = set()
+        total = 0
         for e in self.entries:
             if e.class_id < 0:
                 raise ValidationError(f"class_id must be >= 0, got {e.class_id}")
             if e.instance_count < 0:
                 raise ValidationError(
                     f"instance_count must be >= 0, got {e.instance_count} for class {e.class_id}"
+                )
+            total += e.instance_count
+            if total > _MAX_COUNT:
+                raise ValidationError(
+                    f"instance counts through class {e.class_id} sum past the float range"
                 )
             if e.class_id in seen:
                 raise ValidationError(f"duplicate class_id {e.class_id}")
@@ -98,6 +108,8 @@ def _load_json(path: str) -> ClassCounts:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer past the digit limit
+        raise InputFormatError(f"{path}: {exc}") from exc
     if not isinstance(data, dict) or "categories" not in data:
         raise InputFormatError(f"{path}: top-level object must contain a 'categories' list")
     cats = data["categories"]
@@ -191,9 +203,12 @@ def class_stats(counts: ClassCounts, class_id: int, background: int) -> ClassSta
         raise ValidationError(
             f"class {class_id} has no negatives (n_minus={n_minus}); need at least one other sample"
         )
+    if n_minus > _MAX_COUNT:
+        raise ValidationError(f"class {class_id} has more negatives than fit a float")
     return ClassStats(n_plus=n_plus, n_minus=n_minus, alpha=n_minus / n_plus)
 
 
 def all_class_stats(counts: ClassCounts, background: int) -> dict[int, ClassStats]:
-    """class_stats for every class, keyed by class_id."""
-    return {e.class_id: class_stats(counts, e.class_id, background) for e in counts.entries}
+    """class_stats for every class, keyed by class_id in ascending order."""
+    ids = sorted(e.class_id for e in counts.entries)
+    return {class_id: class_stats(counts, class_id, background) for class_id in ids}

@@ -11,6 +11,7 @@ closed-form bounds at each saved checkpoint.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import asdict, dataclass
@@ -64,6 +65,8 @@ class SyntheticConfig:
             raise ValidationError(
                 f"background_fraction must lie in [0,1), got {self.background_fraction}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,8 @@ class TrainConfig:
             raise ValidationError(
                 f"holdout_fraction must lie in [0,1), got {self.holdout_fraction}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def zipf_class_counts(num_classes: int, total: int, exponent: float) -> tuple[int, ...]:
@@ -289,16 +294,6 @@ def _backward(kind, params, temperature, x, cache, g):
     return grads
 
 
-def _batch_loss_grads(logits, is_pos, tcfg, delta, m):
-    """Per-logit loss values and gradients for the configured loss."""
-    if tcfg.loss == "bce":
-        return _ecm_value_grad(2.0 * logits, is_pos, 1.0)
-    z = 2.0 * logits - delta
-    if tcfg.loss == "ecm":
-        return _ecm_value_grad(z, is_pos, m)
-    return _focal_value_grad(z, is_pos, m, 2.0, 0.25)
-
-
 def _split_indices(dataset: Dataset, tcfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-class proportional holdout split; evaluation = training when off."""
     n = dataset.labels.size
@@ -335,9 +330,17 @@ def train(
     if missing:
         raise ValidationError(f"margins missing for classes {missing}")
 
-    stats = dataset_stats(dataset)
-    delta = np.array([log_weight_ratio(margins[c]) for c in range(num_classes)])
-    m = slope_m([stats[c].alpha for c in range(num_classes)], tcfg.m_mode)
+    if tcfg.loss == "bce":
+        # ecm with no logit shift and unit slope: x - 0.0 and 1.0 * y are x and y bitwise
+        delta, m = 0.0, 1.0
+    else:
+        stats = dataset_stats(dataset)
+        delta = np.array([log_weight_ratio(margins[c]) for c in range(num_classes)])
+        m = slope_m([stats[c].alpha for c in range(num_classes)], tcfg.m_mode)
+    if tcfg.loss == "focal_ecm":
+        kernel = functools.partial(_focal_value_grad, focal_gamma=2.0, focal_alpha=0.25)
+    else:
+        kernel = _ecm_value_grad
 
     temperature = _TEMPERATURE if tcfg.temperature_head else None
     rng = np.random.default_rng(tcfg.seed)
@@ -359,12 +362,12 @@ def train(
             x = x_all[batch]
             is_pos = y_all[batch, None] == class_ids[None, :]
             logits, cache = _forward(tcfg.model, params, temperature, x)
-            values, grad_f = _batch_loss_grads(logits, is_pos, tcfg, delta, m)
+            values, grad_f = kernel(2.0 * logits - delta, is_pos, m)
             denom = batch.size * num_classes
-            batch_loss = float(values.sum()) / denom
-            if not math.isfinite(batch_loss):
+            values_sum = float(values.sum())
+            if not math.isfinite(values_sum):
                 raise NumericalError(f"non-finite training loss at epoch {epoch}")
-            loss_sum += float(values.sum()) / num_classes
+            loss_sum += values_sum / num_classes
             grads = _backward(tcfg.model, params, temperature, x, cache, grad_f / denom)
             for key, grad in grads.items():
                 params[key] -= tcfg.learning_rate * grad

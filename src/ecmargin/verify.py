@@ -293,18 +293,11 @@ def _run_estimators(rng: np.random.Generator, trials: int) -> dict:
         # binary bound at every distinct score nudged both ways
         ts = np.unique(np.concatenate([ss.positives, ss.negatives]))
         ts = np.concatenate([ts - 1e-9, ts, ts + 1e-9])
-        pos = ss.pos_sorted
-        neg = ss.neg_sorted
-        p_le = np.searchsorted(pos, ts, side="right") / pos.size
-        n_gt = 1.0 - np.searchsorted(neg, ts, side="right") / neg.size
-        rhs = p_le + n_gt
+        rhs, holds = bnd.binary_bound_check(ss, ts)
         worst_bound_slack = min(worst_bound_slack, float(np.min(rhs) - r_half))
-        if np.any(rhs + 1e-12 < r_half):
+        spot = [bnd.binary_bound_check(ss, float(t))[1] for t in rng.choice(ts, size=3)]
+        if not (holds.all() and all(spot)):
             bound_ok = False
-        for t in rng.choice(ts, size=3):
-            rhs_one, holds = bnd.binary_bound_check(ss, float(t))
-            if not holds:
-                bound_ok = False
 
     checks.append(_check("bruteforce_agreement", agree, trials=trials))
     checks.append(_check("swap_complement", swap_ok))
@@ -459,6 +452,8 @@ def run(suite: str = "all", trials: int = 1000, seed: int = 0) -> dict:
         raise ValidationError(f"suite must be 'all' or one of {SUITES}, got {suite!r}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     names = SUITES if suite == "all" else (suite,)
     children = np.random.SeedSequence(seed).spawn(len(SUITES))
     reports = []

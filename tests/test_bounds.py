@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -113,6 +114,43 @@ class TestClosedForms:
     def test_bad_ranking_error_rejected(self, r):
         with pytest.raises(ValidationError, match="ranking error"):
             ap_upper(1.0, r)
+
+
+def reference_ap_upper(alpha: float, r: float) -> float:
+    """1 + alpha*ln(1 - r/(1+alpha)) in 700-digit decimal arithmetic.
+
+    Rounding 1 - r/(1+alpha) costs 10^-700 absolutely, which alpha scales up
+    and a result as small as 1/(2 alpha) divides, so the relative error is
+    about 2 alpha^2 10^-700: below 1e-80 for every finite alpha."""
+    with localcontext() as ctx:
+        ctx.prec = 700
+        a = Decimal(alpha)
+        return float(1 + a * (1 - Decimal(r) / (1 + a)).ln())
+
+
+class TestUpperBoundAtLargeAlpha:
+    """From alpha = 1e4 on ap_upper sums the log1p series instead of
+    cancelling 1 against alpha*log1p, which lost digits in proportion to alpha."""
+
+    def test_matches_a_decimal_reference(self):
+        rng = np.random.default_rng(20261018)
+        alphas = np.exp(rng.uniform(math.log(1e4), math.log(1.7e308), size=300))
+        rs = [1.0, 0.5, 1.0 - 1e-9, 1e-9, *rng.random(6)]
+        for alpha in (1e4, 1e8, 1e12, 1e15, 1e16, 1e100, 1e300, 1.7e308, *alphas):
+            for r in rs:
+                want = reference_ap_upper(alpha, r)
+                # relative to the value, or a few units of the last place of a subnormal
+                assert abs(ap_upper(alpha, r) - want) <= 4 * math.ulp(want), (alpha, r)
+
+    @pytest.mark.parametrize("alpha", [1e12, 1e15, 1e16, 1e100, 1e300, 1.7e308])
+    def test_sandwich_order_is_exact_at_full_ranking_error(self, alpha):
+        assert 0.0 <= ap_lower(alpha, 1.0) <= ap_upper(alpha, 1.0)
+        assert ap_upper(alpha, 1.0) > 0.0
+
+    def test_alphas_below_the_switch_keep_the_log1p_form(self):
+        for alpha in (0.05, 3.0, 1000.0, 9999.0):
+            for r in (0.0, 0.3, 1.0):
+                assert ap_upper(alpha, r) == 1.0 + alpha * math.log1p(-r / (1.0 + alpha))
 
 
 class TestEnvelope:
@@ -333,6 +371,31 @@ class TestBinaryBound:
             for t in np.concatenate([s.positives, s.negatives])
         )
         assert ranking_error(s) <= best + 1e-12
+
+
+    def test_array_of_thresholds_matches_scalar_calls(self, rng):
+        s = ScoreSet(positives=rng.integers(0, 5, 40) / 4.0, negatives=rng.random(70))
+        ts = np.concatenate([s.positives, s.negatives, [-1.0, 0.0, 0.25, 1.0, 2.0]])
+        rhs, holds = binary_bound_check(s, ts)
+        assert rhs.shape == holds.shape == ts.shape
+        for t, rhs_t, holds_t in zip(ts, rhs, holds):
+            assert binary_bound_check(s, float(t)) == (rhs_t, holds_t)
+        scalar = binary_bound_check(s, 0.5)
+        assert type(scalar[0]) is float and type(scalar[1]) is bool
+
+    def test_tails_are_exact_counts(self):
+        # the tight bound's slack is exactly 0; 1 - 9/10 would put the
+        # negative tail at 0.09999999999999998, below R = 0.1
+        s = ScoreSet(positives=[0.5] * 3, negatives=[0.1] * 9 + [0.9])
+        rhs, holds = binary_bound_check(s, [0.2, 0.4])
+        assert list(rhs) == [0.1, 0.1] == [ranking_error(s)] * 2
+        assert holds.all()
+
+    @pytest.mark.parametrize("t", [math.nan, [0.5, math.nan]])
+    def test_nan_threshold_rejected(self, t):
+        s = ScoreSet(positives=[0.9, 0.4], negatives=[0.5, 0.1])
+        with pytest.raises(ValidationError, match="NaN"):
+            binary_bound_check(s, t)
 
 
 class TestAuditInterval:

@@ -63,6 +63,17 @@ GOLDEN_METRICS_REPORT = """\
 # the scalar, bisection-based bounds; the alphas stay away from the branch
 # crossing at alpha*R = 1/6, so the closed-form meet point keeps every byte
 GOLDEN_BOUNDS = json.loads((Path(__file__).parent / "golden_bounds.json").read_text())
+# stdout of each command below, run from a directory holding counts.json
+# (COUNTS_JSON) and scores.csv (TIED_SCORES), and under "<key>/out" the file
+# that the same command plus `--out doc.out` writes; recorded before margins,
+# bounds and metrics shared one document writer
+GOLDEN_DOCUMENTS = json.loads((Path(__file__).parent / "golden_documents.json").read_text())
+GOLDEN_DOCUMENT_ARGV = {
+    "margins/json": ["margins", "--counts", "counts.json"],
+    "margins/csv": ["margins", "--counts", "counts.json", "--format", "csv"],
+    "bounds/csv": ["bounds", "--alpha", "3", "--r", "0.2", "--mode", "meet", "--format", "csv"],
+    "metrics/csv": ["metrics", "--scores", "scores.csv", "--alpha", "3", "--format", "csv"],
+}
 TRAIN_CONFIG = {
     "num_classes": 3,
     "total_samples": 400,
@@ -325,6 +336,30 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def assert_input_error(code, out, err, message):
+    """Exit 2 with nothing on stdout and one error line containing message."""
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert message in err
+
+
+class TestDocumentBytes:
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("key", sorted(GOLDEN_DOCUMENT_ARGV))
+    def test_bytes_are_golden(self, capsys, tmp_path, monkeypatch, key, to_file):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "counts.json").write_text(COUNTS_JSON)
+        (tmp_path / "scores.csv").write_text(TIED_SCORES)
+        argv = GOLDEN_DOCUMENT_ARGV[key] + (["--out", "doc.out"] if to_file else [])
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        if to_file:
+            assert out == ""
+            assert (tmp_path / "doc.out").read_bytes() == GOLDEN_DOCUMENTS[f"{key}/out"].encode()
+        else:
+            assert out == GOLDEN_DOCUMENTS[key]
+
+
 class TestMarginsCommand:
     def test_json_document_lists_every_class(self, capsys, counts_file):
         code, out, err = run_cli(capsys, ["margins", "--counts", counts_file])
@@ -393,6 +428,44 @@ class TestMarginsCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    # a 401-digit count; two counts whose sum passes the float maximum; and a
+    # class whose negatives (the rest plus as much background) pass it
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    @pytest.mark.parametrize(
+        "counts,message",
+        [
+            ((10**400, 5), "instance counts through class 1 sum past the float range"),
+            ((10**308, 10**308), "instance counts through class 2 sum past the float range"),
+            ((1, 10**308), "class 1 has more negatives than fit a float"),
+        ],
+        ids=["401_digits", "sum", "negatives"],
+    )
+    def test_counts_beyond_the_float_range_rejected(
+        self, capsys, tmp_path, suffix, counts, message
+    ):
+        path = tmp_path / f"counts{suffix}"
+        if suffix == ".json":
+            cats = [{"id": i, "name": "c", "instance_count": n} for i, n in enumerate(counts, 1)]
+            path.write_text(json.dumps({"categories": cats}))
+        else:
+            rows = "".join(f"{i},c,{n}\n" for i, n in enumerate(counts, 1))
+            path.write_text("id,name,instance_count\n" + rows)
+        argv = ["margins", "--counts", str(path), "--background-ratio", "1"]
+        assert_input_error(*run_cli(capsys, argv), message)
+
+    @pytest.mark.parametrize(
+        "name,data",
+        [
+            ("counts.json", b'{"categories": [{"id": 1, "name": "\xff", "instance_count": 3}]}'),
+            ("counts.csv", b"id,name,instance_count\n1,\xff,3\n2,b,4\n"),
+        ],
+        ids=["json", "csv"],
+    )
+    def test_counts_file_that_is_not_utf8_rejected(self, capsys, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert_input_error(*run_cli(capsys, ["margins", "--counts", str(path)]), "utf-8")
 
     def test_missing_counts_file_is_an_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -598,6 +671,12 @@ class TestMetricsCommand:
         assert out == GOLDEN_METRICS_REPORT
         assert (tmp_path / "pr.csv").read_bytes() == GOLDEN_PR_CURVE.encode()
 
+    def test_scores_file_that_is_not_utf8_rejected(self, capsys, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b'score,label\n0.5,1\n0.2,0\n"\xff",1\n')
+        argv = ["metrics", "--scores", str(path), "--alpha", "1"]
+        assert_input_error(*run_cli(capsys, argv), "utf-8")
+
     def test_malformed_scores_rejected_with_line_number(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("score,label\noops,1\n")
@@ -647,6 +726,10 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert path.read_text() == out
+
+    def test_negative_seed_rejected(self, capsys):
+        argv = ["verify", "--suite", "margins", "--trials", "1", "--seed", "-1"]
+        assert_input_error(*run_cli(capsys, argv), "seed must be >= 0, got -1")
 
     def test_csv_format_rejected(self, capsys):
         code, _, err = run_cli(
@@ -739,6 +822,32 @@ class TestTrainCommand:
         doc = json.loads(out)
         assert doc["config"]["train"]["learning_rate"] == 1
         assert doc["config"]["synthetic"]["noise_sigma"] == 2
+
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (["--seed", "-1"], {}),
+            ([], {"seed": -1}),
+            ([], {"train_seed": -1}),
+        ],
+    )
+    def test_negative_seed_rejected(self, capsys, tmp_path, argv, config):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(dict(TRAIN_CONFIG, **config)))
+        code, out, err = run_cli(capsys, ["train", "--config", str(path), *argv])
+        assert_input_error(code, out, err, "seed must be >= 0, got -1")
+
+    def test_config_file_that_is_not_utf8_rejected(self, capsys, tmp_path):
+        path = tmp_path / "train.json"
+        path.write_bytes(b'{"seed": 1, "loss": "\xff"}')
+        code, out, err = run_cli(capsys, ["train", "--config", str(path)])
+        assert_input_error(code, out, err, "utf-8")
+
+    def test_out_writes_the_same_document_it_prints(self, capsys, train_config_file, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, ["train", "--config", train_config_file, "--out", str(path)])
+        assert code == 0
+        assert path.read_text() == out
 
     def test_loss_curve_file_has_one_row_per_epoch(self, capsys, train_config_file, tmp_path):
         curve = tmp_path / "loss.csv"

@@ -51,6 +51,15 @@ class TestClassCounts:
         with pytest.raises(ValidationError):
             ClassCounts(entries=(ClassEntry(class_id=0, name="a", instance_count=-1),))
 
+    # a 401-digit count, and two counts whose sum passes the float maximum
+    @pytest.mark.parametrize(
+        "counts,class_id", [((10**400, 5), 0), ((5, 10**400), 1), ((10**308, 10**308), 1)]
+    )
+    def test_counts_beyond_the_float_range_rejected(self, counts, class_id):
+        entries = tuple(ClassEntry(i, f"c{i}", n) for i, n in enumerate(counts))
+        with pytest.raises(ValidationError, match=f"through class {class_id} sum past"):
+            ClassCounts(entries=entries)
+
     @pytest.mark.parametrize("ratio", [-0.5, math.nan, math.inf])
     def test_negative_background_ratio_rejected(self, ratio):
         with pytest.raises(ValidationError):
@@ -102,6 +111,16 @@ class TestClassStatsFromCounts:
         stats = all_class_stats(COUNTS, 0)
         assert sorted(stats) == [1, 2, 3]
         assert stats[3].n_minus == 16 + 81
+
+    def test_all_class_stats_are_in_class_id_order(self):
+        counts = ClassCounts(entries=tuple(reversed(COUNTS.entries)))
+        assert list(all_class_stats(counts, 0)) == [1, 2, 3]
+
+    def test_negatives_beyond_the_float_range_rejected(self):
+        counts = ClassCounts(entries=(ClassEntry(0, "a", 1), ClassEntry(1, "b", 10**308)))
+        background = background_count(counts, 1.0)
+        with pytest.raises(ValidationError, match="class 0 has more negatives than fit a float"):
+            class_stats(counts, 0, background)
 
     def test_zero_count_class_rejected(self):
         counts = ClassCounts(
@@ -160,6 +179,17 @@ class TestLoadCounts:
         path = tmp_path / "bad.csv"
         path.write_text("id,name,instance_count\n1,cat,lots\n")
         with pytest.raises(InputFormatError, match="line 2"):
+            load_counts(str(path))
+
+    # bytes that are not UTF-8, and an integer past Python's 4300-digit limit
+    @pytest.mark.parametrize(
+        "name,count,message", [(b"\xff", b"3", "utf-8"), (b"a", b"1" * 5000, "digits")]
+    )
+    def test_undecodable_json_is_a_format_error(self, tmp_path, name, count, message):
+        data = b'{"categories": [{"id": 1, "name": "%s", "instance_count": %s}]}' % (name, count)
+        path = tmp_path / "counts.json"
+        path.write_bytes(data)
+        with pytest.raises(InputFormatError, match=message):
             load_counts(str(path))
 
     def test_unknown_format_rejected(self, tmp_path):

@@ -143,6 +143,7 @@ class TestGenerate:
             {"noise_sigma": -1.0},
             {"zipf_exponent": -0.5},
             {"total_samples": 0},
+            {"seed": -1},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -257,6 +258,7 @@ class TestTraining:
             {"model": "transformer"},
             {"checkpoint_every": 0},
             {"holdout_fraction": 1.0},
+            {"seed": -1},
         ],
     )
     def test_train_config_validation(self, kwargs):

@@ -50,3 +50,15 @@ class TestRun:
     def test_nonpositive_trials_rejected(self, trials):
         with pytest.raises(ValidationError, match="trials"):
             run_verification("bounds", trials=trials, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            run_verification("bounds", trials=1, seed=-1)
+
+    # both seeds reach a set where the binary bound is tight; its slack is
+    # counted exactly, so it is 0.0, not the -1.1e-16 / -5.6e-17 of 1 - k/n
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_tight_binary_bound_has_zero_slack(self, seed):
+        report = run_verification("estimators", trials=1000, seed=seed)
+        checks = {c["name"]: c for c in report["suites"][0]["checks"]}
+        assert checks["binary_bound"]["worst_slack"] == 0.0
