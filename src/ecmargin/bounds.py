@@ -32,7 +32,6 @@ from .metrics import (
 
 SLOPE_MODES = ("unit", "lower", "upper", "meet")
 
-_MEAN_TOL = 1e-12
 _REL_OBJ_TOL = 1e-10
 _MAX_ITER = 10**5
 
@@ -270,21 +269,26 @@ def _gradient(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _project_box_mean(v: np.ndarray, tau: float) -> np.ndarray:
-    """Project v onto {0 <= g <= 1, mean(g) = tau}: clip(v + shift) with the
-    scalar shift found by bisection to 1e-12 on the mean."""
-    lo = tau - float(np.max(v))
-    hi = tau - float(np.min(v)) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        mean = float(np.mean(np.clip(v + mid, 0.0, 1.0)))
-        if abs(mean - tau) <= _MEAN_TOL:
-            lo = hi = mid
-            break
-        if mean < tau:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v + 0.5 * (lo + hi), 0.0, 1.0)
+    """Project v onto {0 <= g <= 1, mean(g) = tau}: clip(v + theta, 0, 1) with
+    the exact shift theta (the capped-simplex projection of Wang & Lu 2015,
+    arXiv:1503.01002).
+
+    S(theta) = sum(clip(v + theta, 0, 1)) is piecewise linear and
+    nondecreasing: each kink -v_i adds slope 1 and each kink 1 - v_i takes it
+    away.  One sort of the 2n kinks and a cumsum of the slopes give S at every
+    kink; theta interpolates linearly to S = tau n.
+    """
+    n = v.size
+    kinks = np.concatenate([-v, 1.0 - v])
+    order = np.argsort(kinks, kind="stable")
+    kinks = kinks[order]
+    slopes = np.cumsum(np.where(order < n, 1.0, -1.0))
+    level = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(kinks))])
+    # the rising piece that reaches tau n; the clip keeps tau = 0 and a
+    # rounded-down level at tau = 1 on the first and last pieces
+    k = int(np.clip(np.searchsorted(level, tau * n), 1, 2 * n - 1))
+    theta = kinks[k - 1] + (tau * n - level[k - 1]) / slopes[k - 1]
+    return np.clip(v + theta, 0.0, 1.0)
 
 
 def _check_oracle_args(alpha: float, tau: float, n: int, allow_zero_tau: bool) -> tuple[float, float, int]:

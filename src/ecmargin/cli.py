@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, verify
 from .bounds import SLOPE_MODES, ap_lower, ap_upper, envelope
-from .errors import EcmError, ValidationError
+from .errors import EcmError, InputFormatError, ValidationError
 from .margins import optimal_margins, weights
 from .metrics import (
     HALF,
@@ -32,7 +32,7 @@ from .metrics import (
     pr_curve,
     ranking_error,
 )
-from .priors import all_class_stats, background_count, load_counts
+from .priors import all_class_stats, background_count, load_counts, read_json
 from .sandbox import (
     SyntheticConfig,
     TrainConfig,
@@ -183,7 +183,10 @@ def _cmd_metrics(args) -> int:
         alpha = _check_alpha(args.alpha)
     except ValidationError:
         raise EcmError(f"--alpha must be > 0 and finite, got {args.alpha}") from None
-    ss = load_scores(args.scores)
+    try:
+        ss = load_scores(args.scores)
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{args.scores}: {exc}") from None
     config = _resolved(
         args,
         "metrics",
@@ -231,15 +234,9 @@ def _dataclass_from(flat: dict, cls, overrides: dict) -> object:
 
 def _cmd_train(args) -> int:
     _require_json_format(args, "train")
-    flat = {}
-    if args.config is not None:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                flat = json.load(fh)
-        except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
-            raise EcmError(f"config file {args.config}: {exc}") from exc
-        if not isinstance(flat, dict):
-            raise EcmError(f"config file {args.config}: expected a JSON object")
+    flat = {} if args.config is None else read_json(args.config)
+    if not isinstance(flat, dict):
+        raise EcmError(f"config file {args.config}: expected a JSON object")
 
     types = {
         f.name: f.type for cls in (SyntheticConfig, TrainConfig) for f in dataclasses.fields(cls)
@@ -415,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         args.seed = 0
     try:
         return args.handler(args)
-    except (EcmError, OSError, UnicodeDecodeError) as exc:
+    except (EcmError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

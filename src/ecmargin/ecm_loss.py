@@ -1,8 +1,8 @@
 """The weighted-sigmoid surrogate score, the ECM loss, and its focal variant.
 
-Everything is evaluated in logit space through softplus/log-sigmoid, never by
-exponentiating probabilities and taking logs afterwards, so the kernels stay
-finite for logits up to +-1e4 and weights from counts up to 1e9.
+Everything is evaluated in logit space, never by exponentiating probabilities
+and taking logs afterwards, so the kernels stay finite for logits up to +-1e4
+and weights from counts up to 1e9.
 
 With z = 2f - ln(w-/w+) and s_hat = sigmoid(z), each label keeps one cross
 entropy term.  Both kernels take the signed argument t = -z for a positive and
@@ -13,6 +13,17 @@ for a positive, sign = +2 and a = 1 - focal_alpha for a negative:
     ecm:   value = m softplus(t)          grad = sign m sigmoid(t)
     focal: value = mod m softplus(t)      mod = a sigmoid(t)^g
            grad = sign m mod (g sigmoid(-t) softplus(t) + sigmoid(t))
+
+All four functions of t come from one e = exp(-|t|), the log1pexp form of
+Maechler (2012, "Accurately computing log(1 - exp(-|a|))"):
+
+    softplus(+-t) = max(+-t, 0) + log1p(e)
+    sigmoid(t)  = where(t >= 0, 1, e) / (1 + e)
+    sigmoid(-t) = where(t >= 0, e, 1) / (1 + e)
+
+e never overflows and 1 + e lies in [1, 2], so nothing cancels: the sigmoid
+is within 2 ulp and the softplus within 1 ulp of the exact value.  The only
+other exp is the focal modulation sigmoid(t)^g = exp(-g softplus(-t)).
 """
 
 from __future__ import annotations
@@ -41,14 +52,12 @@ class LossEval:
             raise ValidationError(f"loss value must be >= 0, got {self.value}")
 
 
-def _softplus(x):
-    # log(1 + e^x), overflow-safe for any float
-    return np.logaddexp(0.0, x)
-
-
-def _sigmoid(x):
-    # sigmoid(x) = exp(-softplus(-x)), stable at both tails
-    return np.exp(-np.logaddexp(0.0, -x))
+def _log1pexp(t):
+    """softplus(t) and sigmoid(t) from one exp, with e = exp(-|t|) and
+    log1p(e) for kernels that also need softplus(-t) and sigmoid(-t)."""
+    e = np.exp(-np.abs(t))
+    log1p_e = np.log1p(e)
+    return np.maximum(t, 0.0) + log1p_e, np.where(t >= 0, 1.0, e) / (1.0 + e), e, log1p_e
 
 
 def _check_label(label: str) -> bool:
@@ -86,7 +95,7 @@ def surrogate_score(f: float, w: MarginWeights) -> float:
     Computed as sigmoid(2f - ln(w-/w+)); strictly increasing in f.
     """
     f = _check_finite("f", f)
-    return float(_sigmoid(2.0 * f - log_weight_ratio(w)))
+    return float(_log1pexp(2.0 * f - log_weight_ratio(w))[1])
 
 
 def decision_logit(w: MarginWeights) -> float:
@@ -107,18 +116,20 @@ def _ecm_value_grad(z, positive, m):
     """
     t = np.where(positive, -z, z)
     sign = np.where(positive, -2.0, 2.0)
-    return m * _softplus(t), sign * m * _sigmoid(t)
+    softplus_t, sigmoid_t, _, _ = _log1pexp(t)
+    return m * softplus_t, sign * m * sigmoid_t
 
 
 def _focal_value_grad(z, positive, m, focal_gamma, focal_alpha):
     """Vectorized focal-ECM value/gradient at z = 2f - ln(w-/w+)."""
     t = np.where(positive, -z, z)
     sign = np.where(positive, -2.0, 2.0)
-    sp_t = _softplus(t)  # -ln of the label's own probability
-    sp_o = _softplus(-t)  # -ln of the other label's probability
+    sp_t, sig_t, e, log1p_e = _log1pexp(t)  # -ln of the label's own probability, and 1 - p
+    sp_o = np.maximum(-t, 0.0) + log1p_e  # -ln of the other label's probability
+    sig_o = np.where(t >= 0, e, 1.0) / (1.0 + e)  # p
     mod = np.where(positive, focal_alpha, 1.0 - focal_alpha) * np.exp(-focal_gamma * sp_o)
     value = m * (mod * sp_t)
-    grad = sign * m * mod * (focal_gamma * np.exp(-sp_t) * sp_t + np.exp(-sp_o))
+    grad = sign * m * mod * (focal_gamma * sig_o * sp_t + sig_t)
     return value, grad
 
 

@@ -99,17 +99,28 @@ def load_counts(path: str, format: str | None = None) -> ClassCounts:
         raise ValidationError(f"format must be 'json' or 'csv', got {format!r}")
     if format == "json":
         return _load_json(path)
-    return _load_csv(path)
+    try:
+        return _load_csv(path)
+    except UnicodeDecodeError as exc:  # the csv reader decodes as it reads
+        raise InputFormatError(f"{path}: {exc}") from None
 
 
-def _load_json(path: str) -> ClassCounts:
+def read_json(path: str):
+    """The JSON document in a file.  Every way the bytes can fail to be one
+    is an InputFormatError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:  # bytes that are not UTF-8, or an integer past the digit limit
         raise InputFormatError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise InputFormatError(f"{path}: JSON nested too deeply to parse") from None
+
+
+def _load_json(path: str) -> ClassCounts:
+    data = read_json(path)
     if not isinstance(data, dict) or "categories" not in data:
         raise InputFormatError(f"{path}: top-level object must contain a 'categories' list")
     cats = data["categories"]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import ap_lower, ap_upper, audit_interval, slope_m, SLOPE_MODES
 from .ecm_loss import _ecm_value_grad, _focal_value_grad, log_weight_ratio
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ResourceLimitError, ValidationError
 from .margins import MarginWeights, optimal_margins, weights
 from .metrics import ScoreSet, average_precision, ranking_error
 from .priors import ClassStats
@@ -33,6 +33,19 @@ MODELS = ("linear", "mlp")
 
 _TEMPERATURE = 20.0
 _NORM_FLOOR = 1e-12
+# the most elements (800 MB of float64) any one array of a run may hold;
+# configs past it are rejected before anything is allocated
+MAX_ARRAY_ELEMENTS = 10**8
+
+
+def _check_array_sizes(**shapes: tuple[int, int]) -> None:
+    """ResourceLimitError for the first named (rows, cols) array past the cap."""
+    for name, (rows, cols) in shapes.items():
+        if rows * cols > MAX_ARRAY_ELEMENTS:
+            raise ResourceLimitError(
+                f"{name} would be {rows} x {cols}, past the limit of "
+                f"{MAX_ARRAY_ELEMENTS} elements per array"
+            )
 
 
 @dataclass(frozen=True)
@@ -67,6 +80,10 @@ class SyntheticConfig:
             )
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        _check_array_sizes(
+            features=(self.total_samples, self.feature_dim),
+            logits=(self.total_samples, self.num_classes),
+        )
 
 
 @dataclass(frozen=True)
@@ -106,6 +123,18 @@ class TrainConfig:
             )
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+
+    def check_array_sizes(self, config: SyntheticConfig) -> None:
+        """The MLP's arrays on ``config``'s data past the SyntheticConfig ones:
+        w1, and the hidden activations that evaluation computes for every
+        sample at once (a batch has fewer rows, and the head's hidden x
+        classes weights are smaller too, as data never has more classes than
+        samples)."""
+        if self.model == "mlp":
+            _check_array_sizes(
+                w1=(config.feature_dim, self.hidden),
+                hidden_activations=(config.total_samples, self.hidden),
+            )
 
 
 def zipf_class_counts(num_classes: int, total: int, exponent: float) -> tuple[int, ...]:
@@ -325,6 +354,7 @@ def train(
     sample 0.5.  Deterministic for a fixed config: one shuffling stream,
     fixed batch order, fixed summation order.
     """
+    tcfg.check_array_sizes(dataset.config)
     num_classes = dataset.num_classes
     missing = [c for c in range(num_classes) if c not in margins]
     if missing:
@@ -499,6 +529,7 @@ def rare_tercile(dataset: Dataset) -> tuple[int, ...]:
 
 def run_experiment(config: SyntheticConfig, tcfg: TrainConfig) -> tuple[Model, TrainReport]:
     """Generate, train with the dataset's own optimal margins, evaluate."""
+    tcfg.check_array_sizes(config)
     dataset = generate(config)
     margins = default_margin_weights(dataset)
     model = train(dataset, tcfg, margins)

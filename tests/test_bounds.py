@@ -25,6 +25,7 @@ from ecmargin import (
     variational_max_oracle,
     variational_min_oracle,
 )
+from ecmargin.bounds import _project_box_mean
 
 alphas = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 errors = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -439,6 +440,52 @@ class TestGFunction:
             GFunction(grid=np.array([]), tau=0.0)
         with pytest.raises(ValidationError, match="1-d"):
             GFunction(grid=np.full((10, 10), 0.5), tau=0.5)
+
+
+def reference_project_box_mean(v: np.ndarray, tau: float) -> np.ndarray:
+    """The former projection: the shift by bisection until the mean is within
+    1e-12 of tau, which leaves up to n * 1e-12 on one coordinate."""
+    lo = tau - float(np.max(v))
+    hi = tau - float(np.min(v)) + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        mean = float(np.mean(np.clip(v + mid, 0.0, 1.0)))
+        if abs(mean - tau) <= 1e-12:
+            lo = hi = mid
+            break
+        if mean < tau:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v + 0.5 * (lo + hi), 0.0, 1.0)
+
+
+def projection_cases(count: int, seed: int):
+    """(v, tau) with n <= 100, so the reference's slack stays below 1e-10;
+    every third v rounded to one decimal for ties, tau cycling 0, 1, random."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        v = rng.uniform(-1.0, 2.0, int(rng.integers(1, 101)))
+        if i % 3 == 0:
+            v = np.round(v, 1)
+        yield v, (0.0, 1.0, float(rng.random()), float(rng.random()))[i % 4]
+
+
+class TestProjectBoxMean:
+    def test_feasible_and_matches_the_bisection(self):
+        for v, tau in projection_cases(400, seed=11):
+            g = _project_box_mean(v, tau)
+            assert np.all((g >= 0.0) & (g <= 1.0))
+            assert abs(float(np.mean(g)) - tau) <= 1e-12
+            assert np.max(np.abs(g - reference_project_box_mean(v, tau))) <= 1e-10
+
+    def test_points_inside_the_set_stay_put(self):
+        v = np.array([0.2, 0.4, 0.6, 0.8])
+        assert np.allclose(_project_box_mean(v, 0.5), v, rtol=0.0, atol=1e-15)
+
+    def test_a_single_coordinate_lands_on_tau(self):
+        for tau in (0.0, 0.3, 1.0):
+            assert _project_box_mean(np.array([7.5]), tau) == pytest.approx([tau], abs=1e-15)
 
 
 class TestVariationalOracles:

@@ -465,7 +465,15 @@ class TestMarginsCommand:
     def test_counts_file_that_is_not_utf8_rejected(self, capsys, tmp_path, name, data):
         path = tmp_path / name
         path.write_bytes(data)
-        assert_input_error(*run_cli(capsys, ["margins", "--counts", str(path)]), "utf-8")
+        code, out, err = run_cli(capsys, ["margins", "--counts", str(path)])
+        assert_input_error(code, out, err, f"{path}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("data", [b"[" * 200_000, b'{"categories": ' + b"[" * 200_000])
+    def test_counts_nested_past_the_parser_limit_rejected(self, capsys, tmp_path, data):
+        path = tmp_path / "counts.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, ["margins", "--counts", str(path)])
+        assert_input_error(code, out, err, f"{path}: JSON nested too deeply")
 
     def test_missing_counts_file_is_an_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -675,7 +683,7 @@ class TestMetricsCommand:
         path = tmp_path / "scores.csv"
         path.write_bytes(b'score,label\n0.5,1\n0.2,0\n"\xff",1\n')
         argv = ["metrics", "--scores", str(path), "--alpha", "1"]
-        assert_input_error(*run_cli(capsys, argv), "utf-8")
+        assert_input_error(*run_cli(capsys, argv), f"{path}: 'utf-8' codec can't decode")
 
     def test_malformed_scores_rejected_with_line_number(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -841,7 +849,27 @@ class TestTrainCommand:
         path = tmp_path / "train.json"
         path.write_bytes(b'{"seed": 1, "loss": "\xff"}')
         code, out, err = run_cli(capsys, ["train", "--config", str(path)])
-        assert_input_error(code, out, err, "utf-8")
+        assert_input_error(code, out, err, f"{path}: 'utf-8' codec can't decode")
+
+    def test_config_nested_past_the_parser_limit_rejected(self, capsys, tmp_path):
+        path = tmp_path / "train.json"
+        path.write_bytes(b"[" * 200_000)
+        code, out, err = run_cli(capsys, ["train", "--config", str(path)])
+        assert_input_error(code, out, err, f"{path}: JSON nested too deeply")
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"model": "mlp", "hidden": 10**30}, "w1 would be 16 x 1000000000000000000000000000000"),
+            ({"total_samples": 10**30}, "features would be 1000000000000000000000000000000 x 16"),
+        ],
+        ids=["hidden", "total_samples"],
+    )
+    def test_sizes_past_the_array_cap_rejected(self, capsys, tmp_path, config, message):
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, ["train", "--config", str(path)])
+        assert_input_error(code, out, err, message)
 
     def test_out_writes_the_same_document_it_prints(self, capsys, train_config_file, tmp_path):
         path = tmp_path / "report.json"
@@ -872,9 +900,8 @@ class TestTrainCommand:
     def test_malformed_config_json_rejected(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        code, _, err = run_cli(capsys, ["train", "--config", str(path)])
-        assert code == 2
-        assert "config file" in err
+        code, out, err = run_cli(capsys, ["train", "--config", str(path)])
+        assert_input_error(code, out, err, f"{path}: invalid JSON at line 1")
 
 
 class TestTopLevel:

@@ -21,6 +21,8 @@ EDGE_VALUES = ["nan", "inf", "-1", "0", "5e-324", "1e308", "1e400", "abc", "1" *
 EDGE_NUMBERS = [-1, 0, 5e-324, 1e308, 10**30, 0.5, 3]
 
 BIG = "9" * 401
+# nesting far past the parser's recursion limit
+DEEP = b"[" * 200_000
 COUNTS_FILES = [
     ("counts.json", b'{"categories": [{"id": 1, "name": "a", "instance_count": 16}, '
      b'{"id": 2, "name": "b", "instance_count": 81}], "background_ratio": 1.0}'),
@@ -35,6 +37,8 @@ COUNTS_FILES = [
     ("counts.csv", b"id,name,instance_count\n1,a,%s\n2,b,5\n" % BIG.encode()),
     ("counts.csv", b"id,name,instance_count\n1,a,1%s\n2,b,1%s\n" % (b"0" * 308, b"0" * 308)),
     ("counts.json", b'{"categories": [], "background_ratio": NaN}'),
+    ("counts.json", DEEP),
+    ("counts.json", b'{"categories": %s' % DEEP),
 ]
 SCORES_FILES = [
     b"score,label\n0.9,1\n0.4,1\n0.5,0\n0.1,0\n",
@@ -46,8 +50,10 @@ SCORES_FILES = [
     b"score,label\nnan,1\n0.2,0\n",
     b"score,label\n1e400,1\n0.2,0\n",
 ]
-# small sizes only: a fuzzed sample count or width would allocate gigabytes
+# small sizes, or 30-digit ones that shape an array past the size cap and so
+# must be rejected before anything is allocated
 TINY_TRAIN = {"num_classes": 2, "total_samples": 60, "feature_dim": 2, "epochs": 1}
+SIZE_KEYS = ["num_classes", "total_samples", "feature_dim", "hidden", "batch_size"]
 
 
 def optional(draw, argv, flag, values):
@@ -83,9 +89,16 @@ def invocations(draw):
         config = dict(TINY_TRAIN)
         for key in draw(st.sets(st.sampled_from(["seed", "train_seed", "learning_rate"]))):
             config[key] = draw(st.sampled_from(EDGE_NUMBERS))
+        for key in draw(st.sets(st.sampled_from(SIZE_KEYS), max_size=2)):
+            config[key] = 10**30
+        optional_model = draw(st.sampled_from([None, "linear", "mlp"]))
+        if optional_model is not None:
+            config["model"] = optional_model
         data = json.dumps(config).encode()
         files["train.json"] = draw(
-            st.sampled_from([data, data, b"", b"[]", b"{not json", b'{"seed": 1, "loss": "\xff"}'])
+            st.sampled_from(
+                [data, data, b"", b"[]", b"{not json", b'{"seed": 1, "loss": "\xff"}', DEEP]
+            )
         )
         argv += ["--config", "{dir}/train.json"]
         optional(draw, argv, "--loss-curve", st.just("{dir}/loss.csv"))

@@ -1,4 +1,7 @@
+import decimal
+import functools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from ecmargin import (
     surrogate_score,
     weights,
 )
-from ecmargin.ecm_loss import _ecm_value_grad, _focal_value_grad
+from ecmargin.ecm_loss import _ecm_value_grad, _focal_value_grad, _log1pexp
 
 BALANCED = MarginWeights(w_plus=2.0, w_minus=2.0)
 SKEWED = weights(optimal_margins(ClassStats(n_plus=16, n_minus=81, alpha=81 / 16)))
@@ -125,7 +128,7 @@ class TestGradients:
 
 
 def reference_ecm_value_grad(z, positive, m):
-    """Per-label closed forms: both branches evaluated, one kept by label."""
+    """The former two-branch form: both labels' logaddexp terms, one kept."""
     softplus_pos = np.logaddexp(0.0, -z)  # -ln s_hat
     softplus_neg = np.logaddexp(0.0, z)  # -ln (1 - s_hat)
     s = np.exp(-np.logaddexp(0.0, -z))
@@ -160,58 +163,162 @@ Z_GRID = np.unique(
         ]
     )
 )
+# every 7th point for the focal kernel, whose reference needs one more exp per point
+FOCAL_GRID = Z_GRID[::7]
 FOCAL_PARAMS = [(2.0, 0.25), (0.5, 0.7), (0.0, 0.25), (3.7, 0.01)]
+EXACT = decimal.Context(prec=400, Emin=-(10**6), Emax=10**6)
 
 
-def assert_bitwise(ours, reference):
-    for got, want in zip(ours, reference):
-        assert np.array_equal(got, want)
+@functools.cache
+def exact_tail(a: float) -> tuple[Decimal, Decimal]:
+    """e^-a and softplus(-a) = ln(1 + e^-a) to 400 digits."""
+    with decimal.localcontext(EXACT):
+        e = Decimal(-a).exp()
+        return e, (1 + e).ln()
 
 
-class TestKernelsMatchTheTwoBranchReference:
-    """The kernels reproduce the per-label closed forms bit for bit."""
+def exact_log1pexp(t: float) -> tuple[Decimal, Decimal]:
+    """softplus(t) = ln(1 + e^t) and sigmoid(t) = 1 / (1 + e^-t) to 400 digits."""
+    e, softplus_neg_abs = exact_tail(abs(t))
+    with decimal.localcontext(EXACT):
+        if t >= 0:
+            return Decimal(t) + softplus_neg_abs, 1 / (1 + e)
+        return softplus_neg_abs, e / (1 + e)
 
-    def grid(self):
-        # every z once per label, as a column against a row of margins m
-        z = np.concatenate([Z_GRID, Z_GRID])[:, None]
-        positive = np.repeat([True, False], Z_GRID.size)[:, None]
-        return z, positive, np.array([1.0, 0.37, 2.5, 1e-3])
 
-    def test_ecm_array_path(self):
-        z, positive, m = self.grid()
-        assert_bitwise(
-            _ecm_value_grad(z, positive, m), reference_ecm_value_grad(z, positive, m)
-        )
-        assert_bitwise(
-            _ecm_value_grad(z, positive, 1.0), reference_ecm_value_grad(z, positive, 1.0)
-        )
+@functools.cache
+def exact_modulation(t: float, gamma: float) -> Decimal:
+    """sigmoid(t)^gamma = exp(-gamma softplus(-t)) to 400 digits."""
+    with decimal.localcontext(EXACT):
+        return (-Decimal(gamma) * exact_log1pexp(-t)[0]).exp()
 
-    @pytest.mark.parametrize("gamma,alpha", FOCAL_PARAMS)
-    def test_focal_array_path(self, gamma, alpha):
-        z, positive, m = self.grid()
-        assert_bitwise(
-            _focal_value_grad(z, positive, m, gamma, alpha),
-            reference_focal_value_grad(z, positive, m, gamma, alpha),
-        )
+
+def exact_ecm(t, m):
+    """|value| and |grad| of the ECM kernel at each signed logit t."""
+    m = Decimal(m)
+    with decimal.localcontext(EXACT):
+        pairs = [exact_log1pexp(x) for x in t.tolist()]
+        return [m * sp for sp, _ in pairs], [2 * m * sig for _, sig in pairs]
+
+
+def exact_focal(t, m, gamma, a):
+    """|value| and |grad| of the focal kernel at each signed logit t, a being
+    the label's focal weight."""
+    m, g, a = Decimal(m), Decimal(gamma), Decimal(a)
+    values, grads = [], []
+    with decimal.localcontext(EXACT):
+        for x in t.tolist():
+            sp, sig = exact_log1pexp(x)
+            mod = a * exact_modulation(x, gamma)
+            values.append(m * mod * sp)
+            grads.append(2 * m * mod * (g * exact_log1pexp(-x)[1] * sp + sig))
+    return values, grads
+
+
+def ulps(got, exact) -> np.ndarray:
+    """Distance in representable doubles from |got| to the double nearest the
+    exact magnitude (float(Decimal) rounds correctly)."""
+    want = np.array([float(x) for x in exact])
+    return np.abs(np.abs(got).view(np.int64) - want.view(np.int64))
+
+
+def signed_logit(label, z):
+    positive = label == POSITIVE
+    return positive, (-z if positive else z), (-1.0 if positive else 1.0)
+
+
+class TestKernelsAreAccurate:
+    """The log1pexp kernels against a 400-digit reference.  On Z_GRID the
+    sigmoid is within 2 ulp and the softplus within 1 ulp, and each is at
+    most 1 ulp behind the former two-branch logaddexp form at every point;
+    the loss kernels allow for their further roundings, test by test."""
+
+    def test_softplus_and_sigmoid(self):
+        t = np.concatenate([Z_GRID, -Z_GRID])
+        softplus, sigmoid, _, _ = _log1pexp(t)
+        exact = [exact_log1pexp(x) for x in t.tolist()]
+        err_softplus = ulps(softplus, [sp for sp, _ in exact])
+        err_sigmoid = ulps(sigmoid, [sig for _, sig in exact])
+        assert err_softplus.max() <= 1
+        assert err_sigmoid.max() <= 2
+        old_softplus = ulps(np.logaddexp(0.0, t), [sp for sp, _ in exact])
+        old_sigmoid = ulps(np.exp(-np.logaddexp(0.0, -t)), [sig for _, sig in exact])
+        assert np.all(err_softplus <= old_softplus + 1)
+        assert np.all(err_sigmoid <= old_sigmoid + 1)
 
     @pytest.mark.parametrize("label", [POSITIVE, NEGATIVE])
-    @pytest.mark.parametrize("w", [BALANCED, SKEWED])
-    def test_scalar_api(self, label, w):
-        positive = label == POSITIVE
+    @pytest.mark.parametrize("m", [1.0, 0.37, 2.5, 1e-3])
+    def test_ecm_kernel(self, label, m):
+        positive, t, sign = signed_logit(label, Z_GRID)
+        value, grad = _ecm_value_grad(Z_GRID, positive, m)
+        want_value, want_grad = exact_ecm(t, m)
+        assert np.all(sign * grad >= 0.0)
+        # the product with m rounds once more, which can also part the two
+        # forms by one more ulp at a point
+        extra = 0 if m == 1.0 else 1
+        err_value, err_grad = ulps(value, want_value), ulps(grad, want_grad)
+        assert err_value.max() <= 1 + extra
+        assert err_grad.max() <= 2 + extra
+        old_value, old_grad = reference_ecm_value_grad(Z_GRID, positive, m)
+        assert np.all(err_value <= ulps(old_value, want_value) + 1 + extra)
+        assert np.all(err_grad <= ulps(old_grad, want_grad) + 1 + extra)
+
+    @pytest.mark.parametrize("label", [POSITIVE, NEGATIVE])
+    @pytest.mark.parametrize("gamma,alpha", FOCAL_PARAMS)
+    def test_focal_kernel(self, label, gamma, alpha):
+        """exp(-g softplus(-t)) turns the rounding of its argument into up to
+        2 g softplus(-t) ulp of relative error, in either form; the budget
+        adds 4 ulp for the remaining roundings.  Pointwise the two forms
+        scatter inside that budget, so the former form is compared by its
+        worst case."""
+        positive, t, sign = signed_logit(label, FOCAL_GRID)
+        value, grad = _focal_value_grad(FOCAL_GRID, positive, 1.7, gamma, alpha)
+        a = alpha if positive else 1.0 - alpha
+        want_value, want_grad = exact_focal(t, 1.7, gamma, a)
+        assert np.all(sign * grad >= 0.0)
+        budget = 4.0 + 2.0 * gamma * np.array([float(exact_log1pexp(-x)[0]) for x in t.tolist()])
+        err_value, err_grad = ulps(value, want_value), ulps(grad, want_grad)
+        assert np.all(err_value <= budget)
+        assert np.all(err_grad <= budget)
+        old_value, old_grad = reference_focal_value_grad(FOCAL_GRID, positive, 1.7, gamma, alpha)
+        assert err_value.max() <= ulps(old_value, want_value).max() + 1
+        assert err_grad.max() <= ulps(old_grad, want_grad).max() + 1
+
+    @pytest.mark.parametrize("label", [POSITIVE, NEGATIVE])
+    def test_scalar_api(self, label):
+        """Equal weights shift nothing, so f = z/2 evaluates the kernels on
+        the grid: value and grad of each loss within the array-path budgets."""
+        positive, t, sign = signed_logit(label, FOCAL_GRID)
+        for m in (1.0, 0.37):
+            got = [ecm_loss(z / 2.0, label, BALANCED, m) for z in FOCAL_GRID.tolist()]
+            want_value, want_grad = exact_ecm(t, m)
+            assert ulps(np.array([e.value for e in got]), want_value).max() <= (1 if m == 1.0 else 2)
+            assert ulps(np.array([e.grad_logit for e in got]), want_grad).max() <= (2 if m == 1.0 else 3)
+        got = [bce_loss(z / 2.0, label) for z in FOCAL_GRID.tolist()]
+        want_value, want_grad = exact_ecm(t, 1.0)
+        assert ulps(np.array([e.value for e in got]), want_value).max() <= 1
+        assert ulps(np.array([e.grad_logit for e in got]), want_grad).max() <= 2
+        for gamma, alpha in FOCAL_PARAMS:
+            got = [focal_ecm_loss(z / 2.0, label, BALANCED, 1.7, gamma, alpha) for z in FOCAL_GRID.tolist()]
+            a = alpha if positive else 1.0 - alpha
+            want_value, want_grad = exact_focal(t, 1.7, gamma, a)
+            budget = 4.0 + 2.0 * gamma * np.array([float(exact_log1pexp(-x)[0]) for x in t.tolist()])
+            assert np.all(ulps(np.array([e.value for e in got]), want_value) <= budget)
+            assert np.all(ulps(np.array([e.grad_logit for e in got]), want_grad) <= budget)
+            assert all(sign * e.grad_logit >= 0.0 for e in got)
+
+    @pytest.mark.parametrize("w", WEIGHT_CASES)
+    def test_scalar_api_is_the_array_kernel(self, w):
         shift = log_weight_ratio(w)
-        for f in Z_GRID[::7].tolist() + [-5e3, 5e3, -25.0, 25.0]:
+        for f in FOCAL_GRID.tolist() + [-5e3, 5e3, -25.0, 25.0]:
             z = 2.0 * f - shift
-            for m in (1.0, 0.37):
-                ours = ecm_loss(f, label, w, m)
-                want = reference_ecm_value_grad(z, positive, m)
+            for label in (POSITIVE, NEGATIVE):
+                positive = label == POSITIVE
+                ours = ecm_loss(f, label, w, 0.37)
+                assert (ours.value, ours.grad_logit) == tuple(map(float, _ecm_value_grad(z, positive, 0.37)))
+                ours = focal_ecm_loss(f, label, w, 1.7, 3.7, 0.01)
+                want = _focal_value_grad(z, positive, 1.7, 3.7, 0.01)
                 assert (ours.value, ours.grad_logit) == tuple(map(float, want))
-            for gamma, alpha in FOCAL_PARAMS:
-                ours = focal_ecm_loss(f, label, w, 1.7, gamma, alpha)
-                want = reference_focal_value_grad(z, positive, 1.7, gamma, alpha)
-                assert (ours.value, ours.grad_logit) == tuple(map(float, want))
-            ours = bce_loss(f, label)
-            want = reference_ecm_value_grad(2.0 * f, positive, 1.0)
-            assert (ours.value, ours.grad_logit) == tuple(map(float, want))
 
 
 class TestStability:

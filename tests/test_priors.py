@@ -192,6 +192,18 @@ class TestLoadCounts:
         with pytest.raises(InputFormatError, match=message):
             load_counts(str(path))
 
+    def test_undecodable_csv_is_a_format_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(b"id,name,instance_count\n1,\xff,3\n")
+        with pytest.raises(InputFormatError, match=f"{path}: 'utf-8' codec"):
+            load_counts(str(path))
+
+    def test_json_nested_past_the_parser_limit_is_a_format_error(self, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_bytes(b'{"categories": ' + b"[" * 200_000)
+        with pytest.raises(InputFormatError, match="nested too deeply"):
+            load_counts(str(path))
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "counts.json"
         path.write_text("{}")

@@ -7,6 +7,7 @@ import pytest
 from ecmargin import (
     BACKGROUND_LABEL,
     MarginWeights,
+    ResourceLimitError,
     SyntheticConfig,
     TrainConfig,
     ValidationError,
@@ -23,7 +24,7 @@ from ecmargin import (
     weights,
     zipf_class_counts,
 )
-from ecmargin.sandbox import class_score_set
+from ecmargin.sandbox import MAX_ARRAY_ELEMENTS, class_score_set
 
 SMALL = SyntheticConfig(
     num_classes=3,
@@ -150,6 +151,22 @@ class TestGenerate:
         with pytest.raises(ValidationError):
             SyntheticConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,array",
+        [
+            ({"total_samples": 10**30}, "features"),
+            ({"total_samples": MAX_ARRAY_ELEMENTS // 16 + 1}, "features"),
+            ({"feature_dim": 10**30}, "features"),
+            ({"num_classes": 10**30}, "logits"),
+        ],
+    )
+    def test_arrays_past_the_size_cap_rejected(self, kwargs, array):
+        with pytest.raises(ResourceLimitError, match=array):
+            SyntheticConfig(**kwargs)
+
+    def test_arrays_at_the_size_cap_accepted(self):
+        SyntheticConfig(total_samples=MAX_ARRAY_ELEMENTS // 20, feature_dim=20)
+
 
 class TestTraining:
     def test_untrained_heads_score_every_sample_one_half(self, small_dataset):
@@ -264,6 +281,27 @@ class TestTraining:
     def test_train_config_validation(self, kwargs):
         with pytest.raises(ValidationError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "config,hidden,array",
+        [
+            (SMALL, 10**30, "w1"),
+            (SyntheticConfig(total_samples=100, feature_dim=10**6), 101, "w1"),
+            (SyntheticConfig(total_samples=10**6, feature_dim=2), 101, "hidden_activations"),
+        ],
+    )
+    def test_mlp_arrays_past_the_size_cap_rejected(self, config, hidden, array):
+        tcfg = TrainConfig(model="mlp", hidden=hidden)
+        with pytest.raises(ResourceLimitError, match=array):
+            tcfg.check_array_sizes(config)
+        TrainConfig(hidden=hidden).check_array_sizes(config)  # a linear head has no hidden layer
+
+    def test_train_checks_the_size_cap_before_allocating(self, small_dataset):
+        margins = default_margin_weights(small_dataset)
+        with pytest.raises(ResourceLimitError, match="w1"):
+            train(small_dataset, TrainConfig(model="mlp", hidden=10**30), margins)
+        with pytest.raises(ResourceLimitError, match="w1"):
+            run_experiment(SMALL, TrainConfig(model="mlp", hidden=10**30))
 
 
 class TestEvaluation:
