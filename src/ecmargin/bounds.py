@@ -11,6 +11,10 @@ equal 2/3.  The variational oracles re-derive these extremes numerically:
 the minimizer of the AP integral by projected gradient descent on the
 discretized convex program, the maximizer by checking that the bang-bang
 step solution admits no improving single-bin perturbation.
+
+``audit`` alone decides whether a measured AP sits inside the sandwich: it
+widens the two bounds by finite-sample standard errors of R and of AP into
+an acceptance interval, one record per alpha.
 """
 
 from __future__ import annotations
@@ -21,14 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .metrics import (
-    ScoreSet,
-    _check_alpha,
-    _count_above,
-    ap_standard_error,
-    ranking_error,
-    ranking_standard_error,
-)
+from .metrics import ScoreSet, _check_alpha, _count_above, _precisions, ranking_error
 
 SLOPE_MODES = ("unit", "lower", "upper", "meet")
 
@@ -205,8 +202,8 @@ def binary_bound_check(s: ScoreSet, t):
     t = np.asarray(t, dtype=np.float64)
     if np.isnan(t).any():
         raise ValidationError("threshold must not be NaN")
-    rhs = (s.n_plus - _count_above(s.pos_sorted, t)) / s.n_plus + _count_above(
-        s.neg_sorted, t
+    rhs = (s.n_plus - _count_above(s.positives, t)) / s.n_plus + _count_above(
+        s.negatives, t
     ) / s.n_minus
     holds = r <= rhs + 1e-12
     if t.ndim == 0:
@@ -214,21 +211,69 @@ def binary_bound_check(s: ScoreSet, t):
     return rhs, holds
 
 
-def audit_interval(s: ScoreSet, alpha: float) -> tuple[float, float]:
-    """AP acceptance interval [lo, hi] for a finite sample at ratio alpha.
+@dataclass(frozen=True)
+class Audit:
+    """Measured AP of one score set against its bound interval at one alpha.
+
+    ap_lower/ap_upper are the closed-form bounds at the measured ranking
+    error; lower/upper is the acceptance interval built from them and the
+    two standard errors.
+    """
+
+    alpha: float
+    ap: float
+    ranking_error: float
+    ap_lower: float
+    ap_upper: float
+    se_ranking: float
+    se_ap: float
+    lower: float
+    upper: float
+
+    @property
+    def slack(self) -> float:
+        """Distance from ap to the nearer interval end; negative when outside."""
+        return min(self.ap - self.lower, self.upper - self.ap)
+
+
+def audit(s: ScoreSet, alphas) -> tuple[Audit, ...]:
+    """Audit the measured AP of s against the bounds, one record per alpha.
 
     The bounds are evaluated at the measured ranking error shifted by three
     of its standard errors in the unfavorable direction, then widened by
     three standard errors of the AP estimate itself, so a violation signals
-    a genuine bound failure rather than Monte Carlo noise.
+    a genuine bound failure rather than Monte Carlo noise:
+
+    - se_ranking: Bernoulli-style spread over the correlated pair
+      indicators, plus an additive (1/n+ + 1/n-) guard so small samples and
+      pair correlation never make the value optimistic;
+    - se_ap: spread of the per-positive precision terms, plus an additive
+      2 (1/n+ + 1/n-) guard for the correlation among those terms and the
+      ratio-estimator bias.
+
+    The per-positive precisions are formed once for the whole alpha vector
+    and give both the AP and its spread.
     """
-    alpha = _check_alpha(alpha)
+    alphas = [_check_alpha(a) for a in np.ravel(alphas)]
     r = ranking_error(s)
-    sr = ranking_standard_error(s)
-    sap = ap_standard_error(s, alpha)
-    lo = _ap_lower(alpha, min(1.0, r + 3.0 * sr)) - 3.0 * sap
-    hi = _ap_upper(alpha, max(0.0, r - 3.0 * sr)) + 3.0 * sap
-    return lo, hi
+    inv = 1.0 / s.n_plus + 1.0 / s.n_minus
+    se_r = float(np.sqrt(r * (1.0 - r) * inv)) + inv
+    prec = _precisions(s, np.array(alphas)[:, None])
+    se_aps = [float(x) + 2.0 * inv for x in np.sqrt(np.var(prec, axis=1) / s.n_plus)]
+    return tuple(
+        Audit(
+            alpha=alpha,
+            ap=float(ap),
+            ranking_error=r,
+            ap_lower=_ap_lower(alpha, r),
+            ap_upper=_ap_upper(alpha, r),
+            se_ranking=se_r,
+            se_ap=se_ap,
+            lower=_ap_lower(alpha, min(1.0, r + 3.0 * se_r)) - 3.0 * se_ap,
+            upper=_ap_upper(alpha, max(0.0, r - 3.0 * se_r)) + 3.0 * se_ap,
+        )
+        for alpha, ap, se_ap in zip(alphas, np.mean(prec, axis=1), se_aps)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,28 +450,20 @@ def variational_max_oracle(alpha: float, tau: float, n: int = 2000) -> float:
 
 
 def _best_disjoint_pair(remove: np.ndarray, add: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Maximize remove[i] + add[j] over i != j with both entries finite."""
-    i1 = int(np.argmax(remove))
-    j1 = int(np.argmax(add))
-    if not (np.isfinite(remove[i1]) and np.isfinite(add[j1])):
-        return -math.inf, (i1, j1)
-    if i1 != j1:
-        return float(remove[i1] + add[j1]), (i1, j1)
-    # the same bin tops both lists; try the runner-up on each side
-    r2 = np.array(remove, copy=True)
-    r2[i1] = -np.inf
-    a2 = np.array(add, copy=True)
-    a2[j1] = -np.inf
-    i2 = int(np.argmax(r2))
-    j2 = int(np.argmax(a2))
-    candidates = []
-    if np.isfinite(r2[i2]):
-        candidates.append((float(r2[i2] + add[j1]), (i2, j1)))
-    if np.isfinite(a2[j2]):
-        candidates.append((float(remove[i1] + a2[j2]), (i1, j2)))
-    if not candidates:
-        return -math.inf, (i1, j1)
-    return max(candidates, key=lambda c: c[0])
+    """Maximize remove[i] + add[j] over i != j with both entries finite.
+
+    The best partner of every i is the largest entry of add, or the runner-up
+    when i is that entry's own bin.
+    """
+    j2, j1 = np.argsort(add, kind="stable")[-2:]
+    partner = np.full(add.size, j1)
+    partner[j1] = j2
+    totals = remove + add[partner]
+    i = int(np.argmax(totals))
+    pair = (i, int(partner[i]))
+    if not np.isfinite(totals[i]):
+        return -math.inf, pair
+    return float(totals[i]), pair
 
 
 def analytic_min_gmax(alpha: float, tau: float) -> float:

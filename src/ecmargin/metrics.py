@@ -5,6 +5,9 @@ probabilistic definitions; the AP estimator averages precision over the
 positive samples with the >=-convention at each positive's own score; the
 ranking-error estimator gives ties half credit by default (the limit of
 breaking ties uniformly at random), with a strict mode behind a flag.
+
+A ScoreSet sorts each side once and takes the alpha-free rank counts when it
+is built; the estimators here and the bound audit in ``bounds`` read them.
 """
 
 from __future__ import annotations
@@ -52,25 +55,28 @@ def _as_scores(name: str, values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScoreSet:
-    """Positive and negative score samples for one class."""
+    """Positive and negative score samples for one class.
+
+    Each side is stored once, sorted ascending.  The alpha-free rank counts
+    every estimator reads are taken here, once per set: for each positive
+    s_k, P_k = #positives >= s_k and N_k = #negatives >= s_k, plus the
+    numbers of (positive, negative) pairs with the positive below or tied.
+    """
 
     positives: np.ndarray
     negatives: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "positives", _as_scores("positive", self.positives))
-        object.__setattr__(self, "negatives", _as_scores("negative", self.negatives))
-        # estimators are searchsorted-based; sort once here instead of per call
-        object.__setattr__(self, "_pos_sorted", np.sort(self.positives))
-        object.__setattr__(self, "_neg_sorted", np.sort(self.negatives))
-
-    @property
-    def pos_sorted(self) -> np.ndarray:
-        return self._pos_sorted
-
-    @property
-    def neg_sorted(self) -> np.ndarray:
-        return self._neg_sorted
+        pos = np.sort(_as_scores("positive", self.positives))
+        neg = np.sort(_as_scores("negative", self.negatives))
+        left = np.searchsorted(neg, pos, side="left")
+        right = np.searchsorted(neg, pos, side="right")
+        object.__setattr__(self, "positives", pos)
+        object.__setattr__(self, "negatives", neg)
+        object.__setattr__(self, "_p_ge", pos.size - np.searchsorted(pos, pos, side="left"))
+        object.__setattr__(self, "_n_ge", neg.size - left)
+        object.__setattr__(self, "_pairs_less", int(np.sum(neg.size - right, dtype=np.int64)))
+        object.__setattr__(self, "_pairs_tied", int(np.sum(right - left, dtype=np.int64)))
 
     @property
     def n_plus(self) -> int:
@@ -134,7 +140,7 @@ def _count_above(sorted_scores: np.ndarray, t):
 def recall_at(s: ScoreSet, t: float) -> float:
     """Fraction of positives scoring strictly above t."""
     _require_positives(s)
-    return float(_count_above(s.pos_sorted, t)) / s.n_plus
+    return float(_count_above(s.positives, t)) / s.n_plus
 
 
 def precision_at(s: ScoreSet, t: float, alpha: float) -> float:
@@ -147,7 +153,7 @@ def precision_at(s: ScoreSet, t: float, alpha: float) -> float:
     _require_negatives(s)
     alpha = _check_alpha(alpha)
     r = recall_at(s, t)
-    g = float(_count_above(s.neg_sorted, t)) / s.n_minus
+    g = float(_count_above(s.negatives, t)) / s.n_minus
     if r == 0.0 and g == 0.0:
         raise UndefinedPrecisionError(f"no positive or negative mass above t={t}")
     return r / (r + alpha * g)
@@ -162,36 +168,22 @@ def average_precision(s: ScoreSet, alpha: float) -> float:
     return float(np.mean(positive_precisions(s, alpha)))
 
 
-def _rank_counts(s: ScoreSet) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """(P_k, N_k, #pos<neg pairs, #tied pairs); alpha-free, cached per set."""
-    cached = s.__dict__.get("_rank_counts")
-    if cached is None:
-        pos = s.pos_sorted
-        neg = s.neg_sorted
-        p_ge = pos.size - np.searchsorted(pos, pos, side="left")
-        left = np.searchsorted(neg, pos, side="left")
-        right = np.searchsorted(neg, pos, side="right")
-        n_ge = neg.size - left
-        less = int(np.sum(neg.size - right, dtype=np.int64))
-        ties = int(np.sum(right - left, dtype=np.int64))
-        cached = (p_ge, n_ge, less, ties)
-        object.__setattr__(s, "_rank_counts", cached)
-    return cached
+def _precisions(s: ScoreSet, alpha) -> np.ndarray:
+    """Per-positive precision terms in ascending score order: a 1-D array for
+    a float alpha, one row per alpha for a column of them."""
+    r = s._p_ge / s.n_plus
+    g = s._n_ge / s.n_minus
+    return r / (r + alpha * g)
 
 
 def positive_precisions(s: ScoreSet, alpha: float) -> np.ndarray:
     """The per-positive precision terms averaged by average_precision.
 
-    Exposed so callers can estimate the finite-sample spread of the AP
-    estimate from the same pass.  Terms come back in ascending score order.
+    Terms come back in ascending score order.
     """
     _require_positives(s)
     _require_negatives(s)
-    alpha = _check_alpha(alpha)
-    p_ge, n_ge, _, _ = _rank_counts(s)
-    r = p_ge / s.n_plus
-    g = n_ge / s.n_minus
-    return r / (r + alpha * g)
+    return _precisions(s, _check_alpha(alpha))
 
 
 def _pair_counts_bruteforce(s: ScoreSet) -> tuple[int, int]:
@@ -222,8 +214,7 @@ def ranking_error(s: ScoreSet, ties: str = HALF) -> float:
     """
     _require_positives(s)
     _require_negatives(s)
-    _, _, less, tied = _rank_counts(s)
-    return _ranking_from_counts(less, tied, s.n_plus * s.n_minus, ties)
+    return _ranking_from_counts(s._pairs_less, s._pairs_tied, s.n_plus * s.n_minus, ties)
 
 
 def ranking_error_bruteforce(s: ScoreSet, ties: str = HALF) -> float:
@@ -253,37 +244,13 @@ def pr_curve(s: ScoreSet, alpha: float) -> PrecisionRecallCurve:
     _require_negatives(s)
     alpha = _check_alpha(alpha)
     thresholds = np.unique(np.concatenate([s.positives, s.negatives]))[::-1]
-    r = _count_above(s.pos_sorted, thresholds) / s.n_plus
-    g = _count_above(s.neg_sorted, thresholds) / s.n_minus
+    r = _count_above(s.positives, thresholds) / s.n_plus
+    g = _count_above(s.negatives, thresholds) / s.n_minus
     keep = (r > 0.0) | (g > 0.0)
     r, g = r[keep], g[keep]
     return PrecisionRecallCurve(
         thresholds=thresholds[keep], recall=r, precision=r / (r + alpha * g)
     )
-
-
-def ranking_standard_error(s: ScoreSet) -> float:
-    """Conservative finite-sample standard error of the ranking estimate.
-
-    Bernoulli-style spread over the correlated pair indicators, plus an
-    additive (1/n+ + 1/n-) guard so small samples and pair correlation never
-    make the value optimistic.
-    """
-    r = ranking_error(s)
-    inv = 1.0 / s.n_plus + 1.0 / s.n_minus
-    return float(np.sqrt(r * (1.0 - r) * inv)) + inv
-
-
-def ap_standard_error(s: ScoreSet, alpha: float) -> float:
-    """Conservative finite-sample standard error of the AP estimate.
-
-    Spread of the per-positive precision terms, plus an additive
-    2 (1/n+ + 1/n-) guard for the correlation among those terms and the
-    ratio-estimator bias.
-    """
-    prec = positive_precisions(s, alpha)
-    inv = 1.0 / s.n_plus + 1.0 / s.n_minus
-    return float(np.sqrt(np.var(prec) / s.n_plus)) + 2.0 * inv
 
 
 def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:

@@ -18,11 +18,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import ap_lower, ap_upper, audit_interval, slope_m, SLOPE_MODES
+from .bounds import audit, slope_m, SLOPE_MODES
 from .ecm_loss import _ecm_value_grad, _focal_value_grad, log_weight_ratio
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .margins import MarginWeights, optimal_margins, weights
-from .metrics import ScoreSet, average_precision, ranking_error
+from .metrics import ScoreSet
 from .priors import ClassStats
 
 log = logging.getLogger(__name__)
@@ -477,21 +477,18 @@ def evaluate(
             log.warning("class %d has no positives in the evaluation split; skipped", c)
             continue
         ss = class_score_set(logits, labels, c)
-        alpha = float(alphas[c])
-        ap = average_precision(ss, alpha)
-        r = ranking_error(ss)
-        lo, hi = audit_interval(ss, alpha)
+        (a,) = audit(ss, [alphas[c]])
         per_class.append(
             PerClassReport(
                 class_id=c,
                 n_plus=ss.n_plus,
                 n_minus=ss.n_minus,
-                ap=ap,
-                ranking_error=r,
-                det_error=1.0 - ap,
-                ap_lower=ap_lower(alpha, r),
-                ap_upper=ap_upper(alpha, r),
-                within_bounds=bool(lo <= ap <= hi),
+                ap=a.ap,
+                ranking_error=a.ranking_error,
+                det_error=1.0 - a.ap,
+                ap_lower=a.ap_lower,
+                ap_upper=a.ap_upper,
+                within_bounds=a.slack >= 0,
             )
         )
     if not per_class:
@@ -500,13 +497,9 @@ def evaluate(
     return TrainReport(per_class=tuple(per_class), mean_ap=mean_ap, loss_curve=model.loss_curve)
 
 
-def audit_failures(report: TrainReport) -> list[PerClassReport]:
-    return [p for p in report.per_class if not p.within_bounds]
-
-
 def bound_audit(report: TrainReport) -> bool:
     """True iff every class's AP sits inside its noise-widened bound interval."""
-    failures = audit_failures(report)
+    failures = [p for p in report.per_class if not p.within_bounds]
     for p in failures:
         log.warning(
             "bound audit failure: class %d ap=%.6f R=%.6f bounds=[%.6f, %.6f]",

@@ -62,12 +62,9 @@ def _run_bounds(rng: np.random.Generator, trials: int) -> dict:
             positives=rng.beta(a_pos, b_pos, _SANDWICH_SAMPLES),
             negatives=rng.beta(a_neg, b_neg, _SANDWICH_SAMPLES),
         )
-        for alpha in _SANDWICH_ALPHAS:
-            ap = average_precision(ss, alpha)
-            lo, hi = bnd.audit_interval(ss, alpha)
-            slack = min(ap - lo, hi - ap)
-            min_slack = min(min_slack, slack)
-            if slack < 0:
+        for a in bnd.audit(ss, _SANDWICH_ALPHAS):
+            min_slack = min(min_slack, a.slack)
+            if a.slack < 0:
                 violations += 1
     checks.append(
         _check(

@@ -16,16 +16,17 @@ from ecmargin import (
     ap_lower,
     ap_lower_branches,
     ap_upper,
-    audit_interval,
+    audit,
     average_precision,
     binary_bound_check,
     envelope,
+    positive_precisions,
     ranking_error,
     slope_m,
     variational_max_oracle,
     variational_min_oracle,
 )
-from ecmargin.bounds import _project_box_mean
+from ecmargin.bounds import _best_disjoint_pair, _project_box_mean
 
 alphas = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 errors = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -399,6 +400,31 @@ class TestBinaryBound:
             binary_bound_check(s, t)
 
 
+def reference_audit(s: ScoreSet, alpha: float) -> tuple[float, float, float, float]:
+    """(se_ranking, se_ap, lower, upper) by the standalone formulas of the
+    former per-alpha audit interval."""
+    r = ranking_error(s)
+    inv = 1.0 / s.n_plus + 1.0 / s.n_minus
+    se_r = float(np.sqrt(r * (1.0 - r) * inv)) + inv
+    se_ap = float(np.sqrt(np.var(positive_precisions(s, alpha)) / s.n_plus)) + 2.0 * inv
+    lower = ap_lower(alpha, min(1.0, r + 3.0 * se_r)) - 3.0 * se_ap
+    upper = ap_upper(alpha, max(0.0, r - 3.0 * se_r)) + 3.0 * se_ap
+    return se_r, se_ap, lower, upper
+
+
+def audit_cases(count: int, seed: int):
+    """Beta score sets with side sizes from 1 to 300, every other one rounded
+    to multiples of 1/6 so that ties occur within and across sides."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n_pos, n_neg = rng.integers(1, 301, size=2)
+        pos = rng.beta(*rng.uniform(0.3, 8.0, size=2), size=n_pos)
+        neg = rng.beta(*rng.uniform(0.3, 8.0, size=2), size=n_neg)
+        if i % 2:
+            pos, neg = np.round(pos * 6.0) / 6.0, np.round(neg * 6.0) / 6.0
+        yield ScoreSet(positives=pos, negatives=neg)
+
+
 class TestAuditInterval:
     def test_contains_measured_ap_for_beta_detectors(self, rng):
         for _ in range(10):
@@ -406,9 +432,8 @@ class TestAuditInterval:
                 positives=rng.beta(4.0, 2.0, size=400),
                 negatives=rng.beta(2.0, 4.0, size=2000),
             )
-            alpha = s.n_minus / s.n_plus
-            lo, hi = audit_interval(s, alpha)
-            assert lo <= average_precision(s, alpha) <= hi
+            (a,) = audit(s, [s.n_minus / s.n_plus])
+            assert a.lower <= average_precision(s, a.alpha) <= a.upper
 
     def test_interval_pads_the_point_bounds(self, rng):
         s = ScoreSet(
@@ -416,10 +441,38 @@ class TestAuditInterval:
             negatives=rng.beta(2.0, 4.0, size=500),
         )
         r = ranking_error(s)
-        lo, hi = audit_interval(s, 5.0)
-        assert lo <= ap_lower(5.0, r)
-        assert hi >= ap_upper(5.0, r)
-        assert lo < hi
+        (a,) = audit(s, [5.0])
+        assert a.lower <= ap_lower(5.0, r)
+        assert a.upper >= ap_upper(5.0, r)
+        assert a.lower < a.upper
+
+
+class TestAudit:
+    AUDIT_ALPHAS = (0.1, 1.0, 10.0, 1000.0)
+
+    def test_every_field_matches_the_standalone_estimators(self):
+        for s in audit_cases(200, seed=7):
+            records = audit(s, self.AUDIT_ALPHAS)
+            assert [a.alpha for a in records] == list(self.AUDIT_ALPHAS)
+            r = ranking_error(s)
+            for a in records:
+                assert a.ap == average_precision(s, a.alpha)
+                assert a.ranking_error == r
+                assert a.ap_lower == ap_lower(a.alpha, r)
+                assert a.ap_upper == ap_upper(a.alpha, r)
+                assert (a.se_ranking, a.se_ap, a.lower, a.upper) == reference_audit(s, a.alpha)
+                assert a.slack == min(a.ap - a.lower, a.upper - a.ap)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_a_bad_alpha_anywhere_rejected(self, bad):
+        s = ScoreSet(positives=[0.9, 0.4], negatives=[0.5, 0.1])
+        for alphas in ([bad], [1.0, bad], [bad, 1.0, 10.0]):
+            with pytest.raises(ValidationError, match="alpha"):
+                audit(s, alphas)
+
+    def test_empty_side_rejected(self):
+        with pytest.raises(ValidationError, match="no negatives"):
+            audit(ScoreSet(positives=[0.5], negatives=[]), [1.0])
 
 
 class TestGFunction:
@@ -486,6 +539,52 @@ class TestProjectBoxMean:
     def test_a_single_coordinate_lands_on_tau(self):
         for tau in (0.0, 0.3, 1.0):
             assert _project_box_mean(np.array([7.5]), tau) == pytest.approx([tau], abs=1e-15)
+
+
+def reference_best_pair(remove: np.ndarray, add: np.ndarray) -> float:
+    """max remove[i] + add[j] over i != j by the full O(n^2) table; -inf when
+    no pair has both entries finite."""
+    table = remove[:, None] + add[None, :]
+    np.fill_diagonal(table, -np.inf)
+    best = float(np.max(table))
+    return best if math.isfinite(best) else -math.inf
+
+
+def disjoint_pair_cases(count: int, seed: int):
+    """(remove, add) gain arrays with -inf entries, one finite entry on a
+    side, and both maxima in one bin."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 40))
+        remove, add = rng.normal(size=n), rng.normal(size=n)
+        remove[rng.random(n) < 0.3] = -np.inf
+        add[rng.random(n) < 0.3] = -np.inf
+        kind = i % 4
+        if kind == 1:
+            add[:] = -np.inf
+            add[rng.integers(n)] = rng.normal()
+        elif kind == 2:
+            k = int(rng.integers(n))
+            remove[k], add[k] = 10.0, 10.0
+        elif kind == 3:
+            k = int(rng.integers(n))
+            remove[:] = -np.inf
+            add[:] = -np.inf
+            remove[k], add[k] = 1.0, 1.0
+        yield remove, add
+
+
+class TestBestDisjointPair:
+    def test_matches_the_quadratic_search(self):
+        shared_max = 0
+        for remove, add in disjoint_pair_cases(400, seed=5):
+            best, (i, j) = _best_disjoint_pair(remove, add)
+            assert best == reference_best_pair(remove, add)
+            if math.isfinite(best):
+                assert i != j
+                assert best == float(remove[i] + add[j])
+            shared_max += int(np.argmax(remove) == np.argmax(add))
+        assert shared_max >= 100
 
 
 class TestVariationalOracles:

@@ -12,7 +12,7 @@ from ecmargin import (
     ScoreSet,
     UndefinedPrecisionError,
     ValidationError,
-    ap_standard_error,
+    audit,
     average_precision,
     load_scores,
     positive_precisions,
@@ -20,7 +20,6 @@ from ecmargin import (
     precision_at,
     ranking_error,
     ranking_error_bruteforce,
-    ranking_standard_error,
     recall_at,
 )
 from ecmargin.metrics import _parse_plain
@@ -49,10 +48,10 @@ class TestScoreSet:
         assert np.array_equal(s.positives, EXAMPLE.negatives)
         assert np.array_equal(s.negatives, EXAMPLE.positives)
 
-    def test_sorted_views_match_numpy_sort(self, rng):
+    def test_sides_are_stored_sorted(self, rng):
         raw = rng.random(17)
         s = ScoreSet(positives=raw, negatives=rng.random(5))
-        assert np.array_equal(s.pos_sorted, np.sort(raw))
+        assert np.array_equal(s.positives, np.sort(raw))
 
 
 class TestTailStatistics:
@@ -190,14 +189,16 @@ class TestStandardErrors:
     def test_ranking_error_spread_has_additive_guard(self):
         s = ScoreSet(positives=[0.8, 0.9], negatives=[0.1, 0.2])
         # r = 0 so only the additive term remains
-        assert ranking_standard_error(s) == 1.0
-        assert ap_standard_error(s, alpha=1.0) == 2.0
+        a = audit(s, [1.0])[0]
+        assert a.se_ranking == 1.0
+        assert a.se_ap == 2.0
 
     def test_errors_shrink_with_sample_size(self, rng):
         small = ScoreSet(positives=rng.random(20), negatives=rng.random(20))
         large = ScoreSet(positives=rng.random(2000), negatives=rng.random(2000))
-        assert ranking_standard_error(large) < ranking_standard_error(small)
-        assert ap_standard_error(large, 1.0) < ap_standard_error(small, 1.0)
+        a_small, a_large = audit(small, [1.0])[0], audit(large, [1.0])[0]
+        assert a_large.se_ranking < a_small.se_ranking
+        assert a_large.se_ap < a_small.se_ap
 
 
 class TestLoadScores:
