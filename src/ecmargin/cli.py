@@ -5,6 +5,10 @@ machine-readable report still goes to standard output); 2 malformed input or
 flag values.  Every emitted document echoes the resolved configuration, JSON
 under a "config" key and CSV as a leading "# {...}" comment line, and
 contains no timestamps, so identical invocations produce identical bytes.
+
+On Linux with more than one usable CPU, a long ``metrics --pr-curve`` curve is
+formatted in two halves, the second by a forked worker, and written in order;
+its bytes are identical either way.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
+import threading
 
 import numpy as np
 
@@ -41,6 +47,9 @@ from .sandbox import (
 )
 
 _CURVE_STEPS = 100
+# Forking a child to format the second half of the PR curve pays for itself
+# only from this many rows on (the measurement is in CHANGES.md).
+_SPLIT_MIN_ROWS = 10_000
 # the JSON values a train config field of each annotated type accepts
 _CONFIG_TYPES = {
     "int": (int, "an integer"),
@@ -205,16 +214,95 @@ def _cmd_metrics(args) -> int:
         "det_error": 1.0 - ap,
     }
     if args.pr_curve is not None:
-        curve = pr_curve(ss, alpha)
-        columns = (curve.thresholds.tolist(), curve.recall.tolist(), curve.precision.tolist())
-        # csv.writer writes a float as its repr, so these are _csv_text's bytes
-        rows = "".join([f"{t!r},{rec!r},{prec!r}\n" for t, rec, prec in zip(*columns)])
-        _emit(
-            _config_comment(config) + "threshold,recall,precision\n" + rows,
-            args.pr_curve,
-        )
+        head = _config_comment(config) + "threshold,recall,precision\n"
+        _write_pr_curve(args.pr_curve, head, pr_curve(ss, alpha))
     _emit_document(args, config, fields, [fields])
     return 0
+
+
+def _curve_rows(curve, lo: int, hi: int) -> str:
+    """Rows lo..hi-1 of the PR-curve CSV.  csv.writer writes a float as its
+    repr, so these are _csv_text's bytes."""
+    columns = [c[lo:hi].tolist() for c in (curve.thresholds, curve.recall, curve.precision)]
+    return "".join([f"{t!r},{rec!r},{prec!r}\n" for t, rec, prec in zip(*columns)])
+
+
+def _usable_cpus() -> int:
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return 1 if getaffinity is None else len(getaffinity(0))
+
+
+def _forks(rows: int) -> bool:
+    """Whether a forked child formats the curve's second half: only when a
+    fork is available, safe (no other thread is alive), has a second CPU to
+    run on and is worth it (rows >= _SPLIT_MIN_ROWS)."""
+    return (
+        rows >= _SPLIT_MIN_ROWS
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+        and _usable_cpus() >= 2
+    )
+
+
+def _fork_rows(curve, lo: int, hi: int) -> tuple[int, io.BufferedReader] | None:
+    """Fork a child that sends its pid, a newline and _curve_rows(curve, lo,
+    hi), encoded, through a pipe: (pid, the pipe's read end), or None when no
+    child could be started."""
+    read_fd, write_fd = os.pipe()
+    parent = os.getpid()
+    try:
+        pid = os.fork()
+    except BaseException as error:
+        if os.getpid() != parent:  # an interrupt reached the child before pid was bound
+            pid = 0
+        else:
+            # The child may exist already: Python 3.12 raises its fork warning,
+            # when made an error, after forking, and an interrupt can land
+            # before pid is bound.  Its pid comes first on the pipe; reap it.
+            os.close(write_fd)
+            with open(read_fd, "rb") as pipe:
+                header = pipe.readline()
+            if header:
+                os.waitpid(int(header), 0)
+            if isinstance(error, OSError):
+                return None
+            raise
+    if pid == 0:
+        # the child leaves only through os._exit, so no inherited buffer is flushed twice
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(b"%d\n" % os.getpid())
+                pipe.write(_curve_rows(curve, lo, hi).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _write_pr_curve(path: str, head: str, curve) -> None:
+    """head, then the curve's rows.  When _forks(rows), a forked child formats
+    the second half while this process formats the first; a half whose child
+    failed or never started is formatted here too."""
+    rows = curve.thresholds.size
+    cut = rows // 2 if _forks(rows) else rows
+    with open(path, "w", encoding="utf-8") as fh:  # opened before the fork
+        child = _fork_rows(curve, cut, rows) if cut < rows else None
+        try:
+            fh.write(head)
+            fh.write(_curve_rows(curve, 0, cut))
+            if child is not None:
+                child[1].readline()  # the child's pid
+                data = child[1].read()
+        finally:
+            if child is not None:  # the child is reaped on every path
+                child[1].close()
+                _, status = os.waitpid(child[0], 0)
+        if cut < rows:
+            sent = child is not None and os.waitstatus_to_exitcode(status) == 0
+            fh.write(data.decode() if sent else _curve_rows(curve, cut, rows))
 
 
 def _cmd_verify(args) -> int:

@@ -53,7 +53,7 @@ def _as_scores(name: str, values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreSet:
     """Positive and negative score samples for one class.
 
@@ -61,6 +61,7 @@ class ScoreSet:
     every estimator reads are taken here, once per set: for each positive
     s_k, P_k = #positives >= s_k and N_k = #negatives >= s_k, plus the
     numbers of (positive, negative) pairs with the positive below or tied.
+    Sets compare and hash by identity, since the fields are arrays.
     """
 
     positives: np.ndarray
@@ -90,12 +91,13 @@ class ScoreSet:
         return ScoreSet(positives=self.negatives, negatives=self.positives)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrecisionRecallCurve:
     """A PR curve as three equal-length float64 arrays, one entry per point.
 
     Thresholds strictly descend, recall is non-decreasing along them, and all
-    three arrays lie in [0,1].
+    three arrays lie in [0,1].  Curves compare and hash by identity, since the
+    fields are arrays.
     """
 
     thresholds: np.ndarray

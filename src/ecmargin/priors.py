@@ -201,15 +201,35 @@ def background_count(counts: ClassCounts, ratio: float) -> int:
 
 def class_stats(counts: ClassCounts, class_id: int, background: int) -> ClassStats:
     """Stats for one class: n_plus = n_c, n_minus = (all foreground + background) - n_c."""
+    _check_background(background)
+    return _entry_stats(counts.get(class_id), counts.total_foreground(), background)
+
+
+def all_class_stats(counts: ClassCounts, background: int) -> dict[int, ClassStats]:
+    """class_stats for every class, keyed by class_id in ascending order.
+
+    One pass: the foreground total is summed once, not once per class.
+    """
+    entries = sorted(counts.entries, key=lambda e: e.class_id)
+    if entries:
+        _check_background(background)
+    foreground = counts.total_foreground()
+    return {e.class_id: _entry_stats(e, foreground, background) for e in entries}
+
+
+def _check_background(background: int) -> None:
     if background < 0:
         raise ValidationError(f"background must be >= 0, got {background}")
-    entry = counts.get(class_id)
+
+
+def _entry_stats(entry: ClassEntry, foreground: int, background: int) -> ClassStats:
+    class_id = entry.class_id
     if entry.instance_count < 1:
         raise ValidationError(
             f"class {class_id} has zero instances; margins are undefined for empty classes"
         )
     n_plus = entry.instance_count
-    n_minus = counts.total_foreground() + background - n_plus
+    n_minus = foreground + background - n_plus
     if n_minus < 1:
         raise ValidationError(
             f"class {class_id} has no negatives (n_minus={n_minus}); need at least one other sample"
@@ -217,9 +237,3 @@ def class_stats(counts: ClassCounts, class_id: int, background: int) -> ClassSta
     if n_minus > _MAX_COUNT:
         raise ValidationError(f"class {class_id} has more negatives than fit a float")
     return ClassStats(n_plus=n_plus, n_minus=n_minus, alpha=n_minus / n_plus)
-
-
-def all_class_stats(counts: ClassCounts, background: int) -> dict[int, ClassStats]:
-    """class_stats for every class, keyed by class_id in ascending order."""
-    ids = sorted(e.class_id for e in counts.entries)
-    return {class_id: class_stats(counts, class_id, background) for class_id in ids}

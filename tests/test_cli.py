@@ -1,12 +1,15 @@
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from ecmargin import __version__, slope_m
+from ecmargin import __version__, cli, load_scores, pr_curve, slope_m
 from ecmargin.cli import main
 
 EXAMPLE_SCORES = "score,label\n0.9,1\n0.4,1\n0.5,0\n0.1,0\n"
@@ -691,6 +694,217 @@ class TestMetricsCommand:
         code, _, err = run_cli(capsys, ["metrics", "--scores", str(bad), "--alpha", "1"])
         assert code == 2
         assert "line" in err
+
+
+SPLIT = cli._SPLIT_MIN_ROWS
+
+
+def split_curve_scores(rows: int) -> str:
+    """A scores file whose PR curve has exactly ``rows`` rows, and whose
+    recall is flat across the cut between its halves.  It has rows + 1
+    samples with descending distinct scores; curve row j counts samples 0..j
+    above its threshold, the score of sample j + 1, so recall steps at row j
+    exactly when sample j is positive, and no sample within 20 of the cut is."""
+    near_cut = range(rows // 2 - 20, rows // 2 + 20)
+    lines = ["score,label\n"]
+    for j in range(rows + 1):
+        positive = j == 0 or (j % 3 == 0 and j not in near_cut)
+        lines.append(f"{(rows + 1 - j) / (rows + 2)!r},{int(positive)}\n")
+    return "".join(lines)
+
+
+def reference_curve_rows(scores_path, alpha: float) -> str:
+    """The curve rows as the single in-process writer formatted them, row by row."""
+    curve = pr_curve(load_scores(scores_path), alpha)
+    columns = (curve.thresholds.tolist(), curve.recall.tolist(), curve.precision.tolist())
+    return "".join([f"{t!r},{rec!r},{prec!r}\n" for t, rec, prec in zip(*columns)])
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds() -> set[str]:
+    return set(os.listdir("/dev/fd"))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks the CLI makes, counted in the parent."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+@pytest.fixture
+def deadline():
+    """Fail, instead of hanging, a test whose writer blocks on a child or a pipe."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the curve writer blocked for 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestSplitCurveWriter:
+    """metrics --pr-curve formats the second half of a long curve in a forked
+    child; the bytes never depend on the split."""
+
+    ALPHA = 3.0
+
+    def run_metrics(self, capsys, monkeypatch, tmp_path, rows, cpus):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        scores = tmp_path / "scores.csv"
+        if not scores.exists():
+            scores.write_text(split_curve_scores(rows))
+        argv = ["metrics", "--scores", "scores.csv", "--alpha", "3", "--pr-curve", "pr.csv"]
+        result = run_cli(capsys, argv)
+        assert_no_children()
+        return result, (tmp_path / "pr.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [1, SPLIT - 1, SPLIT, 2 * SPLIT + 1])
+    def test_every_split_gives_the_per_row_bytes(
+        self, capsys, monkeypatch, tmp_path, forks, rows
+    ):
+        outputs = set()
+        for cpus in (1, 2, 8):
+            del forks[:]
+            (code, out, err), data = self.run_metrics(capsys, monkeypatch, tmp_path, rows, cpus)
+            assert (code, err) == (0, "")
+            assert len(forks) == (1 if cpus >= 2 and rows >= SPLIT else 0)
+            outputs.add((out, data))
+        assert len(outputs) == 1
+        _, data = outputs.pop()
+        comment, header, body = data.decode().split("\n", 2)
+        assert comment.startswith("# {") and header == "threshold,recall,precision"
+        assert body == reference_curve_rows(tmp_path / "scores.csv", self.ALPHA)
+        assert body.count("\n") == rows
+
+    def test_a_recall_run_straddles_the_cut(self, tmp_path):
+        rows = 2 * SPLIT + 1
+        path = tmp_path / "scores.csv"
+        path.write_text(split_curve_scores(rows))
+        recall = pr_curve(load_scores(path), self.ALPHA).recall
+        assert recall.size == rows
+        cut = rows // 2
+        assert recall[cut - 1] == recall[cut]
+        assert recall[cut - 25] < recall[cut + 25]  # and it is a run, not all of the curve
+
+    @pytest.mark.parametrize("failure", ["raise", "kill"])
+    def test_a_failed_child_slice_is_formatted_by_the_parent(
+        self, capsys, monkeypatch, tmp_path, forks, failure
+    ):
+        rows = 2 * SPLIT + 1
+        (_, expected_out, _), expected = self.run_metrics(capsys, monkeypatch, tmp_path, rows, 1)
+        parent = os.getpid()
+        real_rows = cli._curve_rows
+
+        def failing_in_children(curve, lo, hi):
+            if os.getpid() != parent:
+                if failure == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("formatter failed in a child")
+            return real_rows(curve, lo, hi)
+
+        monkeypatch.setattr(cli, "_curve_rows", failing_in_children)
+        (code, out, err), data = self.run_metrics(capsys, monkeypatch, tmp_path, rows, 2)
+        assert len(forks) == 1
+        assert (code, out, err) == (0, expected_out, "")
+        assert data == expected
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_children_are_reaped_when_the_parent_fails(
+        self, capsys, monkeypatch, tmp_path, forks, error
+    ):
+        parent = os.getpid()
+        real_rows = cli._curve_rows
+
+        def failing_in_parent(curve, lo, hi):
+            if os.getpid() == parent:
+                raise error()
+            return real_rows(curve, lo, hi)
+
+        monkeypatch.setattr(cli, "_curve_rows", failing_in_parent)
+        with pytest.raises(error):
+            self.run_metrics(capsys, monkeypatch, tmp_path, 2 * SPLIT + 1, 2)
+        assert len(forks) == 1
+        assert_no_children()
+
+    @pytest.mark.parametrize("error", [DeprecationWarning, KeyboardInterrupt])
+    def test_a_fork_that_raises_after_forking_leaves_no_child(
+        self, capsys, monkeypatch, tmp_path, error
+    ):
+        """Python 3.12 under -W error raises its multi-threaded fork warning in
+        the parent after the child exists; an interrupt can land there too."""
+        real_fork = os.fork
+
+        def raising_fork():
+            if real_fork() != 0:
+                raise error("raised after forking")
+            return 0
+
+        monkeypatch.setattr(os, "fork", raising_fork)
+        fds = open_fds()
+        with pytest.raises(error):
+            self.run_metrics(capsys, monkeypatch, tmp_path, SPLIT, 2)
+        assert_no_children()
+        assert open_fds() == fds
+
+    def test_a_fork_that_fails_leaves_the_parent_formatting_it_all(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        (_, expected_out, _), expected = self.run_metrics(capsys, monkeypatch, tmp_path, SPLIT, 1)
+
+        def failing_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        fds = open_fds()
+        (code, out, err), data = self.run_metrics(capsys, monkeypatch, tmp_path, SPLIT, 2)
+        assert (code, out, err) == (0, expected_out, "")
+        assert data == expected
+        assert open_fds() == fds
+
+    def test_no_fork_while_another_thread_is_alive(self, capsys, monkeypatch, tmp_path):
+        rows = SPLIT
+        (_, expected_out, _), expected = self.run_metrics(capsys, monkeypatch, tmp_path, rows, 1)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with another thread alive"))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            (code, out, err), data = self.run_metrics(capsys, monkeypatch, tmp_path, rows, 2)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert (code, out, err) == (0, expected_out, "")
+        assert data == expected
+
+    def test_unwritable_curve_path_exits_two_before_any_fork(
+        self, capsys, monkeypatch, tmp_path, forks
+    ):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        scores = tmp_path / "scores.csv"
+        scores.write_text(split_curve_scores(SPLIT))
+        missing = tmp_path / "no-such-dir" / "pr.csv"
+        argv = ["metrics", "--scores", str(scores), "--alpha", "3", "--pr-curve", str(missing)]
+        assert_input_error(*run_cli(capsys, argv), str(missing))
+        assert forks == []
+        assert_no_children()
 
 
 class TestVerifyCommand:

@@ -54,6 +54,28 @@ class TestScoreSet:
         assert np.array_equal(s.positives, np.sort(raw))
 
 
+
+class TestIdentitySemantics:
+    """ScoreSet and PrecisionRecallCurve hold arrays, so they compare and hash
+    by identity instead of raising on an elementwise ==."""
+
+    @staticmethod
+    def twins():
+        a = ScoreSet(positives=[0.1, 0.2], negatives=[0.3])
+        b = ScoreSet(positives=[0.1, 0.2], negatives=[0.3])
+        return [(a, b), (pr_curve(a, 1.0), pr_curve(b, 1.0))]
+
+    def test_equality_is_a_bool_and_never_raises(self):
+        for a, b in self.twins():
+            assert (a == b) is False and (a != b) is True
+            assert (a == a) is True and (a != a) is False
+
+    def test_both_types_go_into_a_set(self):
+        for a, b in self.twins():
+            assert len({a, b, a}) == 2
+            assert hash(a) == hash(a)
+
+
 class TestTailStatistics:
     def test_recall_counts_strictly_above(self):
         assert recall_at(EXAMPLE, 0.4) == 0.5

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ecmargin import (
@@ -115,6 +116,46 @@ class TestClassStatsFromCounts:
     def test_all_class_stats_are_in_class_id_order(self):
         counts = ClassCounts(entries=tuple(reversed(COUNTS.entries)))
         assert list(all_class_stats(counts, 0)) == [1, 2, 3]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_all_class_stats_matches_class_stats_per_class(self, seed):
+        """The one-pass all_class_stats gives what class_stats gives class by
+        class in ascending id order: the same stats, or the same first error.
+        The seeds cycle through all-valid counts, zero-count classes, a
+        lowest-id class with no negatives, and a negative background."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 30))
+        ids = [int(i) for i in rng.permutation(100)[:k]]
+        sizes = [int(c) for c in rng.integers(1, 50, size=k)]
+        background = int(rng.integers(0, 200))
+        mode = seed % 4
+        if mode == 1:
+            sizes = [0 if rng.random() < 0.3 else c for c in sizes]
+        elif mode == 2:
+            sizes = [c if i == min(ids) else 0 for i, c in zip(ids, sizes)]
+            background = 0
+        elif mode == 3:
+            background = -1
+        counts = ClassCounts(entries=tuple(ClassEntry(i, f"c{i}", c) for i, c in zip(ids, sizes)))
+
+        def outcome(compute):
+            try:
+                return compute()
+            except ValidationError as exc:
+                return type(exc), str(exc)
+
+        expected = outcome(
+            lambda: {i: class_stats(counts, i, background) for i in sorted(ids)}
+        )
+        got = outcome(lambda: all_class_stats(counts, background))
+        assert got == expected
+        if isinstance(expected, dict):
+            assert list(got) == sorted(ids)
+        if mode == 2:
+            assert "has no negatives" in expected[1]
+
+    def test_all_class_stats_of_no_classes_is_empty(self):
+        assert all_class_stats(ClassCounts(entries=()), -1) == {}
 
     def test_negatives_beyond_the_float_range_rejected(self):
         counts = ClassCounts(entries=(ClassEntry(0, "a", 1), ClassEntry(1, "b", 10**308)))
