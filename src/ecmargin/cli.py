@@ -8,12 +8,14 @@ contains no timestamps, so identical invocations produce identical bytes.
 
 On Linux with more than one usable CPU, a long ``metrics --pr-curve`` curve is
 formatted in two halves, the second by a forked worker, and written in order;
-its bytes are identical either way.
+``verify --suite all`` runs the bounds suite here and the other four suites in
+a forked worker.  The bytes are identical either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -85,12 +87,19 @@ def _emit_document(args, config: dict, body: dict, rows: list[dict]) -> None:
     _emit(text, args.out)
 
 
-def _emit_report(args, payload: dict) -> None:
-    """verify and train print their JSON report, and also write it to --out."""
+def _open_output(path: str | None):
+    """path opened for writing, or a null context when it is None.  verify and
+    train open their files before they compute, so a bad path fails first."""
+    return contextlib.nullcontext() if path is None else open(path, "w", encoding="utf-8")
+
+
+def _emit_report(payload: dict, out) -> None:
+    """verify and train print their JSON report, and also write it to the
+    opened --out file, if any."""
     text = _json_text(payload)
     sys.stdout.write(text)
-    if args.out is not None:
-        _emit(text, args.out)
+    if out is not None:
+        out.write(text)
 
 
 def _csv_text(config: dict, header: list[str], rows) -> str:
@@ -232,22 +241,16 @@ def _usable_cpus() -> int:
     return 1 if getaffinity is None else len(getaffinity(0))
 
 
-def _forks(rows: int) -> bool:
-    """Whether a forked child formats the curve's second half: only when a
-    fork is available, safe (no other thread is alive), has a second CPU to
-    run on and is worth it (rows >= _SPLIT_MIN_ROWS)."""
-    return (
-        rows >= _SPLIT_MIN_ROWS
-        and hasattr(os, "fork")
-        and threading.active_count() == 1
-        and _usable_cpus() >= 2
-    )
+def _can_fork() -> bool:
+    """Whether a forked child can take a share of the work: a fork is
+    available, safe (no other thread is alive) and has a second CPU to run on."""
+    return hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() >= 2
 
 
-def _fork_rows(curve, lo: int, hi: int) -> tuple[int, io.BufferedReader] | None:
-    """Fork a child that sends its pid, a newline and _curve_rows(curve, lo,
-    hi), encoded, through a pipe: (pid, the pipe's read end), or None when no
-    child could be started."""
+def _fork(produce) -> tuple[int, io.BufferedReader] | None:
+    """Fork a child that sends its pid, a newline and the bytes produce()
+    returns through a pipe: (pid, the pipe's read end), or None when no child
+    could be started.  Hand the result to _collect."""
     read_fd, write_fd = os.pipe()
     parent = os.getpid()
     try:
@@ -274,7 +277,7 @@ def _fork_rows(curve, lo: int, hi: int) -> tuple[int, io.BufferedReader] | None:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
                 pipe.write(b"%d\n" % os.getpid())
-                pipe.write(_curve_rows(curve, lo, hi).encode())
+                pipe.write(produce())
             code = 0
         finally:
             os._exit(code)
@@ -282,34 +285,59 @@ def _fork_rows(curve, lo: int, hi: int) -> tuple[int, io.BufferedReader] | None:
     return pid, open(read_fd, "rb")
 
 
+def _collect(child) -> bytes | None:
+    """The bytes a child from _fork sent, or None when there was no child or
+    it failed.  The pipe is closed and the child reaped on every path."""
+    if child is None:
+        return None
+    pid, pipe = child
+    try:
+        pipe.readline()  # the child's pid
+        data = pipe.read()
+    finally:
+        pipe.close()
+        _, status = os.waitpid(pid, 0)
+    return data if os.waitstatus_to_exitcode(status) == 0 else None
+
+
 def _write_pr_curve(path: str, head: str, curve) -> None:
-    """head, then the curve's rows.  When _forks(rows), a forked child formats
-    the second half while this process formats the first; a half whose child
-    failed or never started is formatted here too."""
+    """head, then the curve's rows.  A long curve's second half is formatted
+    by a forked child while this process formats the first; a half whose
+    child failed or never started is formatted here too."""
     rows = curve.thresholds.size
-    cut = rows // 2 if _forks(rows) else rows
+    cut = rows // 2 if rows >= _SPLIT_MIN_ROWS and _can_fork() else rows
     with open(path, "w", encoding="utf-8") as fh:  # opened before the fork
-        child = _fork_rows(curve, cut, rows) if cut < rows else None
+        child = _fork(lambda: _curve_rows(curve, cut, rows).encode()) if cut < rows else None
         try:
             fh.write(head)
             fh.write(_curve_rows(curve, 0, cut))
-            if child is not None:
-                child[1].readline()  # the child's pid
-                data = child[1].read()
         finally:
-            if child is not None:  # the child is reaped on every path
-                child[1].close()
-                _, status = os.waitpid(child[0], 0)
+            data = _collect(child)
         if cut < rows:
-            sent = child is not None and os.waitstatus_to_exitcode(status) == 0
-            fh.write(data.decode() if sent else _curve_rows(curve, cut, rows))
+            fh.write(data.decode() if data is not None else _curve_rows(curve, cut, rows))
 
 
 def _cmd_verify(args) -> int:
     _require_json_format(args, "verify")
+    names = verify.plan(args.suite, args.trials, args.seed)
     config = _resolved(args, "verify", suite=args.suite, trials=args.trials)
-    report = verify.run(suite=args.suite, trials=args.trials, seed=args.seed)
-    _emit_report(args, {"config": config, **report})
+
+    def run_suites(part) -> list[dict]:
+        return [verify.run_suite(name, args.trials, args.seed) for name in part]
+
+    # the first suite (bounds, the longest) runs here, the rest in a forked
+    # child that sends their reports back as JSON, which keeps every float
+    here, there = names[:1], names[1:]
+    with _open_output(args.out) as out:
+        forks = there and _can_fork()
+        child = _fork(lambda: json.dumps(run_suites(there)).encode()) if forks else None
+        try:
+            reports = run_suites(here)
+        finally:
+            data = _collect(child)
+        reports += run_suites(there) if data is None else json.loads(data)
+        report = verify.report(args.suite, args.trials, args.seed, reports)
+        _emit_report({"config": config, **report}, out)
     return 0 if report["passed"] else 1
 
 
@@ -356,12 +384,12 @@ def _cmd_train(args) -> int:
         synthetic=dataclasses.asdict(scfg),
         train=dataclasses.asdict(tcfg),
     )
-    _, report = run_experiment(scfg, tcfg)
-    audit_ok = bound_audit(report)
-
-    _emit_report(args, {"config": config, **report.to_dict(), "bound_audit": audit_ok})
-    if args.loss_curve is not None:
-        _emit(_csv_text(config, ["epoch", "mean_loss"], report.loss_curve), args.loss_curve)
+    with _open_output(args.out) as out, _open_output(args.loss_curve) as curve_out:
+        _, report = run_experiment(scfg, tcfg)
+        audit_ok = bound_audit(report)
+        _emit_report({"config": config, **report.to_dict(), "bound_audit": audit_ok}, out)
+        if curve_out is not None:
+            curve_out.write(_csv_text(config, ["epoch", "mean_loss"], report.loss_curve))
     return 0 if audit_ok else 1
 
 

@@ -443,20 +443,29 @@ _RUNNERS = {
 }
 
 
-def run(suite: str = "all", trials: int = 1000, seed: int = 0) -> dict:
-    """Run one named suite (or all) and return a JSON-safe report dict."""
+def plan(suite: str, trials: int, seed: int) -> tuple[str, ...]:
+    """Check the arguments of a run and return the suites it runs, in order."""
     if suite != "all" and suite not in SUITES:
         raise ValidationError(f"suite must be 'all' or one of {SUITES}, got {suite!r}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    names = SUITES if suite == "all" else (suite,)
-    children = np.random.SeedSequence(seed).spawn(len(SUITES))
-    reports = []
-    for name in names:
-        rng = np.random.default_rng(children[SUITES.index(name)])
-        reports.append(_RUNNERS[name](rng, trials))
+    return SUITES if suite == "all" else (suite,)
+
+
+def run_suite(name: str, trials: int = 1000, seed: int = 0) -> dict:
+    """Run one named suite and return its report, the same report that the
+    suite gives inside ``all``."""
+    if name not in SUITES:
+        raise ValidationError(f"suite must be one of {SUITES}, got {name!r}")
+    plan(name, trials, seed)
+    child = np.random.SeedSequence(seed).spawn(len(SUITES))[SUITES.index(name)]
+    return _RUNNERS[name](np.random.default_rng(child), trials)
+
+
+def report(suite: str, trials: int, seed: int, reports: list[dict]) -> dict:
+    """The report of a run: its arguments, its suite reports and whether all passed."""
     return {
         "suite": suite,
         "trials": trials,
@@ -464,3 +473,9 @@ def run(suite: str = "all", trials: int = 1000, seed: int = 0) -> dict:
         "passed": all(r["passed"] for r in reports),
         "suites": reports,
     }
+
+
+def run(suite: str = "all", trials: int = 1000, seed: int = 0) -> dict:
+    """Run one named suite (or all) and return a JSON-safe report dict."""
+    names = plan(suite, trials, seed)
+    return report(suite, trials, seed, [run_suite(name, trials, seed) for name in names])

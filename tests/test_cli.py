@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ecmargin import __version__, cli, load_scores, pr_curve, slope_m
+from ecmargin import __version__, cli, load_scores, pr_curve, slope_m, verify
 from ecmargin.cli import main
 
 EXAMPLE_SCORES = "score,label\n0.9,1\n0.4,1\n0.5,0\n0.1,0\n"
@@ -64,8 +64,11 @@ GOLDEN_METRICS_REPORT = """\
 # `bounds --alpha A --emit-curve curve.csv` file ("curve/A") and stdout of
 # `verify --suite bounds --trials 50 --seed 3` ("verify_bounds"), recorded from
 # the scalar, bisection-based bounds; the alphas stay away from the branch
-# crossing at alpha*R = 1/6, so the closed-form meet point keeps every byte
+# crossing at alpha*R = 1/6, so the closed-form meet point keeps every byte.
+# "verify_all" is stdout of VERIFY_ALL_ARGV, recorded while verify ran its
+# suites one after another in one process.
 GOLDEN_BOUNDS = json.loads((Path(__file__).parent / "golden_bounds.json").read_text())
+VERIFY_ALL_ARGV = ["verify", "--suite", "all", "--trials", "20", "--seed", "5"]
 # stdout of each command below, run from a directory holding counts.json
 # (COUNTS_JSON) and scores.csv (TIED_SCORES), and under "<key>/out" the file
 # that the same command plus `--out doc.out` writes; recorded before margins,
@@ -803,49 +806,81 @@ class TestSplitCurveWriter:
         assert recall[cut - 1] == recall[cut]
         assert recall[cut - 25] < recall[cut + 25]  # and it is a run, not all of the curve
 
-    @pytest.mark.parametrize("failure", ["raise", "kill"])
-    def test_a_failed_child_slice_is_formatted_by_the_parent(
-        self, capsys, monkeypatch, tmp_path, forks, failure
-    ):
-        rows = 2 * SPLIT + 1
-        (_, expected_out, _), expected = self.run_metrics(capsys, monkeypatch, tmp_path, rows, 1)
-        parent = os.getpid()
-        real_rows = cli._curve_rows
 
-        def failing_in_children(curve, lo, hi):
-            if os.getpid() != parent:
+class SplitCommand:
+    """A command that shares its work with one forked child, run from
+    tmp_path: metrics --pr-curve on a curve long enough to split, or verify
+    --suite all.  Both processes call work, (module, name), for their share."""
+
+    def __init__(self, name, capsys, monkeypatch, tmp_path):
+        self.capsys, self.monkeypatch, self.tmp_path = capsys, monkeypatch, tmp_path
+        monkeypatch.chdir(tmp_path)
+        if name == "metrics":
+            (tmp_path / "scores.csv").write_text(split_curve_scores(SPLIT))
+            self.output = "pr.csv"
+            self.argv = ["metrics", "--scores", "scores.csv", "--alpha", "3"]
+            self.argv += ["--pr-curve", "pr.csv"]
+            self.work = (cli, "_curve_rows")
+        else:
+            self.output = "report.json"
+            self.argv = VERIFY_ALL_ARGV + ["--out", "report.json"]
+            self.work = (verify, "run_suite")
+
+    def run(self, cpus):
+        """((exit, stdout, stderr), the output file's bytes) on cpus usable CPUs."""
+        self.monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        result = run_cli(self.capsys, self.argv)
+        assert_no_children()
+        return result, (self.tmp_path / self.output).read_bytes()
+
+    def fail_work(self, where, failure):
+        """Make work raise failure(), or SIGKILL itself for "kill", when
+        called in the parent (where == "parent") or in a child."""
+        module, name = self.work
+        real = getattr(module, name)
+        parent = os.getpid()
+
+        def failing(*args, **kwargs):
+            if (os.getpid() == parent) == (where == "parent"):
                 if failure == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
-                raise RuntimeError("formatter failed in a child")
-            return real_rows(curve, lo, hi)
+                raise failure(f"{name} failed")
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_curve_rows", failing_in_children)
-        (code, out, err), data = self.run_metrics(capsys, monkeypatch, tmp_path, rows, 2)
+        self.monkeypatch.setattr(module, name, failing)
+
+
+@pytest.fixture(params=["metrics", "verify"])
+def split_command(request, capsys, monkeypatch, tmp_path):
+    return SplitCommand(request.param, capsys, monkeypatch, tmp_path)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestForkedShare:
+    """Whatever happens to the forked child, each command writes the bytes
+    of its serial run, or raises, and leaves no child and no open pipe."""
+
+    @pytest.mark.parametrize("failure", [RuntimeError, "kill"])
+    def test_a_failed_child_share_is_done_by_the_parent(self, split_command, forks, failure):
+        expected = split_command.run(1)
+        assert expected[0][0] == 0 and expected[0][2] == ""
+        split_command.fail_work("child", failure)
+        assert split_command.run(2) == expected
         assert len(forks) == 1
-        assert (code, out, err) == (0, expected_out, "")
-        assert data == expected
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
-    def test_children_are_reaped_when_the_parent_fails(
-        self, capsys, monkeypatch, tmp_path, forks, error
-    ):
-        parent = os.getpid()
-        real_rows = cli._curve_rows
-
-        def failing_in_parent(curve, lo, hi):
-            if os.getpid() == parent:
-                raise error()
-            return real_rows(curve, lo, hi)
-
-        monkeypatch.setattr(cli, "_curve_rows", failing_in_parent)
+    def test_children_are_reaped_when_the_parent_fails(self, split_command, forks, error):
+        split_command.fail_work("parent", error)
+        fds = open_fds()
         with pytest.raises(error):
-            self.run_metrics(capsys, monkeypatch, tmp_path, 2 * SPLIT + 1, 2)
+            split_command.run(2)
         assert len(forks) == 1
         assert_no_children()
+        assert open_fds() == fds
 
     @pytest.mark.parametrize("error", [DeprecationWarning, KeyboardInterrupt])
     def test_a_fork_that_raises_after_forking_leaves_no_child(
-        self, capsys, monkeypatch, tmp_path, error
+        self, split_command, monkeypatch, error
     ):
         """Python 3.12 under -W error raises its multi-threaded fork warning in
         the parent after the child exists; an interrupt can land there too."""
@@ -859,50 +894,67 @@ class TestSplitCurveWriter:
         monkeypatch.setattr(os, "fork", raising_fork)
         fds = open_fds()
         with pytest.raises(error):
-            self.run_metrics(capsys, monkeypatch, tmp_path, SPLIT, 2)
+            split_command.run(2)
         assert_no_children()
         assert open_fds() == fds
 
-    def test_a_fork_that_fails_leaves_the_parent_formatting_it_all(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        (_, expected_out, _), expected = self.run_metrics(capsys, monkeypatch, tmp_path, SPLIT, 1)
+    def test_a_fork_that_fails_leaves_the_parent_doing_it_all(self, split_command, monkeypatch):
+        expected = split_command.run(1)
 
         def failing_fork():
             raise BlockingIOError("fork: resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", failing_fork)
         fds = open_fds()
-        (code, out, err), data = self.run_metrics(capsys, monkeypatch, tmp_path, SPLIT, 2)
-        assert (code, out, err) == (0, expected_out, "")
-        assert data == expected
+        assert split_command.run(2) == expected
         assert open_fds() == fds
 
-    def test_no_fork_while_another_thread_is_alive(self, capsys, monkeypatch, tmp_path):
-        rows = SPLIT
-        (_, expected_out, _), expected = self.run_metrics(capsys, monkeypatch, tmp_path, rows, 1)
+    def test_no_fork_while_another_thread_is_alive(self, split_command, monkeypatch):
+        expected = split_command.run(1)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with another thread alive"))
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            (code, out, err), data = self.run_metrics(capsys, monkeypatch, tmp_path, rows, 2)
+            result = split_command.run(2)
         finally:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert (code, out, err) == (0, expected_out, "")
-        assert data == expected
+        assert result == expected
 
-    def test_unwritable_curve_path_exits_two_before_any_fork(
-        self, capsys, monkeypatch, tmp_path, forks
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["metrics", "--scores", "scores.csv", "--alpha", "3", "--pr-curve", "no/pr.csv"],
+             "no/pr.csv"),
+            (["metrics", "--scores", "scores.csv", "--alpha", "0", "--pr-curve", "pr.csv"],
+             "--alpha must be > 0"),
+            (VERIFY_ALL_ARGV + ["--trials", "0"], "trials must be >= 1, got 0"),
+            (VERIFY_ALL_ARGV + ["--seed", "-1"], "seed must be >= 0, got -1"),
+            (VERIFY_ALL_ARGV + ["--out", "no/report.json"], "no/report.json"),
+            (["train", "--config", "train.json", "--out", "no/report.json"], "no/report.json"),
+            (["train", "--config", "train.json", "--loss-curve", "no/loss.csv"], "no/loss.csv"),
+        ],
+        ids=[
+            "metrics-pr-curve",
+            "metrics-alpha",
+            "verify-trials",
+            "verify-seed",
+            "verify-out",
+            "train-out",
+            "train-loss-curve",
+        ],
+    )
+    def test_bad_input_exits_two_before_any_work_or_fork(
+        self, capsys, monkeypatch, tmp_path, forks, argv, message
     ):
+        """Nothing is printed, so a bad --out is not found only after the report."""
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        scores = tmp_path / "scores.csv"
-        scores.write_text(split_curve_scores(SPLIT))
-        missing = tmp_path / "no-such-dir" / "pr.csv"
-        argv = ["metrics", "--scores", str(scores), "--alpha", "3", "--pr-curve", str(missing)]
-        assert_input_error(*run_cli(capsys, argv), str(missing))
+        (tmp_path / "scores.csv").write_text(split_curve_scores(SPLIT))
+        (tmp_path / "train.json").write_text(json.dumps(TRAIN_CONFIG))
+        assert_input_error(*run_cli(capsys, argv), message)
         assert forks == []
         assert_no_children()
 
@@ -920,11 +972,46 @@ class TestVerifyCommand:
         assert doc["config"]["seed"] == 7
         assert doc["suites"][0]["suite"] == "margins"
 
-    def test_bounds_suite_bytes_are_golden(self, capsys):
+    def test_bounds_suite_bytes_are_golden(self, capsys, monkeypatch, forks):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
         argv = ["verify", "--suite", "bounds", "--trials", "50", "--seed", "3"]
         code, out, err = run_cli(capsys, argv)
         assert (code, err) == (0, "")
         assert out == GOLDEN_BOUNDS["verify_bounds"]
+        assert forks == []  # one suite has no share to give away
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_all_bytes_are_golden_on_any_cpu_count(self, capsys, monkeypatch, forks, cpus):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        code, out, err = run_cli(capsys, VERIFY_ALL_ARGV)
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_BOUNDS["verify_all"]
+        assert len(forks) == (1 if cpus >= 2 else 0)
+        assert_no_children()
+
+    def test_a_check_failing_in_the_child_exits_one_with_the_serial_bytes(
+        self, capsys, monkeypatch, forks
+    ):
+        real_check = verify._check
+
+        def failing_edge_cases(name, passed, **detail):
+            return real_check(name, passed and name != "edge_cases", **detail)
+
+        monkeypatch.setattr(verify, "_check", failing_edge_cases)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            del forks[:]
+            runs.append(run_cli(capsys, VERIFY_ALL_ARGV))
+            assert len(forks) == cpus - 1
+            assert_no_children()
+        assert runs[0] == runs[1]
+        code, out, err = runs[1]
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        # edge_cases is an estimators check, and estimators runs in the child
+        assert [s["passed"] for s in doc["suites"]] == [s != "estimators" for s in verify.SUITES]
 
     def test_output_is_byte_deterministic(self, capsys):
         argv = ["verify", "--suite", "estimators", "--trials", "25", "--seed", "1"]

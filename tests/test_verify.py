@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ecmargin import SUITES, ValidationError, run_verification
+from ecmargin import SUITES, ValidationError, run_verification, verify
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +42,18 @@ class TestRun:
         merged = full_report["suites"][SUITES.index(suite)]
         assert json.dumps(solo["suites"][0]) == json.dumps(merged)
 
+    def test_run_suite_gives_its_slice_of_the_full_run(self, full_report):
+        reports = [verify.run_suite(name, 40, 42) for name in reversed(SUITES)]
+        assert verify.report("all", 40, 42, reports[::-1]) == full_report
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValidationError, match="suite"):
             run_verification("everything", trials=10, seed=0)
+
+    @pytest.mark.parametrize("name", ["all", "everything"])
+    def test_run_suite_runs_one_named_suite(self, name):
+        with pytest.raises(ValidationError, match="suite must be one of"):
+            verify.run_suite(name, trials=10, seed=0)
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_nonpositive_trials_rejected(self, trials):
