@@ -10,6 +10,13 @@ On Linux with more than one usable CPU, a long ``metrics --pr-curve`` curve is
 formatted in two halves, the second by a forked worker, and written in order;
 ``verify --suite all`` runs the bounds suite here and the other four suites in
 a forked worker.  The bytes are identical either way.
+
+``metrics`` parses a plain scores file, and writes the PR curve, in fixed-size
+chunks with the same bytes as in one piece.  Its memory grows with the file's
+bytes, numpy arrays of one entry per row or curve point, and the bytes of the
+forked worker's half of the curve, not with a Python object per row.  Every
+command opens its output files before it reads or computes anything, and
+refuses an output path that names an input file or another output.
 """
 
 from __future__ import annotations
@@ -52,6 +59,9 @@ _CURVE_STEPS = 100
 # Forking a child to format the second half of the PR curve pays for itself
 # only from this many rows on (the measurement is in CHANGES.md).
 _SPLIT_MIN_ROWS = 10_000
+# The curve is formatted and written this many rows at a time, so the strings
+# held at once do not grow with the curve (the measurement is in CHANGES.md).
+_CURVE_CHUNK_ROWS = 16_384
 # the JSON values a train config field of each annotated type accepts
 _CONFIG_TYPES = {
     "int": (int, "an integer"),
@@ -69,27 +79,40 @@ def _config_comment(config: dict) -> str:
     return "# " + json.dumps(config, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _emit_document(args, config: dict, body: dict, rows: list[dict]) -> None:
-    """The main output, to --out or stdout: a JSON document of the config and
-    the body, or with --format csv the rows under the config comment."""
+def _emit_document(args, config: dict, body: dict, rows: list[dict], out) -> None:
+    """The main output, to the opened --out file or else stdout: a JSON
+    document of the config and the body, or with --format csv the rows under
+    the config comment."""
     if args.format == "csv":
         text = _csv_text(config, list(rows[0]), [list(row.values()) for row in rows])
     else:
         text = _json_text({"config": config, **body})
-    _emit(text, args.out)
+    (sys.stdout if out is None else out).write(text)
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether a and b name one regular file, or one path that is not a file
+    yet, so that opening either for writing empties the other."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.isfile(a) and os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(args, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> None:
+    """Refuse an output path that names an input file or an earlier output,
+    before anything is opened: opening it would empty that file."""
+    paths = [(dest, getattr(args, dest)) for dest in inputs + outputs]
+    paths = [(dest, path) for dest, path in paths if path is not None]
+    for i, (dest, path) in enumerate(paths):
+        for other, other_path in paths[:i]:
+            if dest in outputs and _same_file(path, other_path):
+                flags = ["--" + name.replace("_", "-") for name in (dest, other)]
+                raise EcmError(f"{flags[0]} {path} names the same file as {flags[1]}")
 
 
 def _open_output(path: str | None):
-    """path opened for writing, or a null context when it is None.  verify and
-    train open their files before they compute, so a bad path fails first."""
+    """path opened for writing, or a null context when it is None.  Every
+    command opens its files before it computes, so a bad path fails first."""
     return contextlib.nullcontext() if path is None else open(path, "w", encoding="utf-8")
 
 
@@ -130,44 +153,49 @@ def _resolved(args, command: str, **extra) -> dict:
 
 
 def _cmd_margins(args) -> int:
-    counts = load_counts(args.counts)
     ratio = args.background_ratio
-    if ratio is None:
-        ratio = counts.background_ratio if counts.background_ratio is not None else 0.0
-    if not 0.0 <= ratio < math.inf:
+    if ratio is not None and not 0.0 <= ratio < math.inf:
         raise EcmError(f"--background-ratio must be >= 0 and finite, got {ratio}")
-    background = background_count(counts, ratio)
-    config = _resolved(
-        args,
-        "margins",
-        counts=args.counts,
-        background_ratio=float(ratio),
-        background_count=background,
-    )
-
-    classes = []
-    for class_id, stats in all_class_stats(counts, background).items():
-        margins = optimal_margins(stats)
-        w = weights(margins)
-        classes.append(
-            {
-                "id": class_id,
-                "n_plus": stats.n_plus,
-                "n_minus": stats.n_minus,
-                "alpha": _sig12(stats.alpha),
-                "gamma_plus": _sig12(margins.gamma_plus),
-                "gamma_minus": _sig12(margins.gamma_minus),
-                "w_plus": _sig12(w.w_plus),
-                "w_minus": _sig12(w.w_minus),
-            }
+    _check_outputs(args, ("counts",), ("out",))
+    with _open_output(args.out) as out:
+        counts = load_counts(args.counts)  # it checks the file's own ratio
+        if ratio is None:
+            ratio = counts.background_ratio if counts.background_ratio is not None else 0.0
+        background = background_count(counts, ratio)
+        config = _resolved(
+            args,
+            "margins",
+            counts=args.counts,
+            background_ratio=float(ratio),
+            background_count=background,
         )
-    _emit_document(args, config, {"classes": classes}, classes)
+
+        classes = []
+        for class_id, stats in all_class_stats(counts, background).items():
+            margins = optimal_margins(stats)
+            w = weights(margins)
+            classes.append(
+                {
+                    "id": class_id,
+                    "n_plus": stats.n_plus,
+                    "n_minus": stats.n_minus,
+                    "alpha": _sig12(stats.alpha),
+                    "gamma_plus": _sig12(margins.gamma_plus),
+                    "gamma_minus": _sig12(margins.gamma_minus),
+                    "w_plus": _sig12(w.w_plus),
+                    "w_minus": _sig12(w.w_minus),
+                }
+            )
+        _emit_document(args, config, {"classes": classes}, classes, out)
     return 0
 
 
 def _cmd_bounds(args) -> int:
     if args.r is None and args.emit_curve is None:
         raise EcmError("provide --r for a point evaluation and/or --emit-curve <path>")
+    if args.r is None and args.out is not None:
+        raise EcmError("--out without --r has nothing to write; use --emit-curve")
+    _check_outputs(args, (), ("out", "emit_curve"))
     config = _resolved(
         args,
         "bounds",
@@ -177,6 +205,8 @@ def _cmd_bounds(args) -> int:
         emit_curve=args.emit_curve,
     )
 
+    # The bounds take microseconds and computing them is what checks --alpha
+    # and --r, so they come before any file is opened.
     if args.emit_curve is not None:
         r = np.arange(_CURVE_STEPS + 1) / _CURVE_STEPS  # the floats i / 100
         lower = ap_lower(args.alpha, r)
@@ -186,13 +216,14 @@ def _cmd_bounds(args) -> int:
             raise ValidationError(f"ap_lower {lower[i]} exceeds ap_upper {upper[i]}")
         rows = np.column_stack([r, lower, upper, 1.0 - upper, 1.0 - lower]).tolist()
         header = ["r", "ap_lower", "ap_upper", "det_lower", "det_upper"]
-        _emit(_csv_text(config, header, rows), args.emit_curve)
-
     if args.r is not None:
         fields = dataclasses.asdict(envelope(args.alpha, args.r, args.mode))
-        _emit_document(args, config, fields, [fields])
-    elif args.out is not None:
-        raise EcmError("--out without --r has nothing to write; use --emit-curve")
+
+    with _open_output(args.out) as out, _open_output(args.emit_curve) as curve_out:
+        if curve_out is not None:
+            curve_out.write(_csv_text(config, header, rows))
+        if args.r is not None:
+            _emit_document(args, config, fields, [fields], out)
     return 0
 
 
@@ -201,10 +232,7 @@ def _cmd_metrics(args) -> int:
         alpha = _check_alpha(args.alpha)
     except ValidationError:
         raise EcmError(f"--alpha must be > 0 and finite, got {args.alpha}") from None
-    try:
-        ss = load_scores(args.scores)
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(f"{args.scores}: {exc}") from None
+    _check_outputs(args, ("scores",), ("out", "pr_curve"))
     config = _resolved(
         args,
         "metrics",
@@ -213,19 +241,24 @@ def _cmd_metrics(args) -> int:
         ties=args.ties,
         pr_curve=args.pr_curve,
     )
-    ap = average_precision(ss, alpha)
-    fields = {
-        "n_plus": ss.n_plus,
-        "n_minus": ss.n_minus,
-        "alpha": alpha,
-        "average_precision": ap,
-        "ranking_error": ranking_error(ss, ties=args.ties),
-        "det_error": 1.0 - ap,
-    }
-    if args.pr_curve is not None:
-        head = _config_comment(config) + "threshold,recall,precision\n"
-        _write_pr_curve(args.pr_curve, head, pr_curve(ss, alpha))
-    _emit_document(args, config, fields, [fields])
+    with _open_output(args.out) as out, _open_output(args.pr_curve) as curve_out:
+        try:
+            ss = load_scores(args.scores)
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{args.scores}: {exc}") from None
+        ap = average_precision(ss, alpha)
+        fields = {
+            "n_plus": ss.n_plus,
+            "n_minus": ss.n_minus,
+            "alpha": alpha,
+            "average_precision": ap,
+            "ranking_error": ranking_error(ss, ties=args.ties),
+            "det_error": 1.0 - ap,
+        }
+        if curve_out is not None:
+            head = _config_comment(config) + "threshold,recall,precision\n"
+            _write_pr_curve(curve_out, head, pr_curve(ss, alpha))
+        _emit_document(args, config, fields, [fields], out)
     return 0
 
 
@@ -234,6 +267,21 @@ def _curve_rows(curve, lo: int, hi: int) -> str:
     repr, so these are _csv_text's bytes."""
     columns = [c[lo:hi].tolist() for c in (curve.thresholds, curve.recall, curve.precision)]
     return "".join([f"{t!r},{rec!r},{prec!r}\n" for t, rec, prec in zip(*columns)])
+
+
+def _curve_chunks(curve, lo: int, hi: int):
+    """Rows lo..hi-1 of the PR-curve CSV, _CURVE_CHUNK_ROWS rows at a time."""
+    for start in range(lo, hi, _CURVE_CHUNK_ROWS):
+        yield _curve_rows(curve, start, min(start + _CURVE_CHUNK_ROWS, hi))
+
+
+def _curve_bytes(curve, lo: int, hi: int) -> bytearray:
+    """Rows lo..hi-1 of the PR-curve CSV, encoded one chunk at a time into
+    one buffer, so they are never held twice, as a join of the chunks would."""
+    data = bytearray()
+    for chunk in _curve_chunks(curve, lo, hi):
+        data += chunk.encode()
+    return data
 
 
 def _usable_cpus() -> int:
@@ -291,30 +339,35 @@ def _collect(child) -> bytes | None:
     if child is None:
         return None
     pid, pipe = child
+    data = io.BytesIO()  # filled block by block: one read of it all holds it twice
     try:
         pipe.readline()  # the child's pid
-        data = pipe.read()
+        while block := pipe.read(1 << 16):
+            data.write(block)
     finally:
         pipe.close()
         _, status = os.waitpid(pid, 0)
-    return data if os.waitstatus_to_exitcode(status) == 0 else None
+    return data.getvalue() if os.waitstatus_to_exitcode(status) == 0 else None
 
 
-def _write_pr_curve(path: str, head: str, curve) -> None:
-    """head, then the curve's rows.  A long curve's second half is formatted
-    by a forked child while this process formats the first; a half whose
-    child failed or never started is formatted here too."""
+def _write_pr_curve(fh, head: str, curve) -> None:
+    """head, then the curve's rows, to the open text file fh, one chunk of
+    rows at a time.  A long curve's second half is formatted by a forked child
+    while this process formats the first, and its bytes go to fh's binary
+    layer; a half whose child failed or never started is formatted here too."""
     rows = curve.thresholds.size
     cut = rows // 2 if rows >= _SPLIT_MIN_ROWS and _can_fork() else rows
-    with open(path, "w", encoding="utf-8") as fh:  # opened before the fork
-        child = _fork(lambda: _curve_rows(curve, cut, rows).encode()) if cut < rows else None
-        try:
-            fh.write(head)
-            fh.write(_curve_rows(curve, 0, cut))
-        finally:
-            data = _collect(child)
-        if cut < rows:
-            fh.write(data.decode() if data is not None else _curve_rows(curve, cut, rows))
+    child = _fork(lambda: _curve_bytes(curve, cut, rows)) if cut < rows else None
+    try:
+        fh.write(head)
+        fh.writelines(_curve_chunks(curve, 0, cut))
+    finally:
+        data = _collect(child)
+    if data is None:
+        fh.writelines(_curve_chunks(curve, cut, rows))
+    else:
+        fh.flush()
+        fh.buffer.write(data)
 
 
 def _cmd_verify(args) -> int:
@@ -384,6 +437,7 @@ def _cmd_train(args) -> int:
         synthetic=dataclasses.asdict(scfg),
         train=dataclasses.asdict(tcfg),
     )
+    _check_outputs(args, ("config",), ("out", "loss_curve"))
     with _open_output(args.out) as out, _open_output(args.loss_curve) as curve_out:
         _, report = run_experiment(scfg, tcfg)
         audit_ok = bound_audit(report)

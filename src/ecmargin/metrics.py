@@ -8,6 +8,10 @@ breaking ties uniformly at random), with a strict mode behind a flag.
 
 A ScoreSet sorts each side once and takes the alpha-free rank counts when it
 is built; the estimators here and the bound audit in ``bounds`` read them.
+
+``load_scores`` parses a plain file in fixed-size chunks of bytes, so besides
+the file's bytes it holds two arrays of one entry per row and one chunk's
+temporaries, not a Python object per row.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ _HEADER = b"score,label\n"
 # bytes a plain data row `<score>,<0|1>\n` may hold: score digits and '.', ',' and '\n'
 _PLAIN_BYTES = np.zeros(256, dtype=bool)
 _PLAIN_BYTES[list(b"0123456789.,\n")] = True
+# The plain pass checks and parses the body about this many bytes at a time,
+# each chunk ending just after a newline (the measurement is in CHANGES.md).
+_PARSE_CHUNK_BYTES = 1 << 18
 
 
 def _check_alpha(alpha: float) -> float:
@@ -255,37 +262,59 @@ def pr_curve(s: ScoreSet, alpha: float) -> PrecisionRecallCurve:
     )
 
 
+def _line_chunks(data: bytes, start: int, size: int):
+    """(start, stop) of consecutive chunks of data[start:], each ending just
+    after the first newline at or past size bytes in; data ends with one."""
+    while start < len(data):
+        stop = data.find(b"\n", min(start + size, len(data)) - 1) + 1
+        yield start, stop
+        start = stop
+
+
 def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """(scores, is_positive) when every row of ``data`` is plain ``<score>,<0|1>\\n``.
 
     A plain score is digits with at most one '.', in [0,1].  Returns None when
     this vectorized pass cannot prove every row valid; the file then goes to
     the csv row loop, which owns every diagnostic and the rarer valid layouts
-    (quoted or padded fields, CRLF, blank lines, no trailing newline).
+    (quoted or padded fields, CRLF, blank lines, no trailing newline).  The
+    body is checked and parsed one chunk of whole rows at a time, straight
+    into arrays sized from the newline count.
     """
     if not data.startswith(_HEADER) or not data.endswith(b"\n") or len(data) == len(_HEADER):
         return None
-    body = np.frombuffer(data, dtype=np.uint8, offset=len(_HEADER))
-    ends = np.flatnonzero(body == ord("\n"))
-    # each line has >= 1 score byte, the only ',' just before a 0/1 label
-    if not (
-        _PLAIN_BYTES[body].all()
-        and (np.diff(ends, prepend=-1) >= 4).all()
-        and np.count_nonzero(body == ord(",")) == ends.size
-        and (body[ends - 2] == ord(",")).all()
-        and ((body[ends - 1] == ord("0")) | (body[ends - 1] == ord("1"))).all()
-    ):
-        return None
-    text = data[len(_HEADER) :].decode("ascii")
-    try:
-        scores = np.loadtxt(
-            text.splitlines(), delimiter=",", usecols=0, comments=None, ndmin=1
-        )
-    except ValueError:  # '.', '1.2.3': float() rejects these too
-        return None
-    if not ((scores >= 0.0) & (scores <= 1.0)).all():
-        return None
-    return scores, body[ends - 1] == ord("1")
+    rows = data.count(b"\n", len(_HEADER))
+    scores = np.empty(rows)
+    is_pos = np.empty(rows, dtype=bool)
+    row = 0
+    for start, stop in _line_chunks(data, len(_HEADER), _PARSE_CHUNK_BYTES):
+        body = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+        ends = np.flatnonzero(body == ord("\n"))
+        # each line has >= 1 score byte, the only ',' just before a 0/1 label
+        if not (
+            _PLAIN_BYTES[body].all()
+            and (np.diff(ends, prepend=-1) >= 4).all()
+            and np.count_nonzero(body == ord(",")) == ends.size
+            and (body[ends - 2] == ord(",")).all()
+            and ((body[ends - 1] == ord("0")) | (body[ends - 1] == ord("1"))).all()
+        ):
+            return None
+        try:
+            part = np.loadtxt(
+                data[start:stop].decode("ascii").splitlines(),
+                delimiter=",",
+                usecols=0,
+                comments=None,
+                ndmin=1,
+            )
+        except ValueError:  # '.', '1.2.3': float() rejects these too
+            return None
+        if not ((part >= 0.0) & (part <= 1.0)).all():
+            return None
+        scores[row : row + ends.size] = part
+        is_pos[row : row + ends.size] = body[ends - 1] == ord("1")
+        row += ends.size
+    return scores, is_pos
 
 
 def _parse_rows(path: str, data: bytes) -> tuple[list[float], list[float]]:
@@ -328,16 +357,24 @@ def _parse_rows(path: str, data: bytes) -> tuple[list[float], list[float]]:
     return positives, negatives
 
 
-def load_scores(path: str) -> ScoreSet:
-    """Load a score,label CSV (label 1 = positive, 0 = negative)."""
+def _read_sides(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(positives, negatives) of a score,label CSV, in file order.  A plain
+    file's bytes are let go before the sides are copied out, and its parsed
+    column before ScoreSet sorts the sides, so the three are never held at
+    once."""
     with open(path, "rb") as fh:
         data = fh.read()
     plain = _parse_plain(data)
     if plain is None:
-        positives, negatives = map(np.array, _parse_rows(path, data))
-    else:
-        scores, is_pos = plain
-        positives, negatives = scores[is_pos], scores[~is_pos]
+        return tuple(map(np.array, _parse_rows(path, data)))
+    del data
+    scores, is_pos = plain
+    return scores[is_pos], scores[~is_pos]
+
+
+def load_scores(path: str) -> ScoreSet:
+    """Load a score,label CSV (label 1 = positive, 0 = negative)."""
+    positives, negatives = _read_sides(path)
     if not positives.size or not negatives.size:
         raise InputFormatError(f"{path}: need at least one positive and one negative row")
     return ScoreSet(positives=positives, negatives=negatives)

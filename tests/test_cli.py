@@ -5,11 +5,22 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ecmargin import __version__, cli, load_scores, pr_curve, slope_m, verify
+from ecmargin import (
+    PrecisionRecallCurve,
+    ScoreSet,
+    __version__,
+    cli,
+    load_scores,
+    pr_curve,
+    slope_m,
+    verify,
+)
 from ecmargin.cli import main
 
 EXAMPLE_SCORES = "score,label\n0.9,1\n0.4,1\n0.5,0\n0.1,0\n"
@@ -796,6 +807,49 @@ class TestSplitCurveWriter:
         assert body == reference_curve_rows(tmp_path / "scores.csv", self.ALPHA)
         assert body.count("\n") == rows
 
+    @pytest.mark.parametrize("rows", [k * 5 + d for k in (1, 2, 3) for d in (-1, 0, 1)])
+    def test_every_chunking_gives_the_per_row_bytes(
+        self, capsys, monkeypatch, tmp_path, forks, rows
+    ):
+        """Chunks of 5 rows, and a curve split from 2 rows on, so that the
+        chunk and half boundaries fall everywhere a short curve allows."""
+        monkeypatch.setattr(cli, "_CURVE_CHUNK_ROWS", 5)
+        monkeypatch.setattr(cli, "_SPLIT_MIN_ROWS", 2)
+        for cpus in (1, 2, 8):
+            del forks[:]
+            (code, out, err), data = self.run_metrics(capsys, monkeypatch, tmp_path, rows, cpus)
+            assert (code, err) == (0, "")
+            assert len(forks) == (1 if cpus >= 2 else 0)
+            body = data.decode().split("\n", 2)[2]
+            assert body == reference_curve_rows(tmp_path / "scores.csv", self.ALPHA)
+            assert body.count("\n") == rows
+
+    def test_memory_does_not_grow_with_the_curve(self, capsys, monkeypatch, tmp_path):
+        """With no fork, the writer holds one chunk of rows as strings, so a
+        curve four times as long peaks no higher."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "load_scores", lambda path: ScoreSet([0.9], [0.1]))
+        (tmp_path / "scores.csv").write_text("score,label\n0.9,1\n0.1,0\n")
+        argv = ["metrics", "--scores", "scores.csv", "--alpha", "3", "--pr-curve", "pr.csv"]
+        peaks = []
+        for rows in (100_000, 400_000):
+            curve = PrecisionRecallCurve(
+                thresholds=np.arange(rows, 0, -1) / (rows + 1),
+                recall=np.arange(1, rows + 1) / rows,
+                precision=np.linspace(1 / 3, 2 / 3, rows),
+            )
+            monkeypatch.setattr(cli, "pr_curve", lambda ss, alpha: curve)
+            tracemalloc.start()
+            try:
+                code, _, err = run_cli(capsys, argv)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (code, err) == (0, "")
+            assert (tmp_path / "pr.csv").read_bytes().count(b"\n") == rows + 2
+        assert peaks[1] <= 1.25 * peaks[0], f"peaks {peaks} bytes at 100k and 400k rows"
+
     def test_a_recall_run_straddles_the_cut(self, tmp_path):
         rows = 2 * SPLIT + 1
         path = tmp_path / "scores.csv"
@@ -957,6 +1011,102 @@ class TestForkedShare:
         assert_input_error(*run_cli(capsys, argv), message)
         assert forks == []
         assert_no_children()
+
+
+class TestOutputsOpenedFirst:
+    """margins, bounds and metrics open --out and their curve files before
+    they read or compute anything, and refuse an output path that names an
+    input file or another output before anything is opened."""
+
+    @pytest.fixture(autouse=True)
+    def inputs(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scores.csv").write_text(TIED_SCORES)
+        (tmp_path / "counts.json").write_text(COUNTS_JSON)
+        (tmp_path / "train.json").write_text(json.dumps(TRAIN_CONFIG))
+        os.link(tmp_path / "scores.csv", tmp_path / "hard.csv")
+        os.symlink("scores.csv", tmp_path / "soft.csv")
+
+    @staticmethod
+    def files(tmp_path) -> dict:
+        return {name: (tmp_path / name).read_bytes() for name in sorted(os.listdir(tmp_path))}
+
+    @pytest.mark.parametrize(
+        "argv, reader",
+        [
+            (["metrics", "--scores", "scores.csv", "--alpha", "3", "--pr-curve", "pr.csv",
+              "--out", "no/doc.json"], "load_scores"),
+            (["bounds", "--alpha", "3", "--r", "0.2", "--emit-curve", "curve.csv",
+              "--out", "no/doc.json"], None),
+            (["margins", "--counts", "counts.json", "--out", "no/doc.json"], "load_counts"),
+        ],
+        ids=["metrics", "bounds", "margins"],
+    )
+    def test_a_bad_out_fails_before_any_work_and_writes_nothing(
+        self, capsys, monkeypatch, tmp_path, argv, reader
+    ):
+        if reader is not None:
+            monkeypatch.setattr(cli, reader, lambda *args: pytest.fail(f"{reader} ran"))
+        files = self.files(tmp_path)
+        assert_input_error(*run_cli(capsys, argv), "no/doc.json")
+        assert self.files(tmp_path) == files
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["metrics", "--scores", "scores.csv", "--alpha", "3", "--out", "scores.csv"],
+             "--out scores.csv names the same file as --scores"),
+            (["metrics", "--scores", "scores.csv", "--alpha", "3", "--pr-curve", "./scores.csv"],
+             "--pr-curve ./scores.csv names the same file as --scores"),
+            (["metrics", "--scores", "scores.csv", "--alpha", "3", "--pr-curve", "hard.csv"],
+             "--pr-curve hard.csv names the same file as --scores"),
+            (["metrics", "--scores", "soft.csv", "--alpha", "3", "--out", "scores.csv"],
+             "--out scores.csv names the same file as --scores"),
+            (["metrics", "--scores", "scores.csv", "--alpha", "3", "--out", "doc",
+              "--pr-curve", "doc"], "--pr-curve doc names the same file as --out"),
+            (["metrics", "--scores", "scores.csv", "--alpha", "nan", "--out", "scores.csv"],
+             "--alpha must be > 0 and finite, got nan"),
+            (["bounds", "--alpha", "3", "--r", "0.2", "--out", "doc", "--emit-curve", "doc"],
+             "--emit-curve doc names the same file as --out"),
+            (["margins", "--counts", "counts.json", "--out", "counts.json"],
+             "--out counts.json names the same file as --counts"),
+            (["train", "--config", "train.json", "--out", "train.json"],
+             "--out train.json names the same file as --config"),
+            (["train", "--config", "train.json", "--loss-curve", "train.json"],
+             "--loss-curve train.json names the same file as --config"),
+        ],
+        ids=[
+            "metrics-out-is-scores",
+            "metrics-curve-is-scores-spelt-otherwise",
+            "metrics-curve-is-a-hard-link-to-scores",
+            "metrics-scores-is-a-symlink-to-out",
+            "metrics-curve-is-out",
+            "metrics-alpha-checked-first",
+            "bounds-curve-is-out",
+            "margins-out-is-counts",
+            "train-out-is-config",
+            "train-loss-curve-is-config",
+        ],
+    )
+    def test_an_output_that_names_an_input_or_another_output_is_refused(
+        self, capsys, tmp_path, argv, message
+    ):
+        files = self.files(tmp_path)
+        assert_input_error(*run_cli(capsys, argv), message)
+        assert self.files(tmp_path) == files
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["metrics", "--scores", "scores.csv", "--alpha", "3", "--out", os.devnull,
+             "--pr-curve", os.devnull],
+            ["bounds", "--alpha", "3", "--r", "0.2", "--out", os.devnull,
+             "--emit-curve", os.devnull],
+        ],
+        ids=["metrics", "bounds"],
+    )
+    def test_outputs_may_share_a_device(self, capsys, argv):
+        assert run_cli(capsys, argv) == (0, "", "")
 
 
 class TestVerifyCommand:

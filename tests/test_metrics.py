@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from ecmargin import (
     ranking_error_bruteforce,
     recall_at,
 )
-from ecmargin.metrics import _parse_plain
+from ecmargin import metrics
+from ecmargin.metrics import _line_chunks, _parse_plain
 
 EXAMPLE = ScoreSet(positives=[0.9, 0.4], negatives=[0.5, 0.1])
 
@@ -343,15 +345,32 @@ def score_files(draw) -> bytes:
     return data
 
 
-class TestLoadScoresMatchesRowLoop:
+def check_against_row_loop(tmp_path_factory):
+    """load_scores gives the reference's values or error on 400 score files,
+    the same files on every call."""
+
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(data=score_files())
-    def test_same_values_or_same_error(self, tmp_path_factory, data):
+    def same_values_or_same_error(data):
         path = tmp_path_factory.mktemp("scores") / "scores.csv"
         path.write_bytes(data)
         assert _load_outcome(load_scores, str(path)) == _load_outcome(
             reference_load_scores, str(path)
         )
+
+    same_values_or_same_error()
+
+
+class TestLoadScoresMatchesRowLoop:
+    def test_same_values_or_same_error(self, tmp_path_factory):
+        check_against_row_loop(tmp_path_factory)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 4, 9, 23])
+    def test_same_values_or_same_error_in_tiny_chunks(self, tmp_path_factory, chunk_bytes):
+        """The same 400 files, read a few bytes at a time by the plain pass."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_PARSE_CHUNK_BYTES", chunk_bytes)
+            check_against_row_loop(tmp_path_factory)
 
     def test_plain_file_takes_the_vectorized_pass(self, tmp_path, rng):
         k = rng.integers(0, 10**6, size=3000)
@@ -366,3 +385,87 @@ class TestLoadScoresMatchesRowLoop:
         assert _load_outcome(load_scores, str(path)) == _load_outcome(
             reference_load_scores, str(path)
         )
+
+
+def plain_rows(rng, n: int) -> str:
+    k = rng.integers(0, 10**6, size=n)
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = 0, 1
+    return "".join(f"{a // 10**6}.{a % 10**6:06d},{b}\n" for a, b in zip(k.tolist(), labels.tolist()))
+
+
+class TestChunkBoundaries:
+    """The plain pass reads the body in chunks of _PARSE_CHUNK_BYTES that end
+    just after a newline; shrunk to a few bytes, small files span many."""
+
+    CHUNK = 16
+
+    @pytest.fixture(autouse=True)
+    def tiny_chunks(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_PARSE_CHUNK_BYTES", self.CHUNK)
+
+    def same_as_reference(self, tmp_path, text: str):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode())
+        outcome = _load_outcome(load_scores, str(path))
+        assert outcome == _load_outcome(reference_load_scores, str(path))
+        return outcome
+
+    @pytest.mark.parametrize(
+        "last_row, message",
+        [
+            ("0.5,2", "line 42: label must be 1 or 0, got '2'"),
+            ("abc,1", "line 42: field 'score' is not a number: 'abc'"),
+            (".,1", "line 42: field 'score' is not a number: '.'"),
+            ("1.5,0", "line 42: score 1.5 outside [0,1]"),
+            ("0.25,1\r", None),  # a CRLF row is valid, but only the row loop reads it
+        ],
+    )
+    def test_an_odd_last_row_gets_the_reference_outcome(self, tmp_path, rng, last_row, message):
+        text = "score,label\n" + plain_rows(rng, 40) + last_row + "\n"
+        outcome = self.same_as_reference(tmp_path, text)
+        assert _parse_plain(text.encode()) is None
+        if message is None:
+            assert outcome[0] != InputFormatError
+        else:
+            assert outcome[0] is InputFormatError and message in outcome[1]
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_a_chunk_that_ends_at_the_final_newline(self, tmp_path, monkeypatch, rows):
+        body = "0.125000,1\n0.500000,0\n" * rows  # 11-byte rows
+        monkeypatch.setattr(metrics, "_PARSE_CHUNK_BYTES", 11)
+        data = ("score,label\n" + body).encode()
+        chunks = list(_line_chunks(data, len(b"score,label\n"), 11))
+        assert len(chunks) == 2 * rows and chunks[-1][1] == len(data)
+        scores, is_pos = _parse_plain(data)
+        assert scores.tolist() == [0.125, 0.5] * rows and is_pos.tolist() == [True, False] * rows
+        self.same_as_reference(tmp_path, "score,label\n" + body)
+
+    def test_a_row_longer_than_a_chunk(self, tmp_path, rng):
+        long_score = "0." + "1234567890" * 3
+        text = "score,label\n" + plain_rows(rng, 5) + f"{long_score},1\n" + plain_rows(rng, 5)
+        data = text.encode()
+        chunks = list(_line_chunks(data, len(b"score,label\n"), self.CHUNK))
+        assert [data[stop - 1] for _, stop in chunks] == [ord("\n")] * len(chunks)
+        assert b"".join(data[a:b] for a, b in chunks) == data[len(b"score,label\n") :]
+        long_row = f"{long_score},1\n".encode()
+        assert any(long_row in data[a:b] and b - a > self.CHUNK for a, b in chunks)
+        scores, _ = _parse_plain(data)
+        assert scores[5] == float(long_score)
+        self.same_as_reference(tmp_path, text)
+
+
+def test_load_scores_memory_does_not_grow_with_python_objects_per_row(tmp_path, rng):
+    """The parse holds the file's bytes, two arrays of one entry per row and
+    one chunk's temporaries: a few times the file, not a str per row."""
+    path = tmp_path / "scores.csv"
+    path.write_text("score,label\n" + plain_rows(rng, 200_000))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        s = load_scores(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.n_plus + s.n_minus == 200_000
+    assert peak <= 5 * size, f"peak {peak} bytes for a {size}-byte file"
