@@ -8,7 +8,7 @@ pairwise ranking error R is sandwiched by
 
 The two lower-bound branches exchange exactly at alpha*R = 1/6, where both
 equal 2/3.  The variational oracles re-derive these extremes numerically:
-the minimizer of the AP integral by projected gradient descent on the
+the minimizer of the AP integral exactly from the KKT conditions of the
 discretized convex program, the maximizer by checking that the bang-bang
 step solution admits no improving single-bin perturbation.
 
@@ -28,9 +28,6 @@ from .errors import NumericalError, ValidationError
 from .metrics import ScoreSet, _check_alpha, _count_above, _precisions, ranking_error
 
 SLOPE_MODES = ("unit", "lower", "upper", "meet")
-
-_REL_OBJ_TOL = 1e-10
-_MAX_ITER = 10**5
 
 
 def _check_r(r: float) -> float:
@@ -309,33 +306,6 @@ def _objective(x: np.ndarray, g: np.ndarray, alpha: float) -> float:
     return float(np.mean(x / (x + alpha * g)))
 
 
-def _gradient(x: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
-    return -(alpha / x.size) * x / np.square(x + alpha * g)
-
-
-def _project_box_mean(v: np.ndarray, tau: float) -> np.ndarray:
-    """Project v onto {0 <= g <= 1, mean(g) = tau}: clip(v + theta, 0, 1) with
-    the exact shift theta (the capped-simplex projection of Wang & Lu 2015,
-    arXiv:1503.01002).
-
-    S(theta) = sum(clip(v + theta, 0, 1)) is piecewise linear and
-    nondecreasing: each kink -v_i adds slope 1 and each kink 1 - v_i takes it
-    away.  One sort of the 2n kinks and a cumsum of the slopes give S at every
-    kink; theta interpolates linearly to S = tau n.
-    """
-    n = v.size
-    kinks = np.concatenate([-v, 1.0 - v])
-    order = np.argsort(kinks, kind="stable")
-    kinks = kinks[order]
-    slopes = np.cumsum(np.where(order < n, 1.0, -1.0))
-    level = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(kinks))])
-    # the rising piece that reaches tau n; the clip keeps tau = 0 and a
-    # rounded-down level at tau = 1 on the first and last pieces
-    k = int(np.clip(np.searchsorted(level, tau * n), 1, 2 * n - 1))
-    theta = kinks[k - 1] + (tau * n - level[k - 1]) / slopes[k - 1]
-    return np.clip(v + theta, 0.0, 1.0)
-
-
 def _check_oracle_args(alpha: float, tau: float, n: int, allow_zero_tau: bool) -> tuple[float, float, int]:
     alpha = _check_alpha(alpha)
     tau = float(tau)
@@ -349,72 +319,52 @@ def _check_oracle_args(alpha: float, tau: float, n: int, allow_zero_tau: bool) -
     return alpha, tau, n
 
 
+def _kkt_grid(alpha: float, tau: float, n: int) -> np.ndarray:
+    """The minimizer behind ``variational_min_oracle`` for 0 < tau <= 1."""
+    # not sqrt(x / alpha), which overflows at subnormal alpha
+    c = np.sqrt(_grid_midpoints(n)) / math.sqrt(alpha)
+
+    def level(s: float) -> np.ndarray:
+        return np.clip(c * (s - c), 0.0, 1.0)
+
+    lo, hi = float(np.min(c)) / 2.0, 2.0 * float(np.max(c + 1.0 / c))  # level(lo) = 0, level(hi) = 1
+    # c (s - c) may overflow to inf at extreme alpha, which the clip maps to 1
+    with np.errstate(over="ignore"):
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if np.mean(level(mid)) < tau else (lo, mid)
+        g_lo, g_hi = level(lo), level(hi)
+    m_lo, m_hi = np.mean(g_lo), np.mean(g_hi)
+    return g_lo + (tau - m_lo) / (m_hi - m_lo) * (g_hi - g_lo)
+
+
 def variational_min_oracle(alpha: float, tau: float, n: int = 2000) -> float:
     """Minimum of mean(x / (x + alpha g)) over 0 <= g <= 1 with mean(g) = tau.
 
-    Independent numerical check of the lower-bound extremal: projected
-    gradient descent (Barzilai-Borwein step with Armijo backtracking) on the
-    midpoint-discretized convex program.  Converged when the relative
-    objective change stays below 1e-10 on two consecutive accepted steps;
-    raises NumericalError with the last iterate after 1e5 iterations.
+    Independent check of the lower-bound extremal from the KKT conditions of
+    the midpoint-discretized convex, separable program, never the closed form:
+    g_i = clip(c_i (s - c_i), 0, 1), c_i = sqrt(x_i / alpha), for one level s
+    (water-filling, Boyd & Vandenberghe, Convex Optimization, Example 5.2).
+    Every step of mean(g) is monotone in s, rounding included, so s is bisected
+    from g = 0 to g = 1 until the midpoint rounds to an end (at most about 1100
+    halvings); the leftover mass is split between those two adjacent levels.
     """
     alpha, tau, n = _check_oracle_args(alpha, tau, n, allow_zero_tau=True)
     if tau == 0.0:
         return 1.0
-    x = _grid_midpoints(n)
-    g = np.full(n, tau)
-    grad = _gradient(x, g, alpha)
-    obj = _objective(x, g, alpha)
-    # first step from the local curvature bound
-    step = 1.0 / float(np.max(2.0 * alpha**2 * x / (x.size * (x + alpha * g) ** 3)))
-    small_changes = 0
-    for _ in range(_MAX_ITER):
-        g_new = _project_box_mean(g - step * grad, tau)
-        direction = g_new - g
-        obj_new = _objective(x, g_new, alpha)
-        # Armijo sufficient decrease along the projection arc
-        backtracks = 0
-        while obj_new > obj + 1e-4 * float(np.dot(grad, direction)) and backtracks < 60:
-            step *= 0.5
-            g_new = _project_box_mean(g - step * grad, tau)
-            direction = g_new - g
-            obj_new = _objective(x, g_new, alpha)
-            backtracks += 1
-        grad_new = _gradient(x, g_new, alpha)
-        if abs(obj - obj_new) <= _REL_OBJ_TOL * max(1.0, abs(obj)):
-            small_changes += 1
-            if small_changes >= 2:
-                GFunction(grid=g_new, tau=tau)  # feasibility assertion
-                return obj_new
-        else:
-            small_changes = 0
-        # Barzilai-Borwein step for the next iteration
-        y = grad_new - grad
-        sy = float(np.dot(direction, y))
-        if sy > 0:
-            step = float(np.dot(direction, direction)) / sy
-            step = min(max(step, 1e-12), 1e12)
-        g, grad, obj = g_new, grad_new, obj_new
-    pg_norm = float(np.linalg.norm(g - _project_box_mean(g - grad, tau)))
-    raise NumericalError(
-        f"min oracle did not converge in {_MAX_ITER} iterations "
-        f"(alpha={alpha}, tau={tau}, N={n}, projected-gradient norm {pg_norm:.3e})",
-        last_iterate=g,
-        grad_norm=pg_norm,
-    )
+    g = _kkt_grid(alpha, tau, n)
+    GFunction(grid=g, tau=tau)  # feasibility assertion
+    return _objective(_grid_midpoints(n), g, alpha)
 
 
 def _bang_bang_grid(tau: float, n: int) -> np.ndarray:
     """g = 1 on the top tau mass of [0,1], with a fractional boundary bin so
     the discrete mean equals tau."""
     total = tau * n
-    full = int(math.floor(total))
-    frac = total - full
+    full = int(total)
     g = np.zeros(n)
-    if full > 0:
-        g[n - full :] = 1.0
-    if frac > 0 and full < n:
-        g[n - full - 1] = frac
+    g[n - full :] = 1.0
+    if full < n:
+        g[n - full - 1] = total - full
     return g
 
 

@@ -35,10 +35,8 @@ class NumericalError(EcmError, RuntimeError):
 
     Attributes carry the last iterate so callers can diagnose:
         last_iterate: the final decision variable (numpy array or scalar), if any
-        grad_norm: norm of the projected gradient at the last iterate, if known
     """
 
-    def __init__(self, message: str, last_iterate=None, grad_norm: float | None = None):
+    def __init__(self, message: str, last_iterate=None):
         super().__init__(message)
         self.last_iterate = last_iterate
-        self.grad_norm = grad_norm

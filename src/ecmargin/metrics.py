@@ -246,20 +246,21 @@ def ranking_error_bruteforce(s: ScoreSet, ties: str = HALF) -> float:
 def pr_curve(s: ScoreSet, alpha: float) -> PrecisionRecallCurve:
     """One PR point per distinct score, descending threshold order.
 
-    Thresholds where both tails are empty (precision 0/0, i.e. nothing scores
-    above the largest sample) are dropped rather than assigned a convention.
+    The largest score is left out rather than assigned a convention: nothing
+    scores above it, so its precision is 0/0.  Of equal scores (0.0 and -0.0)
+    the last in sorted order stands as the threshold.
     """
     _require_positives(s)
     _require_negatives(s)
     alpha = _check_alpha(alpha)
-    thresholds = np.unique(np.concatenate([s.positives, s.negatives]))[::-1]
+    both = np.concatenate([s.positives, s.negatives])
+    both.sort(kind="stable")  # two sorted runs: one merge
+    # the last of each run of equal scores, the largest run left out
+    thresholds = both[:-1][both[1:] != both[:-1]][::-1]
+    del both  # free the merged samples before the counts
     r = _count_above(s.positives, thresholds) / s.n_plus
     g = _count_above(s.negatives, thresholds) / s.n_minus
-    keep = (r > 0.0) | (g > 0.0)
-    r, g = r[keep], g[keep]
-    return PrecisionRecallCurve(
-        thresholds=thresholds[keep], recall=r, precision=r / (r + alpha * g)
-    )
+    return PrecisionRecallCurve(thresholds=thresholds, recall=r, precision=r / (r + alpha * g))
 
 
 def _line_chunks(data: bytes, start: int, size: int):

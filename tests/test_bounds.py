@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -26,7 +27,7 @@ from ecmargin import (
     variational_max_oracle,
     variational_min_oracle,
 )
-from ecmargin.bounds import _best_disjoint_pair, _project_box_mean
+from ecmargin.bounds import _best_disjoint_pair, _grid_midpoints, _kkt_grid
 
 alphas = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 errors = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -495,50 +496,38 @@ class TestGFunction:
             GFunction(grid=np.full((10, 10), 0.5), tau=0.5)
 
 
-def reference_project_box_mean(v: np.ndarray, tau: float) -> np.ndarray:
-    """The former projection: the shift by bisection until the mean is within
-    1e-12 of tau, which leaves up to n * 1e-12 on one coordinate."""
-    lo = tau - float(np.max(v))
-    hi = tau - float(np.min(v)) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        mean = float(np.mean(np.clip(v + mid, 0.0, 1.0)))
-        if abs(mean - tau) <= 1e-12:
-            lo = hi = mid
-            break
-        if mean < tau:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v + 0.5 * (lo + hi), 0.0, 1.0)
+def best_transfer_drop(g: np.ndarray, alpha: float, delta: float) -> float:
+    """The largest drop in mean(x / (x + alpha g)) from moving delta mass out
+    of one bin into another within the box; -inf when no move fits."""
+    x = _grid_midpoints(g.size)
+    terms = x / (x + alpha * g)
+    drop_remove = np.where(g >= delta, terms - x / (x + alpha * (g - delta)), -np.inf)
+    drop_add = np.where(g <= 1.0 - delta, terms - x / (x + alpha * (g + delta)), -np.inf)
+    best, _ = _best_disjoint_pair(drop_remove, drop_add)
+    return best / g.size
 
 
-def projection_cases(count: int, seed: int):
-    """(v, tau) with n <= 100, so the reference's slack stays below 1e-10;
-    every third v rounded to one decimal for ties, tau cycling 0, 1, random."""
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        v = rng.uniform(-1.0, 2.0, int(rng.integers(1, 101)))
-        if i % 3 == 0:
-            v = np.round(v, 1)
-        yield v, (0.0, 1.0, float(rng.random()), float(rng.random()))[i % 4]
+class TestMinOracleSolve:
+    @pytest.mark.parametrize(
+        "alpha,tau,n",
+        [(0.5, 0.3, 2000), (1.0, 1.0 / 6.0, 2000), (5.0, 0.9, 2000), (50.0, 0.05, 500),
+         (0.01, 0.7, 100), (1000.0, 0.5, 3000), (3.0, 1e-9, 2000), (2.0, 1.0 - 1e-16, 1000)],
+    )
+    def test_no_two_bin_transfer_lowers_the_objective(self, alpha, tau, n):
+        g = _kkt_grid(alpha, tau, n)
+        GFunction(grid=g, tau=tau)
+        for delta in (1.0 / n, 1e-3 / n):
+            assert best_transfer_drop(g, alpha, delta) <= 1e-12
 
-
-class TestProjectBoxMean:
-    def test_feasible_and_matches_the_bisection(self):
-        for v, tau in projection_cases(400, seed=11):
-            g = _project_box_mean(v, tau)
-            assert np.all((g >= 0.0) & (g <= 1.0))
-            assert abs(float(np.mean(g)) - tau) <= 1e-12
-            assert np.max(np.abs(g - reference_project_box_mean(v, tau))) <= 1e-10
-
-    def test_points_inside_the_set_stay_put(self):
-        v = np.array([0.2, 0.4, 0.6, 0.8])
-        assert np.allclose(_project_box_mean(v, 0.5), v, rtol=0.0, atol=1e-15)
-
-    def test_a_single_coordinate_lands_on_tau(self):
-        for tau in (0.0, 0.3, 1.0):
-            assert _project_box_mean(np.array([7.5]), tau) == pytest.approx([tau], abs=1e-15)
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1e300, 1.7e308])
+    def test_extreme_alphas_give_a_value_inside_the_sandwich(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tau in (0.0, 1e-300, 1e-9, 0.3, 1.0 - 1e-16, 1.0):
+                for n in (100, 2000):
+                    value = variational_min_oracle(alpha, tau, n=n)
+                    assert math.isfinite(value) and 0.0 <= value <= 1.0
+                    assert ap_lower(alpha, tau) - 1e-3 <= value <= ap_upper(alpha, tau) + 1e-3
 
 
 def reference_best_pair(remove: np.ndarray, add: np.ndarray) -> float:

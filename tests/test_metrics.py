@@ -168,7 +168,33 @@ class TestRankingError:
         assert average_precision(cubed, 1.0) == average_precision(s, 1.0)
 
 
+def reference_pr_curve(s: ScoreSet, alpha: float) -> list[bytes]:
+    """The bytes of the three curve arrays by the former construction:
+    np.unique over both sides, then a mask keeping the thresholds with a
+    nonempty tail."""
+    t = np.unique(np.concatenate([s.positives, s.negatives]))[::-1]
+    r = (s.n_plus - np.searchsorted(s.positives, t, side="right")) / s.n_plus
+    g = (s.n_minus - np.searchsorted(s.negatives, t, side="right")) / s.n_minus
+    keep = (r > 0.0) | (g > 0.0)
+    t, r, g = t[keep], r[keep], g[keep]
+    return [a.tobytes() for a in (t, r, r / (r + alpha * g))]
+
+
 class TestPRCurve:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(quantized_sets())
+    def test_same_bytes_as_the_unique_and_mask_construction(self, s):
+        for alpha in (0.3, 19.0):
+            curve = pr_curve(s, alpha)
+            got = [a.tobytes() for a in (curve.thresholds, curve.recall, curve.precision)]
+            assert got == reference_pr_curve(s, alpha)
+
+    def test_same_bytes_as_the_unique_and_mask_construction_untied(self, rng):
+        s = ScoreSet(positives=rng.random(300), negatives=rng.random(3000))
+        curve = pr_curve(s, 19.0)
+        got = [a.tobytes() for a in (curve.thresholds, curve.recall, curve.precision)]
+        assert got == reference_pr_curve(s, 19.0)
+
     def test_worked_example_points(self):
         curve = pr_curve(EXAMPLE, alpha=1.0)
         rows = list(
