@@ -8,6 +8,9 @@ breaking ties uniformly at random), with a strict mode behind a flag.
 
 A ScoreSet sorts each side once and takes the alpha-free rank counts when it
 is built; the estimators here and the bound audit in ``bounds`` read them.
+The counts come from one binary search of the positives into the sorted
+negatives, plus a second search over only the positives tied with a
+negative; the positives' own counts come from their runs of equal scores.
 
 ``load_scores`` parses a plain file in fixed-size chunks of bytes, so besides
 the file's bytes it holds two arrays of one entry per row and one chunk's
@@ -51,12 +54,14 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _as_scores(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    if arr.size and not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
+def _sorted_side(name: str, values) -> np.ndarray:
+    """One side's scores as a new flat float64 array, sorted ascending, with
+    -0.0 turned into 0.0."""
+    arr = np.sort(np.asarray(values, dtype=np.float64), axis=None)
+    # NaN sorts last, so the two ends bound every score
+    if arr.size and not (arr[0] >= 0.0 and arr[-1] <= 1.0):
         raise ValidationError(f"{name} scores must lie in [0,1]")
+    arr += 0.0  # -0.0 + 0.0 is 0.0, so a run of equal scores has one sign
     return arr
 
 
@@ -64,27 +69,40 @@ def _as_scores(name: str, values) -> np.ndarray:
 class ScoreSet:
     """Positive and negative score samples for one class.
 
-    Each side is stored once, sorted ascending.  The alpha-free rank counts
-    every estimator reads are taken here, once per set: for each positive
-    s_k, P_k = #positives >= s_k and N_k = #negatives >= s_k, plus the
-    numbers of (positive, negative) pairs with the positive below or tied.
-    Sets compare and hash by identity, since the fields are arrays.
+    Each side is stored once, sorted ascending, with -0.0 stored as 0.0.  The
+    alpha-free rank counts every estimator reads are taken here, once per
+    set: for each positive s_k, P_k = #positives >= s_k and
+    N_k = #negatives >= s_k, plus the numbers of (positive, negative) pairs
+    with the positive below or tied.  They take one binary search of the
+    positives into the negatives, and a second over only the positives equal
+    to some negative.  Sets compare and hash by identity, since the fields
+    are arrays.
     """
 
     positives: np.ndarray
     negatives: np.ndarray
 
     def __post_init__(self):
-        pos = np.sort(_as_scores("positive", self.positives))
-        neg = np.sort(_as_scores("negative", self.negatives))
+        pos = _sorted_side("positive", self.positives)
+        neg = _sorted_side("negative", self.negatives)
+        # P_k is n+ minus the index where s_k's run of equal positives starts
+        first = np.arange(pos.size)
+        first[1:][pos[1:] == pos[:-1]] = 0
+        # left[k] = #negatives < s_k; only a positive equal to negatives[left[k]]
+        # has a tie, and only those get the second search
         left = np.searchsorted(neg, pos, side="left")
-        right = np.searchsorted(neg, pos, side="right")
+        n_ge = neg.size - left
+        pairs_tied = 0
+        if neg.size:
+            tied = neg[np.minimum(left, neg.size - 1)] == pos
+            right = np.searchsorted(neg, pos[tied], side="right")
+            pairs_tied = int(np.sum(right - left[tied], dtype=np.int64))
         object.__setattr__(self, "positives", pos)
         object.__setattr__(self, "negatives", neg)
-        object.__setattr__(self, "_p_ge", pos.size - np.searchsorted(pos, pos, side="left"))
-        object.__setattr__(self, "_n_ge", neg.size - left)
-        object.__setattr__(self, "_pairs_less", int(np.sum(neg.size - right, dtype=np.int64)))
-        object.__setattr__(self, "_pairs_tied", int(np.sum(right - left, dtype=np.int64)))
+        object.__setattr__(self, "_p_ge", pos.size - np.maximum.accumulate(first))
+        object.__setattr__(self, "_n_ge", n_ge)
+        object.__setattr__(self, "_pairs_less", int(np.sum(n_ge, dtype=np.int64)) - pairs_tied)
+        object.__setattr__(self, "_pairs_tied", pairs_tied)
 
     @property
     def n_plus(self) -> int:
@@ -219,7 +237,8 @@ def _ranking_from_counts(less: int, ties: int, n_pairs: int, ties_mode: str) -> 
 def ranking_error(s: ScoreSet, ties: str = HALF) -> float:
     """P(positive scores below negative), ties half credit by default.
 
-    Sort-and-merge implementation, O(n log n).
+    Reads the pair counts the ScoreSet took when it was built, by binary
+    search of the sorted sides: O(n log n) once per set, O(1) here.
     """
     _require_positives(s)
     _require_negatives(s)
@@ -247,8 +266,7 @@ def pr_curve(s: ScoreSet, alpha: float) -> PrecisionRecallCurve:
     """One PR point per distinct score, descending threshold order.
 
     The largest score is left out rather than assigned a convention: nothing
-    scores above it, so its precision is 0/0.  Of equal scores (0.0 and -0.0)
-    the last in sorted order stands as the threshold.
+    scores above it, so its precision is 0/0.
     """
     _require_positives(s)
     _require_negatives(s)

@@ -668,6 +668,20 @@ class TestMetricsCommand:
         assert [float(r[1]) for r in rows] == [0.5, 0.5, 1.0]
         assert float(rows[0][2]) == 1.0
 
+    @pytest.mark.parametrize("zeros", [("0", "-0"), ("-0", "0"), ("-0", "-0.0")])
+    def test_pr_curve_prints_a_score_written_minus_zero_as_zero(self, capsys, tmp_path, zeros):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"score,label\n{zeros[0]},1\n0.5,0\n{zeros[1]},0\n0.2,1\n")
+        curve = tmp_path / "pr.csv"
+        argv = ["metrics", "--scores", str(scores), "--alpha", "2", "--pr-curve", str(curve)]
+        code, _, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert curve.read_text().split("\n")[2:] == [
+            "0.2,0.0,0.0",
+            "0.0,0.5,0.3333333333333333",
+            "",
+        ]
+
     def test_nonpositive_alpha_rejected(self, capsys, scores_file):
         code, _, err = run_cli(
             capsys, ["metrics", "--scores", scores_file, "--alpha", "0"]

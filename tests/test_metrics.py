@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecmargin import (
@@ -40,10 +40,101 @@ def quantized_sets(max_side=60):
     )
 
 
+def edge_sides():
+    """Raw (positives, negatives) inputs at the edges of the rank counts:
+    empty and one-level sides, the 0.0 and 1.0 ends (-0.0 too), ties within
+    and across sides, unsorted order, and 2-D layouts to flatten."""
+    level = st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, np.nextafter(0.5, 1.0), 1.0])
+    side = st.one_of(
+        st.lists(level, max_size=12),
+        st.tuples(level, st.integers(0, 8)).map(lambda vn: [vn[0]] * vn[1]),
+    )
+    layout = st.sampled_from([list, np.array, lambda v: np.array(v).reshape(-1, 1)])
+    return st.tuples(side, layout, side, layout).map(
+        lambda t: (t[1](t[0]), t[3](t[2]))
+    )
+
+
+def _flat_sorted(values) -> np.ndarray:
+    return np.sort(np.ravel(np.asarray(values, dtype=np.float64)))
+
+
+def reference_rank_counts(positives, negatives):
+    """(P_k, N_k, pairs_less, pairs_tied) by the former construction: three
+    searchsorted calls over the sorted sides."""
+    pos, neg = _flat_sorted(positives), _flat_sorted(negatives)
+    left = np.searchsorted(neg, pos, side="left")
+    right = np.searchsorted(neg, pos, side="right")
+    return (
+        pos.size - np.searchsorted(pos, pos, side="left"),
+        neg.size - left,
+        int(np.sum(neg.size - right, dtype=np.int64)),
+        int(np.sum(right - left, dtype=np.int64)),
+    )
+
+
+def bruteforce_rank_counts(positives, negatives):
+    """The same four counts by comparing every pair: P_k = #positives >= s_k,
+    N_k = #negatives >= s_k, and the pairs with the positive below or tied."""
+    pos, neg = _flat_sorted(positives), _flat_sorted(negatives)
+    return (
+        np.count_nonzero(pos[None, :] >= pos[:, None], axis=1),
+        np.count_nonzero(neg[None, :] >= pos[:, None], axis=1),
+        int(np.count_nonzero(pos[:, None] < neg[None, :])),
+        int(np.count_nonzero(pos[:, None] == neg[None, :])),
+    )
+
+
+def assert_rank_counts(s: ScoreSet, positives, negatives):
+    got = (s._p_ge, s._n_ge, s._pairs_less, s._pairs_tied)
+    for want in (
+        reference_rank_counts(positives, negatives),
+        bruteforce_rank_counts(positives, negatives),
+    ):
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and np.asarray(g).dtype == np.asarray(w).dtype
+            assert np.array_equal(g, w)
+
+
 class TestScoreSet:
-    def test_scores_outside_unit_interval_rejected(self):
-        with pytest.raises(ValidationError):
-            ScoreSet(positives=[1.5], negatives=[0.2])
+    @pytest.mark.parametrize("side", ["positive", "negative"])
+    @pytest.mark.parametrize("at", [0, 2, 5])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, np.nextafter(1.0, 2.0), -5e-324, 1.5]
+    )
+    def test_scores_outside_unit_interval_rejected(self, side, at, bad):
+        """The check reads only the ends of each sorted side; NaN sorts last."""
+        scores = np.insert(np.array([0.0, 0.3, 0.3, 0.7, 1.0]), at, bad)
+        sides = {"positives": [0.5], "negatives": [0.5], f"{side}s": scores}
+        with pytest.raises(ValidationError, match=rf"^{side} scores must lie in \[0,1\]$"):
+            ScoreSet(**sides)
+
+    def test_empty_sides_build(self):
+        for pos, neg in (([], [0.3]), ([0.3], []), ([], [])):
+            s = ScoreSet(positives=pos, negatives=neg)
+            assert (s.n_plus, s.n_minus) == (len(pos), len(neg))
+            assert_rank_counts(s, pos, neg)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(quantized_sets())
+    def test_rank_counts_match_reference_and_bruteforce(self, s):
+        assert_rank_counts(s, s.positives, s.negatives)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(edge_sides())
+    @example(([[1.0, 0.0], [0.5, -0.0]], [-0.0, 1.0, 0.5, 0.0]))
+    @example(([0.5, 0.5, 0.5], [0.5, 0.5]))
+    @example(([1.0, 0.0], np.array([[0.0, 1.0]])))
+    def test_rank_counts_at_the_edges_match_reference_and_bruteforce(self, sides):
+        positives, negatives = sides
+        assert_rank_counts(ScoreSet(positives, negatives), positives, negatives)
+
+    def test_minus_zero_is_stored_as_zero_and_the_input_is_untouched(self):
+        raw = np.array([0.0, 0.2, -0.0])
+        s = ScoreSet(positives=raw, negatives=[0.5, -0.0])
+        for side in (s.positives, s.negatives):
+            assert not np.signbit(side).any()
+        assert np.signbit(raw[2])
 
     def test_swapped_exchanges_sides(self):
         s = EXAMPLE.swapped()
