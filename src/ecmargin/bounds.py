@@ -378,10 +378,10 @@ def variational_max_oracle(alpha: float, tau: float, n: int = 2000) -> float:
     x = _grid_midpoints(n)
     g = _bang_bang_grid(tau, n)
     GFunction(grid=g, tau=tau)
-    obj = _objective(x, g, alpha)
 
     delta = 1.0 / n
     terms = x / (x + alpha * g)
+    obj = float(np.mean(terms))
     gain_remove = np.where(
         g >= delta - 1e-15, x / (x + alpha * np.maximum(g - delta, 0.0)) - terms, -np.inf
     )

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__, verify
 from .bounds import SLOPE_MODES, ap_lower, ap_upper, envelope
-from .errors import EcmError, InputFormatError, ValidationError
+from .errors import EcmError, ValidationError
 from .margins import optimal_margins, weights
 from .metrics import (
     HALF,
@@ -242,10 +242,7 @@ def _cmd_metrics(args) -> int:
         pr_curve=args.pr_curve,
     )
     with _open_output(args.out) as out, _open_output(args.pr_curve) as curve_out:
-        try:
-            ss = load_scores(args.scores)
-        except UnicodeDecodeError as exc:
-            raise InputFormatError(f"{args.scores}: {exc}") from None
+        ss = load_scores(args.scores)
         ap = average_precision(ss, alpha)
         fields = {
             "n_plus": ss.n_plus,

@@ -14,13 +14,12 @@ negative; the positives' own counts come from their runs of equal scores.
 
 ``load_scores`` parses a plain file in fixed-size chunks of bytes, so besides
 the file's bytes it holds two arrays of one entry per row and one chunk's
-temporaries, not a Python object per row.
+temporaries, not a Python object per row.  Any other file goes through
+``priors.read_csv``, the CSV reader it shares with the count files.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ from .errors import (
     UndefinedPrecisionError,
     ValidationError,
 )
+from .priors import read_csv
 
 HALF = "half"
 STRICT = "strict"
@@ -338,41 +338,23 @@ def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _parse_rows(path: str, data: bytes) -> tuple[list[float], list[float]]:
     """(positives, negatives) by the csv row loop, with line-numbered errors."""
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    positives, negatives = [], []
+    for lineno, row in read_csv(path, data, ("score", "label")):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputFormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["score", "label"]:
+            score = float(row[0])
+        except ValueError:
             raise InputFormatError(
-                f"{path}: line 1: expected header 'score,label', got {','.join(header)!r}"
-            )
-        positives, negatives = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise InputFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                score = float(row[0])
-            except ValueError:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: field 'score' is not a number: {row[0]!r}"
-                ) from None
-            if not 0.0 <= score <= 1.0:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: score {score} outside [0,1]"
-                )
-            label = row[1].strip()
-            if label == "1":
-                positives.append(score)
-            elif label == "0":
-                negatives.append(score)
-            else:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: label must be 1 or 0, got {row[1]!r}"
-                )
+                f"{path}: line {lineno}: field 'score' is not a number: {row[0]!r}"
+            ) from None
+        if not 0.0 <= score <= 1.0:
+            raise InputFormatError(f"{path}: line {lineno}: score {score} outside [0,1]")
+        label = row[1].strip()
+        if label == "1":
+            positives.append(score)
+        elif label == "0":
+            negatives.append(score)
+        else:
+            raise InputFormatError(f"{path}: line {lineno}: label must be 1 or 0, got {row[1]!r}")
     return positives, negatives
 
 

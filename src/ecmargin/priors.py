@@ -3,11 +3,15 @@
 The negative count for a class is everything that is not the class: all other
 foreground classes plus the background pool, whose size is a user-supplied
 ratio r times the total foreground count.
+
+``read_json`` and ``read_csv`` read every JSON and CSV input: count files,
+train configs, and the score files that ``metrics`` cannot parse as plain.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -97,12 +101,7 @@ def load_counts(path: str, format: str | None = None) -> ClassCounts:
         format = "csv" if str(path).lower().endswith(".csv") else "json"
     if format not in ("json", "csv"):
         raise ValidationError(f"format must be 'json' or 'csv', got {format!r}")
-    if format == "json":
-        return _load_json(path)
-    try:
-        return _load_csv(path)
-    except UnicodeDecodeError as exc:  # the csv reader decodes as it reads
-        raise InputFormatError(f"{path}: {exc}") from None
+    return _load_json(path) if format == "json" else _load_csv(path)
 
 
 def read_json(path: str):
@@ -117,6 +116,38 @@ def read_json(path: str):
         raise InputFormatError(f"{path}: {exc}") from exc
     except RecursionError:
         raise InputFormatError(f"{path}: JSON nested too deeply to parse") from None
+
+
+def read_csv(path: str, data: bytes, header: tuple[str, ...]):
+    """(line number, fields) of each non-blank data row of a CSV file's bytes,
+    records numbered from 1 for the header, which must be ``header`` once its
+    fields are stripped.  Every way the bytes can fail to be such a file is an
+    InputFormatError naming the file, and the record when there is one (a
+    field past ``csv.field_size_limit()`` included)."""
+    lineno = 0  # records read so far
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise InputFormatError(f"{path}: empty file")
+            lineno = 1
+            if tuple(h.strip() for h in first) != header:
+                raise InputFormatError(
+                    f"{path}: line 1: expected header {','.join(header)!r}, got {','.join(first)!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise InputFormatError(
+                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                yield lineno, row
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}: line {lineno + 1}: {exc}") from None
 
 
 def _load_json(path: str) -> ClassCounts:
@@ -150,33 +181,21 @@ def _load_json(path: str) -> ClassCounts:
 
 
 def _load_csv(path: str) -> ClassCounts:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    entries = []
+    for lineno, row in read_csv(path, data, ("id", "name", "instance_count")):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputFormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["id", "name", "instance_count"]:
+            cid = int(row[0])
+        except ValueError:
+            raise InputFormatError(f"{path}: line {lineno}: field 'id' is not an integer: {row[0]!r}") from None
+        try:
+            count = int(row[2])
+        except ValueError:
             raise InputFormatError(
-                f"{path}: line 1: expected header 'id,name,instance_count', got {','.join(header)!r}"
-            )
-        entries = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise InputFormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                cid = int(row[0])
-            except ValueError:
-                raise InputFormatError(f"{path}: line {lineno}: field 'id' is not an integer: {row[0]!r}") from None
-            try:
-                count = int(row[2])
-            except ValueError:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: field 'instance_count' is not an integer: {row[2]!r}"
-                ) from None
-            entries.append(ClassEntry(cid, row[1], count))
+                f"{path}: line {lineno}: field 'instance_count' is not an integer: {row[2]!r}"
+            ) from None
+        entries.append(ClassEntry(cid, row[1], count))
     return ClassCounts(entries=tuple(entries))
 
 

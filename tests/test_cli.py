@@ -360,6 +360,29 @@ def assert_input_error(code, out, err, message):
     assert message in err
 
 
+# one field past the csv module's default field_size_limit of 131 072 characters
+LONG_FIELD = "a" * 200_000
+OVERSIZED_COUNTS = {
+    "data row": ("id,name,instance_count\n0," + LONG_FIELD + ",3\n", 2),
+    "header": ("id," + LONG_FIELD + ",instance_count\n0,a,3\n", 1),
+}
+OVERSIZED_SCORES = {
+    "data row": ("score,label\n0.5," + LONG_FIELD + "\n0.2,0\n", 2),
+    "header": ("score," + LONG_FIELD + "\n0.5,1\n0.2,0\n", 1),
+}
+
+
+def assert_oversized_field_rejected(capsys, tmp_path, argv, path, text, line, out_flag):
+    """Exit 2 with exactly one error line naming the file and record, also
+    with --out."""
+    path.write_text(text)
+    if out_flag:
+        argv = argv + ["--out", str(tmp_path / "out.json")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line {line}: field larger than field limit (131072)\n"
+
+
 class TestDocumentBytes:
     @pytest.mark.parametrize("to_file", [False, True])
     @pytest.mark.parametrize("key", sorted(GOLDEN_DOCUMENT_ARGV))
@@ -484,6 +507,16 @@ class TestMarginsCommand:
         path.write_bytes(data)
         code, out, err = run_cli(capsys, ["margins", "--counts", str(path)])
         assert_input_error(code, out, err, f"{path}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("out_flag", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("where", OVERSIZED_COUNTS)
+    def test_counts_field_past_the_csv_field_limit_rejected(
+        self, capsys, tmp_path, where, out_flag
+    ):
+        text, line = OVERSIZED_COUNTS[where]
+        path = tmp_path / "counts.csv"
+        argv = ["margins", "--counts", str(path)]
+        assert_oversized_field_rejected(capsys, tmp_path, argv, path, text, line, out_flag)
 
     @pytest.mark.parametrize("data", [b"[" * 200_000, b'{"categories": ' + b"[" * 200_000])
     def test_counts_nested_past_the_parser_limit_rejected(self, capsys, tmp_path, data):
@@ -715,6 +748,16 @@ class TestMetricsCommand:
         path.write_bytes(b'score,label\n0.5,1\n0.2,0\n"\xff",1\n')
         argv = ["metrics", "--scores", str(path), "--alpha", "1"]
         assert_input_error(*run_cli(capsys, argv), f"{path}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("out_flag", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("where", OVERSIZED_SCORES)
+    def test_scores_field_past_the_csv_field_limit_rejected(
+        self, capsys, tmp_path, where, out_flag
+    ):
+        text, line = OVERSIZED_SCORES[where]
+        path = tmp_path / "scores.csv"
+        argv = ["metrics", "--scores", str(path), "--alpha", "1"]
+        assert_oversized_field_rejected(capsys, tmp_path, argv, path, text, line, out_flag)
 
     def test_malformed_scores_rejected_with_line_number(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

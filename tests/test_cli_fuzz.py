@@ -23,6 +23,8 @@ EDGE_NUMBERS = [-1, 0, 5e-324, 1e308, 10**30, 0.5, 3]
 BIG = "9" * 401
 # nesting far past the parser's recursion limit
 DEEP = b"[" * 200_000
+# a CSV field past the csv module's default limit of 131 072 characters
+LONG_FIELD = b"x" * 200_000
 COUNTS_FILES = [
     ("counts.json", b'{"categories": [{"id": 1, "name": "a", "instance_count": 16}, '
      b'{"id": 2, "name": "b", "instance_count": 81}], "background_ratio": 1.0}'),
@@ -39,6 +41,7 @@ COUNTS_FILES = [
     ("counts.json", b'{"categories": [], "background_ratio": NaN}'),
     ("counts.json", DEEP),
     ("counts.json", b'{"categories": %s' % DEEP),
+    ("counts.csv", b"id,name,instance_count\n0,%s,3\n" % LONG_FIELD),
 ]
 SCORES_FILES = [
     b"score,label\n0.9,1\n0.4,1\n0.5,0\n0.1,0\n",
@@ -49,6 +52,7 @@ SCORES_FILES = [
     b"score,label\n0.5,1\n0.6,1\n",
     b"score,label\nnan,1\n0.2,0\n",
     b"score,label\n1e400,1\n0.2,0\n",
+    b"score,label\n0.5,%s\n0.2,0\n" % LONG_FIELD,
 ]
 # small sizes, or 30-digit ones that shape an array past the size cap and so
 # must be rejected before anything is allocated

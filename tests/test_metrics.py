@@ -374,9 +374,39 @@ class TestLoadScores:
         with pytest.raises(InputFormatError):
             load_scores(str(path))
 
+    def test_bytes_that_are_not_utf8_are_a_format_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b'score,label\n0.5,1\n0.2,0\n"\xff",1\n')
+        with pytest.raises(InputFormatError, match=f"{path}: 'utf-8' codec can't decode"):
+            load_scores(str(path))
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("score,label\n0.5," + "x" * 200_000 + "\n0.2,0\n", 2),
+            ("score," + "x" * 200_000 + "\n0.5,1\n0.2,0\n", 1),
+        ],
+        ids=["data row", "header"],
+    )
+    def test_field_past_the_field_limit_is_a_format_error(self, tmp_path, text, line):
+        path = tmp_path / "scores.csv"
+        path.write_text(text)
+        with pytest.raises(InputFormatError) as info:
+            load_scores(str(path))
+        assert str(info.value) == f"{path}: line {line}: field larger than field limit (131072)"
+
 
 def reference_load_scores(path: str) -> ScoreSet:
-    """The csv row-loop loader load_scores had before its vectorized pass; the oracle."""
+    """The csv row-loop loader load_scores had before its vectorized pass; the
+    oracle.  Bytes that are not UTF-8 are an InputFormatError naming the file,
+    as in every loader of the package."""
+    try:
+        return _row_loop_load_scores(path)
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
+
+
+def _row_loop_load_scores(path: str) -> ScoreSet:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

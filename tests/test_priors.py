@@ -239,6 +239,21 @@ class TestLoadCounts:
         with pytest.raises(InputFormatError, match=f"{path}: 'utf-8' codec"):
             load_counts(str(path))
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("id,name,instance_count\n0," + "a" * 200_000 + ",3\n", 2),
+            ("id," + "a" * 200_000 + ",instance_count\n0,a,3\n", 1),
+        ],
+        ids=["data row", "header"],
+    )
+    def test_csv_field_past_the_field_limit_is_a_format_error(self, tmp_path, text, line):
+        path = tmp_path / "counts.csv"
+        path.write_text(text)
+        with pytest.raises(InputFormatError) as info:
+            load_counts(str(path))
+        assert str(info.value) == f"{path}: line {line}: field larger than field limit (131072)"
+
     def test_json_nested_past_the_parser_limit_is_a_format_error(self, tmp_path):
         path = tmp_path / "counts.json"
         path.write_bytes(b'{"categories": ' + b"[" * 200_000)
