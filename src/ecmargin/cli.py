@@ -261,9 +261,15 @@ def _cmd_metrics(args) -> int:
 
 def _curve_rows(curve, lo: int, hi: int) -> str:
     """Rows lo..hi-1 of the PR-curve CSV.  csv.writer writes a float as its
-    repr, so these are _csv_text's bytes."""
-    columns = [c[lo:hi].tolist() for c in (curve.thresholds, curve.recall, curve.precision)]
-    return "".join([f"{t!r},{rec!r},{prec!r}\n" for t, rec, prec in zip(*columns)])
+    repr, so these are _csv_text's bytes.  Recall steps only at a positive's
+    score, so it is formatted once per run of equal values and that text
+    repeated over the run; thresholds and precisions are formatted per row."""
+    recall = curve.recall[lo:hi]
+    starts = np.flatnonzero(np.concatenate([[True], recall[1:] != recall[:-1]]))
+    text = np.array([repr(x) for x in recall[starts].tolist()], dtype=object)
+    rec = np.repeat(text, np.diff(starts, append=recall.size)).tolist()
+    columns = (curve.thresholds[lo:hi].tolist(), rec, curve.precision[lo:hi].tolist())
+    return "".join([f"{t!r},{r},{prec!r}\n" for t, r, prec in zip(*columns)])
 
 
 def _curve_chunks(curve, lo: int, hi: int):

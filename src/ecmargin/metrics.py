@@ -267,6 +267,10 @@ def pr_curve(s: ScoreSet, alpha: float) -> PrecisionRecallCurve:
 
     The largest score is left out rather than assigned a convention: nothing
     scores above it, so its precision is 0/0.
+
+    Both sides are merged once; a threshold's index in the merge gives how
+    many samples lie above it, and one binary search into the positives
+    splits that count into the two tails.
     """
     _require_positives(s)
     _require_negatives(s)
@@ -274,10 +278,18 @@ def pr_curve(s: ScoreSet, alpha: float) -> PrecisionRecallCurve:
     both = np.concatenate([s.positives, s.negatives])
     both.sort(kind="stable")  # two sorted runs: one merge
     # the last of each run of equal scores, the largest run left out
-    thresholds = both[:-1][both[1:] != both[:-1]][::-1]
+    ends = np.flatnonzero(both[1:] != both[:-1])[::-1]
+    thresholds = both[ends]
     del both  # free the merged samples before the counts
-    r = _count_above(s.positives, thresholds) / s.n_plus
-    g = _count_above(s.negatives, thresholds) / s.n_minus
+    # samples above threshold i: the n - 1 - ends[i] after it in the merge;
+    # the counts overwrite ends, so no second array of them is held
+    pos_above = _count_above(s.positives, thresholds)
+    np.subtract(s.n_plus + s.n_minus - 1, ends, out=ends)
+    ends -= pos_above  # the negatives above
+    r = pos_above / s.n_plus
+    del pos_above
+    g = ends / s.n_minus
+    del ends
     return PrecisionRecallCurve(thresholds=thresholds, recall=r, precision=r / (r + alpha * g))
 
 

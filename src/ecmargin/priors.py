@@ -123,7 +123,16 @@ def read_csv(path: str, data: bytes, header: tuple[str, ...]):
     records numbered from 1 for the header, which must be ``header`` once its
     fields are stripped.  Every way the bytes can fail to be such a file is an
     InputFormatError naming the file, and the record when there is one (a
-    field past ``csv.field_size_limit()`` included)."""
+    field past ``csv.field_size_limit()`` included).  The bytes are first
+    decoded in one piece, so a byte that is not UTF-8 is reported at its
+    offset in the file and on its line, counted by newlines; that text is
+    let go and the rows are decoded a block at a time, since a StringIO of
+    it would hold four bytes per character."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputFormatError(f"{path}: line {line}: {exc}") from None
     lineno = 0  # records read so far
     try:
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
@@ -144,8 +153,6 @@ def read_csv(path: str, data: bytes, header: tuple[str, ...]):
                         f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
                     )
                 yield lineno, row
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
     except csv.Error as exc:
         raise InputFormatError(f"{path}: line {lineno + 1}: {exc}") from None
 

@@ -309,17 +309,20 @@ def _backward(kind, params, temperature, x, cache, g):
     grads = {}
     if temperature is None:
         grads["w"] = h.T @ g
-        dh = g @ params["w"].T
     else:
         hu, wu, hn, wn, cos = head_cache
         col = np.sum(g * cos, axis=0)
         grads["w"] = temperature * (hu.T @ g - wu * col) / wn
+    if kind != "mlp":
+        return grads  # the head's input is x itself, so nothing reads d(loss)/dh
+    if temperature is None:
+        dh = g @ params["w"].T
+    else:
         row = np.sum(g * cos, axis=1, keepdims=True)
         dh = temperature * (g @ wu.T - hu * row) / hn
-    if kind == "mlp":
-        dpre = dh * (1.0 - h * h)
-        grads["w1"] = x.T @ dpre
-        grads["b1"] = dpre.sum(axis=0)
+    dpre = dh * (1.0 - h * h)
+    grads["w1"] = x.T @ dpre
+    grads["b1"] = dpre.sum(axis=0)
     return grads
 
 

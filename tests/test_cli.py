@@ -383,6 +383,20 @@ def assert_oversized_field_rejected(capsys, tmp_path, argv, path, text, line, ou
     assert err == f"error: {path}: line {line}: field larger than field limit (131072)\n"
 
 
+def assert_late_bad_byte_rejected(capsys, argv, path, header, row):
+    """A byte that is not UTF-8 at the start of line 3002, past the first
+    8192 bytes, is reported at its offset in the file and on its line."""
+    prefix = (header + 3000 * row).encode()
+    assert len(prefix) > 8192
+    path.write_bytes(prefix + b"\xff" + row.encode())
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: line 3002: 'utf-8' codec can't decode byte 0xff"
+        f" in position {len(prefix)}: invalid start byte\n"
+    )
+
+
 class TestDocumentBytes:
     @pytest.mark.parametrize("to_file", [False, True])
     @pytest.mark.parametrize("key", sorted(GOLDEN_DOCUMENT_ARGV))
@@ -495,18 +509,30 @@ class TestMarginsCommand:
         assert_input_error(*run_cli(capsys, argv), message)
 
     @pytest.mark.parametrize(
-        "name,data",
+        "name,data,where",
         [
-            ("counts.json", b'{"categories": [{"id": 1, "name": "\xff", "instance_count": 3}]}'),
-            ("counts.csv", b"id,name,instance_count\n1,\xff,3\n2,b,4\n"),
+            (
+                "counts.json",
+                b'{"categories": [{"id": 1, "name": "\xff", "instance_count": 3}]}',
+                "",
+            ),
+            ("counts.csv", b"id,name,instance_count\n1,\xff,3\n2,b,4\n", "line 2: "),
         ],
         ids=["json", "csv"],
     )
-    def test_counts_file_that_is_not_utf8_rejected(self, capsys, tmp_path, name, data):
+    def test_counts_file_that_is_not_utf8_rejected(self, capsys, tmp_path, name, data, where):
         path = tmp_path / name
         path.write_bytes(data)
         code, out, err = run_cli(capsys, ["margins", "--counts", str(path)])
-        assert_input_error(code, out, err, f"{path}: 'utf-8' codec can't decode")
+        assert_input_error(code, out, err, f"{path}: {where}'utf-8' codec can't decode")
+
+    def test_counts_byte_that_is_not_utf8_past_the_first_8192_named_by_line(
+        self, capsys, tmp_path
+    ):
+        # the decode fails before any row is checked, so the ids may repeat
+        path = tmp_path / "counts.csv"
+        argv = ["margins", "--counts", str(path)]
+        assert_late_bad_byte_rejected(capsys, argv, path, "id,name,instance_count\n", "1,a,3\n")
 
     @pytest.mark.parametrize("out_flag", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize("where", OVERSIZED_COUNTS)
@@ -747,7 +773,16 @@ class TestMetricsCommand:
         path = tmp_path / "scores.csv"
         path.write_bytes(b'score,label\n0.5,1\n0.2,0\n"\xff",1\n')
         argv = ["metrics", "--scores", str(path), "--alpha", "1"]
-        assert_input_error(*run_cli(capsys, argv), f"{path}: 'utf-8' codec can't decode")
+        assert_input_error(*run_cli(capsys, argv), f"{path}: line 4: 'utf-8' codec can't decode")
+
+    def test_scores_byte_that_is_not_utf8_past_the_first_8192_named_by_line(
+        self, capsys, tmp_path
+    ):
+        """The bad byte is at offset 18012 of the file, 1628 bytes into the
+        third 8192-byte block."""
+        path = tmp_path / "scores.csv"
+        argv = ["metrics", "--scores", str(path), "--alpha", "1"]
+        assert_late_bad_byte_rejected(capsys, argv, path, "score,label\n", "0.5,1\n")
 
     @pytest.mark.parametrize("out_flag", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize("where", OVERSIZED_SCORES)
@@ -770,18 +805,23 @@ class TestMetricsCommand:
 SPLIT = cli._SPLIT_MIN_ROWS
 
 
-def split_curve_scores(rows: int) -> str:
-    """A scores file whose PR curve has exactly ``rows`` rows, and whose
-    recall is flat across the cut between its halves.  It has rows + 1
-    samples with descending distinct scores; curve row j counts samples 0..j
-    above its threshold, the score of sample j + 1, so recall steps at row j
-    exactly when sample j is positive, and no sample within 20 of the cut is."""
-    near_cut = range(rows // 2 - 20, rows // 2 + 20)
+def curve_scores(rows: int, positive) -> str:
+    """A scores file whose PR curve has exactly ``rows`` rows.  It has rows + 1
+    samples with descending distinct scores, sample j positive when
+    positive(j); curve row j counts samples 0..j above its threshold, the
+    score of sample j + 1, so recall steps at row j exactly when sample j is
+    positive."""
     lines = ["score,label\n"]
     for j in range(rows + 1):
-        positive = j == 0 or (j % 3 == 0 and j not in near_cut)
-        lines.append(f"{(rows + 1 - j) / (rows + 2)!r},{int(positive)}\n")
+        lines.append(f"{(rows + 1 - j) / (rows + 2)!r},{int(positive(j))}\n")
     return "".join(lines)
+
+
+def split_curve_scores(rows: int) -> str:
+    """A curve_scores file whose recall is flat across the cut between the
+    curve's halves: no sample within 20 of the cut is positive."""
+    near_cut = range(rows // 2 - 20, rows // 2 + 20)
+    return curve_scores(rows, lambda j: j == 0 or (j % 3 == 0 and j not in near_cut))
 
 
 def reference_curve_rows(scores_path, alpha: float) -> str:
@@ -869,17 +909,31 @@ class TestSplitCurveWriter:
         self, capsys, monkeypatch, tmp_path, forks, rows
     ):
         """Chunks of 5 rows, and a curve split from 2 rows on, so that the
-        chunk and half boundaries fall everywhere a short curve allows."""
+        chunk and half boundaries fall everywhere a short curve allows.  The
+        recall runs are those of split_curve_scores, one row each (every
+        sample positive but the last), or one run over the whole curve (only
+        the top sample positive)."""
         monkeypatch.setattr(cli, "_CURVE_CHUNK_ROWS", 5)
         monkeypatch.setattr(cli, "_SPLIT_MIN_ROWS", 2)
-        for cpus in (1, 2, 8):
-            del forks[:]
-            (code, out, err), data = self.run_metrics(capsys, monkeypatch, tmp_path, rows, cpus)
-            assert (code, err) == (0, "")
-            assert len(forks) == (1 if cpus >= 2 else 0)
-            body = data.decode().split("\n", 2)[2]
-            assert body == reference_curve_rows(tmp_path / "scores.csv", self.ALPHA)
-            assert body.count("\n") == rows
+        scores = tmp_path / "scores.csv"
+        for text, runs in (
+            (split_curve_scores(rows), None),
+            (curve_scores(rows, lambda j: j < rows), rows),
+            (curve_scores(rows, lambda j: j == 0), 1),
+        ):
+            scores.write_text(text)
+            for cpus in (1, 2, 8):
+                del forks[:]
+                (code, out, err), data = self.run_metrics(
+                    capsys, monkeypatch, tmp_path, rows, cpus
+                )
+                assert (code, err) == (0, "")
+                assert len(forks) == (1 if cpus >= 2 else 0)
+                body = data.decode().split("\n", 2)[2]
+                assert body == reference_curve_rows(scores, self.ALPHA)
+                assert body.count("\n") == rows
+                if runs is not None:
+                    assert len({line.split(",")[1] for line in body.splitlines()}) == runs
 
     def test_memory_does_not_grow_with_the_curve(self, capsys, monkeypatch, tmp_path):
         """With no fork, the writer holds one chunk of rows as strings, so a

@@ -286,6 +286,20 @@ class TestPRCurve:
         got = [a.tobytes() for a in (curve.thresholds, curve.recall, curve.precision)]
         assert got == reference_pr_curve(s, 19.0)
 
+    def test_same_bytes_as_the_unique_and_mask_construction_long_tail(self, rng):
+        """20 000 negatives and 1000 positives on a 1e-3 grid: most thresholds
+        are tied within a side, many across sides, and the top score is a run
+        holding both sides."""
+        positives = np.append(rng.integers(0, 1001, 1000), [1000, 1000]) / 1000
+        negatives = np.append(rng.integers(0, 1001, 20_000), [1000, 1000, 1000]) / 1000
+        s = ScoreSet(positives=positives, negatives=negatives)
+        assert np.intersect1d(s.positives, s.negatives).size > 500
+        assert s.positives[-2] == s.negatives[-3] == 1.0
+        curve = pr_curve(s, 19.0)
+        assert curve.thresholds[0] < 1.0  # the tied top run is left out
+        got = [a.tobytes() for a in (curve.thresholds, curve.recall, curve.precision)]
+        assert got == reference_pr_curve(s, 19.0)
+
     def test_worked_example_points(self):
         curve = pr_curve(EXAMPLE, alpha=1.0)
         rows = list(
@@ -377,7 +391,7 @@ class TestLoadScores:
     def test_bytes_that_are_not_utf8_are_a_format_error_naming_the_file(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_bytes(b'score,label\n0.5,1\n0.2,0\n"\xff",1\n')
-        with pytest.raises(InputFormatError, match=f"{path}: 'utf-8' codec can't decode"):
+        with pytest.raises(InputFormatError, match=f"{path}: line 4: 'utf-8' codec can't decode"):
             load_scores(str(path))
 
     @pytest.mark.parametrize(
@@ -398,12 +412,17 @@ class TestLoadScores:
 
 def reference_load_scores(path: str) -> ScoreSet:
     """The csv row-loop loader load_scores had before its vectorized pass; the
-    oracle.  Bytes that are not UTF-8 are an InputFormatError naming the file,
-    as in every loader of the package."""
+    oracle.  Bytes that are not UTF-8 are an InputFormatError naming the file
+    and the line of the first bad byte, which the message's position counts
+    from the start of the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return _row_loop_load_scores(path)
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
+        line = data[: exc.start].count(b"\n") + 1
+        raise InputFormatError(f"{path}: line {line}: {exc}") from None
+    return _row_loop_load_scores(path)
 
 
 def _row_loop_load_scores(path: str) -> ScoreSet:

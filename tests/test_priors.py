@@ -236,7 +236,7 @@ class TestLoadCounts:
     def test_undecodable_csv_is_a_format_error_naming_the_file(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_bytes(b"id,name,instance_count\n1,\xff,3\n")
-        with pytest.raises(InputFormatError, match=f"{path}: 'utf-8' codec"):
+        with pytest.raises(InputFormatError, match=f"{path}: line 2: 'utf-8' codec"):
             load_counts(str(path))
 
     @pytest.mark.parametrize(
