@@ -99,42 +99,48 @@ def ap_lower(alpha, r):
 
 @dataclass(frozen=True)
 class BoundEnvelope:
-    """AP and detection-error bounds plus the linear slope at one (alpha, R)."""
+    """AP and detection-error bounds and the slope at (alpha, R): floats, or arrays of one shape."""
 
-    alpha: float
-    ranking_error: float
-    ap_lower: float
-    ap_upper: float
-    det_lower: float
-    det_upper: float
-    slope_m: float
+    alpha: float | np.ndarray
+    ranking_error: float | np.ndarray
+    ap_lower: float | np.ndarray
+    ap_upper: float | np.ndarray
+    det_lower: float | np.ndarray
+    det_upper: float | np.ndarray
+    slope_m: float | np.ndarray
     slope_mode: str
 
     def __post_init__(self):
-        if self.ap_lower > self.ap_upper + 1e-12:
-            raise ValidationError(
-                f"ap_lower {self.ap_lower} exceeds ap_upper {self.ap_upper}"
-            )
-        if self.det_lower != 1.0 - self.ap_upper or self.det_upper != 1.0 - self.ap_lower:
+        fields = (self.ap_lower, self.ap_upper, self.det_lower, self.det_upper, self.slope_m)
+        lo, hi, det_lo, det_hi, m = map(np.ravel, np.broadcast_arrays(*fields))
+        if (bad := np.flatnonzero(lo > hi + 1e-12)).size:
+            raise ValidationError(f"ap_lower {lo[bad[0]]} exceeds ap_upper {hi[bad[0]]}")
+        if np.any((det_lo != 1.0 - hi) | (det_hi != 1.0 - lo)):
             raise ValidationError("detection bounds must complement the AP bounds")
-        if not self.slope_m > 0:
-            raise ValidationError(f"slope_m must be positive, got {self.slope_m}")
+        if (bad := np.flatnonzero(~(m > 0))).size:
+            raise ValidationError(f"slope_m must be positive, got {m[bad[0]]}")
         if self.slope_mode not in SLOPE_MODES:
             raise ValidationError(f"slope_mode must be one of {SLOPE_MODES}")
 
 
-def envelope(alpha: float, r: float, mode: str = "upper") -> BoundEnvelope:
-    """Assemble the full bound envelope at one (alpha, ranking_error) point."""
-    lo = _ap_lower(alpha, r)
-    hi = _ap_upper(alpha, r)
+def envelope(alpha, r, mode: str = "upper") -> BoundEnvelope:
+    """The bound envelope at (alpha, ranking_error): floats at one point, else arrays
+    of the broadcast shape whose elements have the one-point envelopes' bits, e.g.
+    envelope([[0.1], [10.0]], [0.0, 0.5, 1.0]).ap_lower has shape (2, 3)."""
+    lo = ap_lower(alpha, r)
+    hi = ap_upper(alpha, r)
+    if np.ndim(lo) == 0:
+        alpha, r = float(alpha), float(r)
+    else:
+        alpha, r = (np.array(x, dtype=np.float64) for x in np.broadcast_arrays(alpha, r))
     return BoundEnvelope(
-        alpha=float(alpha),
-        ranking_error=float(r),
+        alpha=alpha,
+        ranking_error=r,
         ap_lower=lo,
         ap_upper=hi,
         det_lower=1.0 - hi,
         det_upper=1.0 - lo,
-        slope_m=_slope_m(alpha, mode),
+        slope_m=slope_m(alpha, mode),
         slope_mode=mode,
     )
 

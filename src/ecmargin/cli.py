@@ -35,7 +35,7 @@ import threading
 import numpy as np
 
 from . import __version__, verify
-from .bounds import SLOPE_MODES, ap_lower, ap_upper, envelope
+from .bounds import SLOPE_MODES, envelope
 from .errors import EcmError, ValidationError
 from .margins import optimal_margins, weights
 from .metrics import (
@@ -209,12 +209,9 @@ def _cmd_bounds(args) -> int:
     # and --r, so they come before any file is opened.
     if args.emit_curve is not None:
         r = np.arange(_CURVE_STEPS + 1) / _CURVE_STEPS  # the floats i / 100
-        lower = ap_lower(args.alpha, r)
-        upper = ap_upper(args.alpha, r)
-        if np.any(lower > upper + 1e-12):
-            i = int(np.argmax(lower - upper))
-            raise ValidationError(f"ap_lower {lower[i]} exceeds ap_upper {upper[i]}")
-        rows = np.column_stack([r, lower, upper, 1.0 - upper, 1.0 - lower]).tolist()
+        env = envelope(args.alpha, r)
+        columns = [r, env.ap_lower, env.ap_upper, env.det_lower, env.det_upper]
+        rows = np.column_stack(columns).tolist()
         header = ["r", "ap_lower", "ap_upper", "det_lower", "det_upper"]
     if args.r is not None:
         fields = dataclasses.asdict(envelope(args.alpha, args.r, args.mode))

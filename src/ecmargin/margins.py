@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .priors import ClassStats
 
@@ -75,34 +77,29 @@ def optimal_margins(stats: ClassStats) -> Margins:
     return Margins(gamma_plus=gamma_plus, gamma_minus=gamma_minus)
 
 
-def margin_objective(gamma_plus: float, stats: ClassStats) -> float:
+def margin_objective(gamma_plus, stats: ClassStats):
     """The complexity objective (1/g+) n+^(-1/2) + (1/(1-g+)) n-^(-1/2).
 
-    Strictly convex in gamma_plus on (0,1).
+    Strictly convex in gamma_plus on (0,1).  A float for a float, an array
+    for an array of gamma_plus.
     """
-    if not 0.0 < gamma_plus < 1.0:
-        raise ValidationError(f"gamma_plus must lie strictly inside (0,1), got {gamma_plus}")
-    return (1.0 / gamma_plus) / math.sqrt(stats.n_plus) + (1.0 / (1.0 - gamma_plus)) / math.sqrt(
-        stats.n_minus
-    )
+    g = np.asarray(gamma_plus, dtype=np.float64)
+    if (outside := np.flatnonzero(~((0.0 < g) & (g < 1.0)))).size:
+        bad = gamma_plus if g.ndim == 0 else g.flat[outside[0]]
+        raise ValidationError(f"gamma_plus must lie strictly inside (0,1), got {bad}")
+    value = (1.0 / g) / math.sqrt(stats.n_plus) + (1.0 / (1.0 - g)) / math.sqrt(stats.n_minus)
+    return float(value) if g.ndim == 0 else value
 
 
 def margins_grid_oracle(stats: ClassStats, step: float) -> Margins:
-    """Brute-force argmin of margin_objective over the grid {step, 2*step, ...}."""
-    if not 0.0 < step <= 1e-2:
-        raise ValidationError(f"step must lie in (0, 1e-2], got {step}")
-    best_gamma = None
-    best_value = math.inf
-    k = 1
-    while True:
-        gamma = k * step
-        if gamma >= 1.0:
-            break
-        value = margin_objective(gamma, stats)
-        if value < best_value:
-            best_value = value
-            best_gamma = gamma
-        k += 1
+    """Brute-force argmin of margin_objective over {k * step < 1 : k >= 1}; ties go low."""
+    # the grid holds 1/step floats, so step has a floor
+    if not 1e-6 <= step <= 1e-2:
+        raise ValidationError(f"step must lie in [1e-6, 1e-2], got {step}")
+    # k * step rounds monotonically in k, and k = ceil(1/step) + 1 reaches past 1
+    grid = np.arange(1, math.ceil(1.0 / step) + 2) * step
+    grid = grid[grid < 1.0]
+    best_gamma = float(grid[np.argmin(margin_objective(grid, stats))])
     return Margins(gamma_plus=best_gamma, gamma_minus=1.0 - best_gamma)
 
 

@@ -182,7 +182,7 @@ def _load_json(path: str) -> ClassCounts:
             )
         entries.append(ClassEntry(cid, str(name), count))
     ratio = data.get("background_ratio")
-    if ratio is not None and not isinstance(ratio, (int, float)):
+    if ratio is not None and (not isinstance(ratio, (int, float)) or isinstance(ratio, bool)):
         raise InputFormatError(f"{path}: background_ratio must be a number, got {ratio!r}")
     return ClassCounts(entries=tuple(entries), background_ratio=None if ratio is None else float(ratio))
 

@@ -5,8 +5,8 @@ are isotropic Gaussian blobs around class means spread on random directions,
 and background samples (label -1) come from a broad Gaussian at the origin.
 A deliberately small trainer (per-class binary heads, plain mini-batch
 gradient descent) exercises the bce / ecm / focal_ecm kernels; evaluation
-builds one ScoreSet per class and audits the measured AP against the
-closed-form bounds at each saved checkpoint.
+builds one ScoreSet per class from one parameter snapshot, final or saved,
+and audits the measured AP against the closed-form bounds.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def _head_forward(h, w, temperature):
 
 
 def _forward(kind, params, temperature, x):
-    """Logits plus the caches backward needs; cache is None outside training."""
+    """Logits and the cache (h, head cache) that backward needs; evaluation drops the cache."""
     if kind == "mlp":
         pre = x @ params["w1"] + params["b1"]
         h = np.tanh(pre)

@@ -103,17 +103,13 @@ def _run_bounds(rng: np.random.Generator, trials: int) -> dict:
         )
     )
 
-    env_ok = True
-    for _ in range(100):
-        alpha = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e3))))
-        r = float(rng.random())
-        env = bnd.envelope(alpha, r, "upper")
-        if not (
-            env.ap_lower <= env.ap_upper
-            and env.det_lower == 1.0 - env.ap_upper
-            and env.det_upper == 1.0 - env.ap_lower
-        ):
-            env_ok = False
+    env_alphas = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), size=100))
+    env = bnd.envelope(env_alphas, rng.random(100), "upper")
+    env_ok = (
+        np.all(env.ap_lower <= env.ap_upper)
+        and np.all(env.det_lower == 1.0 - env.ap_upper)
+        and np.all(env.det_upper == 1.0 - env.ap_lower)
+    )
     checks.append(_check("envelope_invariants", env_ok))
 
     return _suite_report("bounds", checks)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -27,7 +28,7 @@ from ecmargin import (
     variational_max_oracle,
     variational_min_oracle,
 )
-from ecmargin.bounds import _best_disjoint_pair, _grid_midpoints, _kkt_grid
+from ecmargin.bounds import SLOPE_MODES, _best_disjoint_pair, _grid_midpoints, _kkt_grid
 
 alphas = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 errors = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -224,6 +225,58 @@ class TestEnvelope:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError, match="mode"):
             envelope(1.0, 0.5, mode="chord")
+
+    @pytest.mark.parametrize("mode", SLOPE_MODES)
+    def test_array_envelope_is_the_per_point_envelope_bit_for_bit(self, mode):
+        column = np.array([5e-324, 1e-16, 0.05, 1.0, 3.0, 9999.0, 1e4, 2e5, 1.7e308])[:, None]
+        row = np.array([0.0, 1e-9, 0.2, 1.0 / 6.0, 0.5, 0.999, 1.0])
+        env = envelope(column, row, mode)
+        assert env.slope_mode == mode
+        names = [f.name for f in dataclasses.fields(BoundEnvelope) if f.name != "slope_mode"]
+        assert len(names) == 7
+        for name in names:
+            value = getattr(env, name)
+            assert value.shape == (column.size, row.size) and value.dtype == np.float64
+            for i, alpha in enumerate(column[:, 0]):
+                for j, r in enumerate(row):
+                    point = getattr(envelope(float(alpha), float(r), mode), name)
+                    assert type(point) is float
+                    assert value[i, j].tobytes() == np.float64(point).tobytes(), (name, alpha, r)
+
+    def test_array_envelope_takes_lists_and_broadcasts_a_scalar(self):
+        env = envelope(3, [0, 1])
+        assert env.alpha.tolist() == [3.0, 3.0] and env.ranking_error.tolist() == [0.0, 1.0]
+        assert env.ap_upper.tolist() == [envelope(3.0, 0.0).ap_upper, envelope(3.0, 1.0).ap_upper]
+
+    @pytest.mark.parametrize(
+        "alpha,r,bad_alpha,bad_r",
+        [
+            ([1.0, 2.0, 3.0], [0.5, 1.5, -0.5], 2.0, 1.5),
+            ([1.0, -1.0], 0.5, -1.0, 0.5),
+            ([1.0, math.nan], 0.5, math.nan, 0.5),
+            (2.0, [0.1, math.nan, 0.3], 2.0, math.nan),
+            ([[1.0], [math.inf]], [0.0, 1.0], math.inf, 0.0),
+        ],
+    )
+    def test_a_bad_element_raises_the_scalar_error(self, alpha, r, bad_alpha, bad_r):
+        with pytest.raises(ValidationError) as scalar:
+            envelope(bad_alpha, bad_r)
+        with pytest.raises(ValidationError) as array:
+            envelope(alpha, r)
+        assert str(array.value) == str(scalar.value)
+
+    def test_array_fields_name_the_first_offending_element(self):
+        lo = np.array([0.2, 0.7, 0.9])
+        hi = np.array([0.5, 0.6, 0.8])
+        with pytest.raises(ValidationError, match=r"^ap_lower 0\.7 exceeds ap_upper 0\.6$"):
+            BoundEnvelope(1.0, 0.5, lo, hi, 1.0 - hi, 1.0 - lo, 1.0, "unit")
+        hi = np.array([0.5, 0.8, 0.95])
+        with pytest.raises(ValidationError, match="complement"):
+            BoundEnvelope(1.0, 0.5, lo, hi, 1.0 - hi, np.array([0.8, 0.3, 0.2]), 1.0, "unit")
+        with pytest.raises(ValidationError, match=r"^slope_m must be positive, got nan$"):
+            BoundEnvelope(
+                1.0, 0.5, lo, hi, 1.0 - hi, 1.0 - lo, np.array([1.0, math.nan, 0.0]), "unit"
+            )
 
 
 class TestSlope:

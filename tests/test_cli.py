@@ -458,6 +458,15 @@ class TestMarginsCommand:
         assert doc["config"]["background_count"] == 0
         assert doc["classes"][0]["n_minus"] == 4704 - 16
 
+    def test_bool_background_ratio_in_the_file_rejected(self, capsys, tmp_path):
+        # JSON true loads as a Python bool, and a bool is an int
+        path = tmp_path / "counts.json"
+        cats = [{"id": i, "name": "c", "instance_count": n} for i, n in ((1, 3), (2, 5))]
+        path.write_text(json.dumps({"categories": cats, "background_ratio": True}))
+        code, out, err = run_cli(capsys, ["margins", "--counts", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: background_ratio must be a number, got True\n"
+
     @pytest.mark.parametrize("ratio", ["-1", "nan", "inf"])
     def test_negative_ratio_rejected(self, capsys, counts_file, ratio):
         code, out, err = run_cli(

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,21 @@ counts = st.integers(min_value=1, max_value=10**6)
 
 def stats(n_plus, n_minus):
     return ClassStats(n_plus=n_plus, n_minus=n_minus, alpha=n_minus / n_plus)
+
+
+def reference_grid_gamma(s, step):
+    """The per-point loop: the first strict minimum over k * step, k = 1, 2, ...
+    while k * step < 1."""
+    best_gamma, best_value = None, math.inf
+    k = 1
+    while (gamma := k * step) < 1.0:
+        value = (1.0 / gamma) / math.sqrt(s.n_plus) + (1.0 / (1.0 - gamma)) / math.sqrt(
+            s.n_minus
+        )
+        if value < best_value:
+            best_gamma, best_value = gamma, value
+        k += 1
+    return best_gamma
 
 
 class TestOptimalMargins:
@@ -91,10 +107,23 @@ class TestObjective:
         chord = 0.5 * (margin_objective(a, s) + margin_objective(b, s))
         assert margin_objective(mid, s) <= chord + 1e-12
 
-    @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.1, 1.5])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.1, 1.5, 0, math.nan])
     def test_gamma_outside_open_interval_rejected(self, gamma):
-        with pytest.raises(ValidationError, match="gamma_plus"):
+        with pytest.raises(ValidationError) as scalar:
             margin_objective(gamma, stats(4, 9))
+        assert str(scalar.value) == f"gamma_plus must lie strictly inside (0,1), got {gamma}"
+        # an array names its first bad element, as a float
+        with pytest.raises(ValidationError) as array:
+            margin_objective([0.5, gamma, 2.0], stats(4, 9))
+        assert str(array.value) == f"gamma_plus must lie strictly inside (0,1), got {float(gamma)}"
+
+    def test_array_of_gamma_is_the_per_point_objective(self):
+        s = stats(37, 2911)
+        gammas = np.array([1e-9, 0.05, 0.3, 0.5, 0.77, 1.0 - 1e-12])
+        values = margin_objective(gammas, s)
+        assert values.dtype == np.float64
+        assert values.tolist() == [margin_objective(float(g), s) for g in gammas]
+        assert type(margin_objective(0.3, s)) is float
 
 
 class TestGridOracle:
@@ -117,7 +146,24 @@ class TestGridOracle:
             oracle.gamma_plus, s
         )
 
-    @pytest.mark.parametrize("step", [0.0, -1e-3, 0.011, 1.0])
+    @pytest.mark.parametrize("step", [1e-2, 7e-3, 1e-3, 3e-4, 1.0 / 3000.0, 1e-4])
+    def test_same_gamma_as_the_per_point_loop(self, step):
+        rng = np.random.default_rng(1234)
+        for _ in range(25):
+            n_plus, n_minus = (int(x) for x in np.exp(rng.uniform(0.0, math.log(1e12), size=2)))
+            s = stats(n_plus, n_minus)
+            assert margins_grid_oracle(s, step).gamma_plus == reference_grid_gamma(s, step)
+
+    def test_a_tie_goes_to_the_first_grid_point(self):
+        # equal counts make the objective symmetric about 1/2, and on the grid
+        # of step 1/101 the points 50/101 and 51/101 round to the same value
+        s, step = stats(9, 9), 1.0 / 101.0
+        first, second = 50 * step, 51 * step
+        assert margin_objective(first, s) == margin_objective(second, s)
+        assert margins_grid_oracle(s, step).gamma_plus == first == reference_grid_gamma(s, step)
+
+    # below 1e-6 the grid would pass 10^6 points; 5e-324 makes 1/step inf
+    @pytest.mark.parametrize("step", [0.0, -1e-3, 0.011, 1.0, math.nan, 9.99e-7, 1e-20, 5e-324])
     def test_bad_step_rejected(self, step):
         with pytest.raises(ValidationError, match="step"):
             margins_grid_oracle(stats(4, 9), step)

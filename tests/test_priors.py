@@ -204,6 +204,15 @@ class TestLoadCounts:
         path.write_text("id,name,instance_count\n1,cat,16\n")
         assert load_counts(str(path)).get(1).name == "cat"
 
+    @pytest.mark.parametrize("ratio", [True, False, "1.0"])
+    def test_json_background_ratio_that_is_not_a_number_rejected(self, tmp_path, ratio):
+        path = tmp_path / "counts.json"
+        cats = [{"id": 1, "name": "cat", "instance_count": 3}]
+        path.write_text(json.dumps({"categories": cats, "background_ratio": ratio}))
+        with pytest.raises(InputFormatError) as info:
+            load_counts(str(path))
+        assert str(info.value) == f"{path}: background_ratio must be a number, got {ratio!r}"
+
     def test_json_missing_field_names_entry(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"categories": [{"id": 1, "name": "cat"}]}))
