@@ -9,7 +9,8 @@ contains no timestamps, so identical invocations produce identical bytes.
 On Linux with more than one usable CPU, a long ``metrics --pr-curve`` curve is
 formatted in two halves, the second by a forked worker, and written in order;
 ``verify --suite all`` runs the bounds suite here and the other four suites in
-a forked worker.  The bytes are identical either way.
+a forked worker; and ``train`` with a linear head trains its second block of
+classes in a forked worker.  The bytes are identical either way.
 
 ``metrics`` parses a plain scores file, and writes the PR curve, in fixed-size
 chunks with the same bytes as in one piece.  Its memory grows with the file's
@@ -30,11 +31,10 @@ import json
 import math
 import os
 import sys
-import threading
 
 import numpy as np
 
-from . import __version__, verify
+from . import __version__, _fork, verify
 from .bounds import SLOPE_MODES, envelope
 from .errors import EcmError, ValidationError
 from .margins import optimal_margins, weights
@@ -284,85 +284,19 @@ def _curve_bytes(curve, lo: int, hi: int) -> bytearray:
     return data
 
 
-def _usable_cpus() -> int:
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    return 1 if getaffinity is None else len(getaffinity(0))
-
-
-def _can_fork() -> bool:
-    """Whether a forked child can take a share of the work: a fork is
-    available, safe (no other thread is alive) and has a second CPU to run on."""
-    return hasattr(os, "fork") and threading.active_count() == 1 and _usable_cpus() >= 2
-
-
-def _fork(produce) -> tuple[int, io.BufferedReader] | None:
-    """Fork a child that sends its pid, a newline and the bytes produce()
-    returns through a pipe: (pid, the pipe's read end), or None when no child
-    could be started.  Hand the result to _collect."""
-    read_fd, write_fd = os.pipe()
-    parent = os.getpid()
-    try:
-        pid = os.fork()
-    except BaseException as error:
-        if os.getpid() != parent:  # an interrupt reached the child before pid was bound
-            pid = 0
-        else:
-            # The child may exist already: Python 3.12 raises its fork warning,
-            # when made an error, after forking, and an interrupt can land
-            # before pid is bound.  Its pid comes first on the pipe; reap it.
-            os.close(write_fd)
-            with open(read_fd, "rb") as pipe:
-                header = pipe.readline()
-            if header:
-                os.waitpid(int(header), 0)
-            if isinstance(error, OSError):
-                return None
-            raise
-    if pid == 0:
-        # the child leaves only through os._exit, so no inherited buffer is flushed twice
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(b"%d\n" % os.getpid())
-                pipe.write(produce())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _collect(child) -> bytes | None:
-    """The bytes a child from _fork sent, or None when there was no child or
-    it failed.  The pipe is closed and the child reaped on every path."""
-    if child is None:
-        return None
-    pid, pipe = child
-    data = io.BytesIO()  # filled block by block: one read of it all holds it twice
-    try:
-        pipe.readline()  # the child's pid
-        while block := pipe.read(1 << 16):
-            data.write(block)
-    finally:
-        pipe.close()
-        _, status = os.waitpid(pid, 0)
-    return data.getvalue() if os.waitstatus_to_exitcode(status) == 0 else None
-
-
 def _write_pr_curve(fh, head: str, curve) -> None:
     """head, then the curve's rows, to the open text file fh, one chunk of
     rows at a time.  A long curve's second half is formatted by a forked child
     while this process formats the first, and its bytes go to fh's binary
     layer; a half whose child failed or never started is formatted here too."""
     rows = curve.thresholds.size
-    cut = rows // 2 if rows >= _SPLIT_MIN_ROWS and _can_fork() else rows
-    child = _fork(lambda: _curve_bytes(curve, cut, rows)) if cut < rows else None
+    cut = rows // 2 if rows >= _SPLIT_MIN_ROWS and _fork.can_fork() else rows
+    child = _fork.fork(lambda: _curve_bytes(curve, cut, rows)) if cut < rows else None
     try:
         fh.write(head)
         fh.writelines(_curve_chunks(curve, 0, cut))
     finally:
-        data = _collect(child)
+        data = _fork.collect(child)
     if data is None:
         fh.writelines(_curve_chunks(curve, cut, rows))
     else:
@@ -382,12 +316,12 @@ def _cmd_verify(args) -> int:
     # child that sends their reports back as JSON, which keeps every float
     here, there = names[:1], names[1:]
     with _open_output(args.out) as out:
-        forks = there and _can_fork()
-        child = _fork(lambda: json.dumps(run_suites(there)).encode()) if forks else None
+        forks = there and _fork.can_fork()
+        child = _fork.fork(lambda: json.dumps(run_suites(there)).encode()) if forks else None
         try:
             reports = run_suites(here)
         finally:
-            data = _collect(child)
+            data = _fork.collect(child)
         reports += run_suites(there) if data is None else json.loads(data)
         report = verify.report(args.suite, args.trials, args.seed, reports)
         _emit_report({"config": config, **report}, out)

@@ -11,6 +11,7 @@ and audits the measured AP against the closed-form bounds.
 
 from __future__ import annotations
 
+import copy
 import functools
 import logging
 import math
@@ -18,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _fork
 from .bounds import audit, slope_m, SLOPE_MODES
 from .ecm_loss import _ecm_value_grad, _focal_value_grad, log_weight_ratio
 from .errors import NumericalError, ResourceLimitError, ValidationError
@@ -123,6 +125,12 @@ class TrainConfig:
             )
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+
+    def checkpoint_epochs(self) -> tuple[int, ...]:
+        """The epochs after 0 whose parameters a model keeps: every
+        checkpoint_every-th and the last."""
+        epochs = range(1, self.epochs + 1)
+        return tuple(e for e in epochs if e % self.checkpoint_every == 0 or e == self.epochs)
 
     def check_array_sizes(self, config: SyntheticConfig) -> None:
         """The MLP's arrays on ``config``'s data past the SyntheticConfig ones:
@@ -347,6 +355,68 @@ def _split_indices(dataset: Dataset, tcfg: TrainConfig) -> tuple[np.ndarray, np.
     return train_idx, eval_idx
 
 
+def _train_block(dataset, tcfg, train_idx, rng, params, delta, m, lo, hi):
+    """Train the heads of classes lo..hi-1 from the initial ``params`` for
+    every epoch.  ``delta`` and ``m`` hold every class's logit shift and
+    slope; each epoch's order comes from a copy of ``rng``, so every block
+    sees the same orders.
+
+    Returns the parameters at each checkpoint after epoch 0, each epoch's sum
+    over its batches of the block's loss sum divided by the class count, and
+    the first epoch whose loss is not finite (0 when none is), where it stops.
+    """
+    if tcfg.loss == "focal_ecm":
+        kernel = functools.partial(_focal_value_grad, focal_gamma=2.0, focal_alpha=0.25)
+    else:
+        kernel = _ecm_value_grad
+    temperature = _TEMPERATURE if tcfg.temperature_head else None
+    num_classes = dataset.num_classes
+    rng = copy.deepcopy(rng)
+    params = _copy_params(dict(params, w=params["w"][:, lo:hi]))
+    classes, delta, m = np.arange(lo, hi), delta[lo:hi], m[lo:hi]
+    saved = tcfg.checkpoint_epochs()
+    checkpoints = []
+    loss_sums = np.zeros(tcfg.epochs)
+    for epoch in range(1, tcfg.epochs + 1):
+        # each epoch's rows and labels gathered once; every batch is a slice of them
+        rows = train_idx[rng.permutation(train_idx.size)]
+        x_epoch = dataset.features.take(rows, axis=0)
+        pos_epoch = dataset.labels.take(rows)[:, None] == classes
+        loss_sum = 0.0
+        for start in range(0, rows.size, tcfg.batch_size):
+            x = x_epoch[start : start + tcfg.batch_size]
+            is_pos = pos_epoch[start : start + tcfg.batch_size]
+            logits, cache = _forward(tcfg.model, params, temperature, x)
+            values, grad_f = kernel(2.0 * logits - delta, is_pos, m)
+            values_sum = float(values.sum())
+            if not math.isfinite(values_sum):
+                return checkpoints, loss_sums, epoch
+            loss_sum += values_sum / num_classes
+            denom = x.shape[0] * num_classes
+            grads = _backward(tcfg.model, params, temperature, x, cache, grad_f / denom)
+            for key, grad in grads.items():
+                params[key] -= tcfg.learning_rate * grad
+        loss_sums[epoch - 1] = loss_sum
+        if epoch in saved:
+            checkpoints.append(_copy_params(params))
+    return checkpoints, loss_sums, 0
+
+
+def _block_bytes(block) -> bytes:
+    """A linear block's result as raw float64: its non-finite epoch, its loss
+    sums, then the head weights of each checkpoint."""
+    checkpoints, loss_sums, bad_epoch = block
+    flat = [np.array([bad_epoch]), loss_sums, *(p["w"].ravel() for p in checkpoints)]
+    return np.concatenate(flat).tobytes()
+
+
+def _block_from_bytes(data: bytes, epochs: int, w_shape: tuple[int, int]):
+    """The block result that _block_bytes wrote, for head weights of w_shape."""
+    flat = np.frombuffer(data)
+    weights = flat[1 + epochs :].reshape(-1, *w_shape)
+    return [{"w": w} for w in weights], flat[1 : 1 + epochs], int(flat[0])
+
+
 def train(
     dataset: Dataset, tcfg: TrainConfig, margins: dict[int, MarginWeights]
 ) -> Model:
@@ -356,6 +426,14 @@ def train(
     and heads; heads start at zero so the epoch-0 checkpoint scores every
     sample 0.5.  Deterministic for a fixed config: one shuffling stream,
     fixed batch order, fixed summation order.
+
+    A linear head's class columns never exchange a number in training, so
+    its classes train in two fixed blocks, the first ceil(K/2) and the rest,
+    each through every epoch; on Linux with a second usable CPU a forked
+    worker trains the second.  An epoch's loss is the sum of the blocks'
+    sums over the training samples.  The MLP's classes share w1, so they
+    train as one block.  The blocks depend only on the config, so the result
+    is the same on any CPU count.
     """
     tcfg.check_array_sizes(dataset.config)
     num_classes = dataset.num_classes
@@ -365,15 +443,11 @@ def train(
 
     if tcfg.loss == "bce":
         # ecm with no logit shift and unit slope: x - 0.0 and 1.0 * y are x and y bitwise
-        delta, m = 0.0, 1.0
+        delta, m = np.zeros(num_classes), np.ones(num_classes)
     else:
         stats = dataset_stats(dataset)
         delta = np.array([log_weight_ratio(margins[c]) for c in range(num_classes)])
         m = slope_m([stats[c].alpha for c in range(num_classes)], tcfg.m_mode)
-    if tcfg.loss == "focal_ecm":
-        kernel = functools.partial(_focal_value_grad, focal_gamma=2.0, focal_alpha=0.25)
-    else:
-        kernel = _ecm_value_grad
 
     temperature = _TEMPERATURE if tcfg.temperature_head else None
     rng = np.random.default_rng(tcfg.seed)
@@ -381,38 +455,42 @@ def train(
         tcfg.model, tcfg.hidden, num_classes, dataset.config.feature_dim, temperature, rng
     )
     train_idx, eval_idx = _split_indices(dataset, tcfg)
-    x_all = dataset.features[train_idx]
-    y_all = dataset.labels[train_idx]
-    class_ids = np.arange(num_classes)
 
-    checkpoints = [(0, _copy_params(params))]
-    loss_curve = []
-    for epoch in range(1, tcfg.epochs + 1):
-        order = rng.permutation(train_idx.size)
-        loss_sum = 0.0
-        for start in range(0, order.size, tcfg.batch_size):
-            batch = order[start : start + tcfg.batch_size]
-            x = x_all[batch]
-            is_pos = y_all[batch, None] == class_ids[None, :]
-            logits, cache = _forward(tcfg.model, params, temperature, x)
-            values, grad_f = kernel(2.0 * logits - delta, is_pos, m)
-            denom = batch.size * num_classes
-            values_sum = float(values.sum())
-            if not math.isfinite(values_sum):
-                raise NumericalError(f"non-finite training loss at epoch {epoch}")
-            loss_sum += values_sum / num_classes
-            grads = _backward(tcfg.model, params, temperature, x, cache, grad_f / denom)
-            for key, grad in grads.items():
-                params[key] -= tcfg.learning_rate * grad
-        loss_curve.append((epoch, loss_sum / order.size))
-        if epoch % tcfg.checkpoint_every == 0 or epoch == tcfg.epochs:
-            checkpoints.append((epoch, _copy_params(params)))
+    run_block = functools.partial(_train_block, dataset, tcfg, train_idx, rng, params, delta, m)
+    if tcfg.model == "mlp":
+        results = [run_block(0, num_classes)]
+    else:
+        half = -(-num_classes // 2)
+        child = None
+        if _fork.can_fork():
+            child = _fork.fork(lambda: _block_bytes(run_block(half, num_classes)))
+        try:
+            first = run_block(0, half)
+        finally:
+            data = _fork.collect(child)
+        if data is None:
+            second = run_block(half, num_classes)
+        else:
+            w_shape = (params["w"].shape[0], num_classes - half)
+            second = _block_from_bytes(data, tcfg.epochs, w_shape)
+        results = [first, second]
+
+    bad_epochs = [bad for _, _, bad in results if bad]
+    if bad_epochs:
+        raise NumericalError(f"non-finite training loss at epoch {min(bad_epochs)}")
+    losses = sum(loss_sums for _, loss_sums, _ in results) / train_idx.size
+    checkpoints = [(0, params)]
+    for i, epoch in enumerate(tcfg.checkpoint_epochs()):
+        parts = [block[0][i] for block in results]
+        checkpoints.append(
+            (epoch, {key: np.concatenate([p[key] for p in parts], axis=-1) for key in parts[0]})
+        )
 
     return Model(
         kind=tcfg.model,
-        params=params,
+        params=_copy_params(checkpoints[-1][1]),
         temperature=temperature,
-        loss_curve=tuple(loss_curve),
+        loss_curve=tuple(enumerate(losses.tolist(), start=1)),
         checkpoints=tuple(checkpoints),
         train_indices=train_idx,
         eval_indices=eval_idx,

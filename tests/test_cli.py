@@ -12,12 +12,15 @@ import numpy as np
 import pytest
 
 from ecmargin import (
+    NumericalError,
     PrecisionRecallCurve,
     ScoreSet,
     __version__,
+    _fork,
     cli,
     load_scores,
     pr_curve,
+    sandbox,
     slope_m,
     verify,
 )
@@ -100,7 +103,9 @@ TRAIN_CONFIG = {
     "checkpoint_every": 2,
 }
 
-# train stdout for GOLDEN_TRAIN_CONFIG plus "loss", run from the config's directory
+# train stdout for GOLDEN_TRAIN_CONFIG plus "loss", run from the config's directory;
+# focal_ecm's first loss_curve value moved by 1 ulp when a linear head's
+# classes began to train in two blocks, whose loss sums add per epoch
 GOLDEN_TRAIN_CONFIG = {
     "num_classes": 2,
     "total_samples": 200,
@@ -289,7 +294,7 @@ GOLDEN_TRAIN_REPORTS = {
   "loss_curve": [
     [
       1,
-      0.07149651930802683
+      0.07149651930802685
     ],
     [
       2,
@@ -886,7 +891,7 @@ class TestSplitCurveWriter:
 
     def run_metrics(self, capsys, monkeypatch, tmp_path, rows, cpus):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
         scores = tmp_path / "scores.csv"
         if not scores.exists():
             scores.write_text(split_curve_scores(rows))
@@ -948,7 +953,7 @@ class TestSplitCurveWriter:
         """With no fork, the writer holds one chunk of rows as strings, so a
         curve four times as long peaks no higher."""
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
         monkeypatch.setattr(cli, "load_scores", lambda path: ScoreSet([0.9], [0.1]))
         (tmp_path / "scores.csv").write_text("score,label\n0.9,1\n0.1,0\n")
         argv = ["metrics", "--scores", "scores.csv", "--alpha", "3", "--pr-curve", "pr.csv"]
@@ -983,8 +988,9 @@ class TestSplitCurveWriter:
 
 class SplitCommand:
     """A command that shares its work with one forked child, run from
-    tmp_path: metrics --pr-curve on a curve long enough to split, or verify
-    --suite all.  Both processes call work, (module, name), for their share."""
+    tmp_path: metrics --pr-curve on a curve long enough to split, verify
+    --suite all, or train with a linear head.  Both processes call work,
+    (module, name), for their share."""
 
     def __init__(self, name, capsys, monkeypatch, tmp_path):
         self.capsys, self.monkeypatch, self.tmp_path = capsys, monkeypatch, tmp_path
@@ -995,6 +1001,11 @@ class SplitCommand:
             self.argv = ["metrics", "--scores", "scores.csv", "--alpha", "3"]
             self.argv += ["--pr-curve", "pr.csv"]
             self.work = (cli, "_curve_rows")
+        elif name == "train":
+            (tmp_path / "train.json").write_text(json.dumps(TRAIN_CONFIG))
+            self.output = "report.json"
+            self.argv = ["train", "--config", "train.json", "--out", "report.json"]
+            self.work = (sandbox, "_train_block")
         else:
             self.output = "report.json"
             self.argv = VERIFY_ALL_ARGV + ["--out", "report.json"]
@@ -1002,7 +1013,7 @@ class SplitCommand:
 
     def run(self, cpus):
         """((exit, stdout, stderr), the output file's bytes) on cpus usable CPUs."""
-        self.monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        self.monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
         result = run_cli(self.capsys, self.argv)
         assert_no_children()
         return result, (self.tmp_path / self.output).read_bytes()
@@ -1024,7 +1035,7 @@ class SplitCommand:
         self.monkeypatch.setattr(module, name, failing)
 
 
-@pytest.fixture(params=["metrics", "verify"])
+@pytest.fixture(params=["metrics", "verify", "train"])
 def split_command(request, capsys, monkeypatch, tmp_path):
     return SplitCommand(request.param, capsys, monkeypatch, tmp_path)
 
@@ -1125,7 +1136,7 @@ class TestForkedShare:
     ):
         """Nothing is printed, so a bad --out is not found only after the report."""
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
         (tmp_path / "scores.csv").write_text(split_curve_scores(SPLIT))
         (tmp_path / "train.json").write_text(json.dumps(TRAIN_CONFIG))
         assert_input_error(*run_cli(capsys, argv), message)
@@ -1243,7 +1254,7 @@ class TestVerifyCommand:
         assert doc["suites"][0]["suite"] == "margins"
 
     def test_bounds_suite_bytes_are_golden(self, capsys, monkeypatch, forks):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 8)
         argv = ["verify", "--suite", "bounds", "--trials", "50", "--seed", "3"]
         code, out, err = run_cli(capsys, argv)
         assert (code, err) == (0, "")
@@ -1252,7 +1263,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_all_bytes_are_golden_on_any_cpu_count(self, capsys, monkeypatch, forks, cpus):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
         code, out, err = run_cli(capsys, VERIFY_ALL_ARGV)
         assert (code, err) == (0, "")
         assert out == GOLDEN_BOUNDS["verify_all"]
@@ -1270,7 +1281,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "_check", failing_edge_cases)
         runs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
             del forks[:]
             runs.append(run_cli(capsys, VERIFY_ALL_ARGV))
             assert len(forks) == cpus - 1
@@ -1369,6 +1380,57 @@ class TestTrainCommand:
         code, out, err = run_cli(capsys, ["train", "--config", "train.json"])
         assert (code, err) == (0, "")
         assert out == GOLDEN_TRAIN_REPORTS[loss]
+
+    @pytest.mark.parametrize(
+        "extra, forked",
+        [({}, True), ({"temperature_head": True}, True), ({"model": "mlp", "hidden": 8}, False)],
+        ids=["linear", "cosine-head", "mlp"],
+    )
+    def test_report_bytes_are_the_same_on_any_cpu_count(
+        self, capsys, monkeypatch, tmp_path, forks, extra, forked
+    ):
+        """A linear head's second class block trains in a forked worker when
+        a second CPU is usable; the MLP's classes share w1 and never split."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "train.json").write_text(json.dumps(dict(TRAIN_CONFIG, **extra)))
+        outputs = set()
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+            del forks[:]
+            code, out, err = run_cli(capsys, ["train", "--config", "train.json"])
+            assert (code, err) == (0, "")
+            assert len(forks) == (1 if forked and cpus >= 2 else 0)
+            assert_no_children()
+            outputs.add(out)
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_non_finite_loss_names_the_first_epoch_of_either_block(
+        self, monkeypatch, forks, cpus
+    ):
+        """Class 2, all of block 1, goes non-finite at epoch 2 and class 1, in
+        block 0, at epoch 3; each epoch is one batch.  The serial run trains
+        block 0 first, so it meets epoch 3 before epoch 2."""
+        config = {k: v for k, v in TRAIN_CONFIG.items() if k in ("num_classes", "total_samples")}
+        dataset = sandbox.generate(sandbox.SyntheticConfig(feature_dim=4, **config))
+        real_kernel = sandbox._ecm_value_grad
+        calls = {}
+
+        def kernel(z, positive, m):
+            width = z.shape[1]  # 2 in block 0, 1 in block 1
+            calls[width] = epoch = calls.get(width, 0) + 1
+            values, grad = real_kernel(z, positive, m)
+            if (width, epoch) in ((1, 2), (2, 3)):
+                values[0, -1] = np.inf
+            return values, grad
+
+        monkeypatch.setattr(sandbox, "_ecm_value_grad", kernel)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        tcfg = sandbox.TrainConfig(epochs=4, batch_size=dataset.labels.size)
+        with pytest.raises(NumericalError, match="^non-finite training loss at epoch 2$"):
+            sandbox.train(dataset, tcfg, sandbox.default_margin_weights(dataset))
+        assert len(forks) == cpus - 1
+        assert_no_children()
 
     @pytest.mark.parametrize(
         "key,value,message",

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,14 +18,18 @@ from ecmargin import (
     default_margin_weights,
     evaluate,
     generate,
+    log_weight_ratio,
     measured_background_ratio,
     optimal_margins,
     rare_tercile,
     run_experiment,
+    slope_m,
     train,
     weights,
     zipf_class_counts,
 )
+from ecmargin import _fork, sandbox
+from ecmargin.ecm_loss import _ecm_value_grad, _focal_value_grad
 from ecmargin.sandbox import MAX_ARRAY_ELEMENTS, class_score_set
 
 SMALL = SyntheticConfig(
@@ -55,6 +61,52 @@ def unit_alphas(dataset):
 
 def dataset_alphas(dataset):
     return {c: s.alpha for c, s in dataset_stats(dataset).items()}
+
+
+def reference_train(dataset, tcfg, margins):
+    """(loss_curve, checkpoints) of the trainer as one loop over every class,
+    each batch gathered from the training rows by its indices: the loop that
+    trained before the classes trained in blocks."""
+    num_classes = dataset.num_classes
+    if tcfg.loss == "bce":
+        delta, m = 0.0, 1.0
+    else:
+        stats = dataset_stats(dataset)
+        delta = np.array([log_weight_ratio(margins[c]) for c in range(num_classes)])
+        m = slope_m([stats[c].alpha for c in range(num_classes)], tcfg.m_mode)
+    if tcfg.loss == "focal_ecm":
+        kernel = functools.partial(_focal_value_grad, focal_gamma=2.0, focal_alpha=0.25)
+    else:
+        kernel = _ecm_value_grad
+    temperature = sandbox._TEMPERATURE if tcfg.temperature_head else None
+    rng = np.random.default_rng(tcfg.seed)
+    params = sandbox._init_params(
+        tcfg.model, tcfg.hidden, num_classes, dataset.config.feature_dim, temperature, rng
+    )
+    train_idx, _ = sandbox._split_indices(dataset, tcfg)
+    x_all = dataset.features[train_idx]
+    y_all = dataset.labels[train_idx]
+    class_ids = np.arange(num_classes)
+    checkpoints = [(0, {k: v.copy() for k, v in params.items()})]
+    loss_curve = []
+    for epoch in range(1, tcfg.epochs + 1):
+        order = rng.permutation(train_idx.size)
+        loss_sum = 0.0
+        for start in range(0, order.size, tcfg.batch_size):
+            batch = order[start : start + tcfg.batch_size]
+            x = x_all[batch]
+            is_pos = y_all[batch, None] == class_ids[None, :]
+            logits, cache = sandbox._forward(tcfg.model, params, temperature, x)
+            values, grad_f = kernel(2.0 * logits - delta, is_pos, m)
+            loss_sum += float(values.sum()) / num_classes
+            g = grad_f / (batch.size * num_classes)
+            grads = sandbox._backward(tcfg.model, params, temperature, x, cache, g)
+            for key, grad in grads.items():
+                params[key] -= tcfg.learning_rate * grad
+        loss_curve.append((epoch, loss_sum / order.size))
+        if epoch % tcfg.checkpoint_every == 0 or epoch == tcfg.epochs:
+            checkpoints.append((epoch, {k: v.copy() for k, v in params.items()}))
+    return tuple(loss_curve), tuple(checkpoints)
 
 
 class TestZipfCounts:
@@ -302,6 +354,84 @@ class TestTraining:
             train(small_dataset, TrainConfig(model="mlp", hidden=10**30), margins)
         with pytest.raises(ResourceLimitError, match="w1"):
             run_experiment(SMALL, TrainConfig(model="mlp", hidden=10**30))
+
+
+class TestClassBlocks:
+    """A linear head trains its classes in two blocks, the second in a forked
+    worker when a second CPU is usable; the MLP trains as one block."""
+
+    CONFIGS = [
+        {"loss": loss, "temperature_head": head}
+        for loss in ("ecm", "bce", "focal_ecm")
+        for head in (False, True)
+    ]
+
+    @pytest.mark.parametrize("kwargs", CONFIGS)
+    def test_the_mlp_matches_the_one_loop_trainer_bit_for_bit(self, small_dataset, kwargs):
+        tcfg = TrainConfig(model="mlp", hidden=8, epochs=4, batch_size=64, seed=3, **kwargs)
+        margins = default_margin_weights(small_dataset)
+        model = train(small_dataset, tcfg, margins)
+        loss_curve, checkpoints = reference_train(small_dataset, tcfg, margins)
+        assert model.loss_curve == loss_curve
+        assert [e for e, _ in model.checkpoints] == [e for e, _ in checkpoints]
+        for (_, got), (_, want) in zip(model.checkpoints, checkpoints):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k], want[k]) for k in want)
+        assert all(np.array_equal(model.params[k], checkpoints[-1][1][k]) for k in model.params)
+
+    @pytest.mark.parametrize("kwargs", CONFIGS)
+    def test_linear_blocks_match_the_one_loop_trainer_to_the_last_digits(
+        self, small_dataset, kwargs
+    ):
+        """Only the split of each batch's loss sum over the blocks, and the
+        BLAS kernels for the narrower weight blocks, move the last bits."""
+        tcfg = TrainConfig(epochs=4, batch_size=64, seed=3, **kwargs)
+        margins = default_margin_weights(small_dataset)
+        model = train(small_dataset, tcfg, margins)
+        loss_curve, checkpoints = reference_train(small_dataset, tcfg, margins)
+        assert [e for e, _ in model.loss_curve] == [e for e, _ in loss_curve]
+        for (_, got), (_, want) in zip(model.loss_curve, loss_curve):
+            assert abs(got - want) <= 4 * np.spacing(want)
+        assert [e for e, _ in model.checkpoints] == [e for e, _ in checkpoints]
+        for (_, got), (_, want) in zip(model.checkpoints, checkpoints):
+            np.testing.assert_allclose(got["w"], want["w"], rtol=1e-10, atol=1e-15)
+
+    @pytest.mark.parametrize("head", [False, True])
+    def test_a_linear_head_trains_the_same_on_any_cpu_count(
+        self, small_dataset, monkeypatch, head
+    ):
+        margins = default_margin_weights(small_dataset)
+        tcfg = TrainConfig(loss="focal_ecm", epochs=5, checkpoint_every=2, temperature_head=head)
+        real_fork = os.fork
+        forks = []
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        real_block = sandbox._train_block
+        blocks = []  # the blocks this process trains; a forked worker's are not seen
+
+        def recording_block(*args):
+            blocks.append(args[-2:])
+            return real_block(*args)
+
+        monkeypatch.setattr(sandbox, "_train_block", recording_block)
+        models = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+            models.append(train(small_dataset, tcfg, margins))
+        assert len(forks) == 1
+        assert blocks == [(0, 2), (2, 3), (0, 2)]  # ceil(3 / 2) classes, then the rest
+        with pytest.raises(ChildProcessError):  # the worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        serial, forked = models
+        assert forked.loss_curve == serial.loss_curve
+        assert [e for e, _ in forked.checkpoints] == [0, 2, 4, 5]
+        for (e, got), (f, want) in zip(forked.checkpoints, serial.checkpoints):
+            assert e == f and np.array_equal(got["w"], want["w"])
+        assert np.array_equal(forked.params["w"], serial.params["w"])
 
 
 class TestEvaluation:
