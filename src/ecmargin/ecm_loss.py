@@ -24,6 +24,12 @@ Maechler (2012, "Accurately computing log(1 - exp(-|a|))"):
 e never overflows and 1 + e lies in [1, 2], so nothing cancels: the sigmoid
 is within 2 ulp and the softplus within 1 ulp of the exact value.  The only
 other exp is the focal modulation sigmoid(t)^g = exp(-g softplus(-t)).
+
+Each kernel is one sequence of steps, run in one of two forms.  Given a
+workspace (``_workspace``), every step writes into z or a workspace array
+with ``out=``, so a call allocates no array: the sandbox trainer's batch step.
+Without one, scalars take the same steps as numpy scalars and arrays get a
+fresh workspace.  Either form gives the same bits as the expressions above.
 """
 
 from __future__ import annotations
@@ -53,11 +59,53 @@ class LossEval:
 
 
 def _log1pexp(t):
-    """softplus(t) and sigmoid(t) from one exp, with e = exp(-|t|) and
-    log1p(e) for kernels that also need softplus(-t) and sigmoid(-t)."""
+    """softplus(t) and sigmoid(t) from one e = exp(-|t|)."""
     e = np.exp(-np.abs(t))
-    log1p_e = np.log1p(e)
-    return np.maximum(t, 0.0) + log1p_e, np.where(t >= 0, 1.0, e) / (1.0 + e), e, log1p_e
+    return np.maximum(t, 0.0) + np.log1p(e), np.where(t >= 0, 1.0, e) / (1.0 + e)
+
+
+def _workspace(shape):
+    """The kernels' scratch arrays for arguments of ``shape``: five float and
+    two bool arrays."""
+    return (
+        *(np.empty(shape) for _ in range(5)),
+        *(np.empty(shape, dtype=bool) for _ in range(2)),
+    )
+
+
+_NEW_SCALARS = ({},) * 8
+
+
+def _outs(z, positive, m, work):
+    """z as the array t overwrites, and one ``out=`` keyword set for z and
+    for each workspace array.  Without ``work``, array arguments get a copy of
+    z and a fresh workspace of the broadcast shape; scalar arguments get no
+    ``out=``, so every step makes a new scalar."""
+    if work is None:
+        if not any(isinstance(a, np.ndarray) for a in (z, positive, m)):
+            return z, _NEW_SCALARS
+        shape = np.broadcast_shapes(np.shape(z), np.shape(positive), np.shape(m))
+        z, work = np.array(np.broadcast_to(z, shape), dtype=float), _workspace(shape)
+    return z, [{"out": a} for a in (z, *work)]
+
+
+def _masked(mask, x, ufunc, *args, **out):
+    """x with ufunc(*args) where mask holds: written into ``out``, which is x,
+    or for a scalar the one value it picks.  A masked ufunc pays per run of
+    equal mask values, so this is for the sparse label masks."""
+    if out:
+        return ufunc(*args, where=mask, **out)
+    return ufunc(*args) if mask else x
+
+
+def _put(mask, x, value):
+    """x with the constant value where mask holds: in place for an array (a
+    copy by mask, fast for dense masks too), or for a scalar the one value
+    it picks."""
+    if isinstance(x, np.ndarray):
+        np.putmask(x, mask, value)
+        return x
+    return value if mask else x
 
 
 def _check_label(label: str) -> bool:
@@ -107,30 +155,62 @@ def decision_logit(w: MarginWeights) -> float:
     return 0.5 * log_weight_ratio(w)
 
 
-def _ecm_value_grad(z, positive, m):
+def _ecm_value_grad(z, positive, m, work=None):
     """Vectorized ECM value/gradient at z = 2f - ln(w-/w+).
 
     ``positive`` is a boolean array (or scalar) marking positive labels;
     shapes broadcast.  Single source of truth for the scalar API and the
-    sandbox trainer.
+    sandbox trainer.  With ``work``, a ``_workspace`` of z's shape, no array
+    is allocated: z must be a float array of that shape and is overwritten
+    with t, and the value and gradient returned are two of the workspace
+    arrays.
     """
-    t = np.where(positive, -z, z)
-    sign = np.where(positive, -2.0, 2.0)
-    softplus_t, sigmoid_t, _, _ = _log1pexp(t)
-    return m * softplus_t, sign * m * sigmoid_t
+    z, (t_, e_, a_, v_, g_, _, ge_, _) = _outs(z, positive, m, work)
+    t = _masked(positive, z, np.negative, z, **t_)
+    e = np.exp(np.negative(np.abs(t, **e_), **e_), **e_)
+    value = np.maximum(t, 0.0, **v_)
+    value += np.log1p(e, **a_)
+    value *= m
+    denom = np.add(e, 1.0, **a_)
+    sigmoid = _put(np.greater_equal(t, 0.0, **ge_), e, 1.0)
+    sigmoid /= denom
+    # sign m sigmoid as +-(2m sigmoid): IEEE rounding is symmetric, so the
+    # label's sign comes last and moves no bit
+    grad = np.add(m, m, **g_)
+    grad *= sigmoid
+    return value, _masked(positive, grad, np.negative, grad, **g_)
 
 
-def _focal_value_grad(z, positive, m, focal_gamma, focal_alpha):
-    """Vectorized focal-ECM value/gradient at z = 2f - ln(w-/w+)."""
-    t = np.where(positive, -z, z)
-    sign = np.where(positive, -2.0, 2.0)
-    sp_t, sig_t, e, log1p_e = _log1pexp(t)  # -ln of the label's own probability, and 1 - p
-    sp_o = np.maximum(-t, 0.0) + log1p_e  # -ln of the other label's probability
-    sig_o = np.where(t >= 0, e, 1.0) / (1.0 + e)  # p
-    mod = np.where(positive, focal_alpha, 1.0 - focal_alpha) * np.exp(-focal_gamma * sp_o)
-    value = m * (mod * sp_t)
-    grad = sign * m * mod * (focal_gamma * sig_o * sp_t + sig_t)
-    return value, grad
+def _focal_value_grad(z, positive, m, focal_gamma, focal_alpha, work=None):
+    """Vectorized focal-ECM value/gradient at z = 2f - ln(w-/w+); ``work`` as
+    for ``_ecm_value_grad``."""
+    z, (t_, e_, a_, s_, o_, p_, ge_, lt_) = _outs(z, positive, m, work)
+    t = _masked(positive, z, np.negative, z, **t_)
+    e = np.exp(np.negative(np.abs(t, **e_), **e_), **e_)
+    log1p_e = np.log1p(e, **a_)
+    sp_t = np.maximum(t, 0.0, **s_)
+    sp_t += log1p_e  # -ln of the label's own probability
+    sp_o = np.maximum(np.negative(t, **o_), 0.0, **o_)
+    sp_o += log1p_e  # -ln of the other label's probability
+    denom = np.add(e, 1.0, **a_)
+    nonneg = np.greater_equal(t, 0.0, **ge_)
+    sig_t = _put(nonneg, np.positive(e, **p_), 1.0)
+    sig_t /= denom  # 1 - p
+    sig_o = _put(np.logical_not(nonneg, **lt_), e, 1.0)
+    sig_o /= denom  # p
+    sp_o *= -focal_gamma
+    powered = np.exp(sp_o, **o_)
+    mod = np.multiply(powered, 1.0 - focal_alpha, **a_)
+    mod = _masked(positive, mod, np.multiply, powered, focal_alpha, **a_)
+    value = np.multiply(mod, sp_t, **o_)
+    value *= m
+    sig_o *= focal_gamma
+    sig_o *= sp_t
+    sig_o += sig_t
+    grad = np.add(m, m, **s_)
+    grad *= mod
+    grad *= sig_o
+    return value, _masked(positive, grad, np.negative, grad, **s_)
 
 
 def ecm_loss(f: float, label: str, w: MarginWeights, m: float = 1.0) -> LossEval:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _fork
 from .bounds import audit, slope_m, SLOPE_MODES
-from .ecm_loss import _ecm_value_grad, _focal_value_grad, log_weight_ratio
+from .ecm_loss import _ecm_value_grad, _focal_value_grad, _workspace, log_weight_ratio
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .margins import MarginWeights, optimal_margins, weights
 from .metrics import ScoreSet
@@ -355,47 +355,88 @@ def _split_indices(dataset: Dataset, tcfg: TrainConfig) -> tuple[np.ndarray, np.
     return train_idx, eval_idx
 
 
+def _loss_kernel(loss):
+    """The kernel a loss trains with, looked up when a block starts."""
+    if loss == "focal_ecm":
+        return functools.partial(_focal_value_grad, focal_gamma=2.0, focal_alpha=0.25)
+    return _ecm_value_grad
+
+
+def _batch_buffers(rows, delta, m):
+    """The buffers of _batch_step for batches of up to ``rows`` rows of the
+    heads whose logit shifts and slopes are ``delta`` and ``m``: z, delta and
+    m tiled to ``rows`` rows, and the kernel's workspace."""
+    shape = (rows, delta.size)
+    return np.empty(shape), np.tile(delta, (rows, 1)), np.tile(m, (rows, 1)), _workspace(shape)
+
+
+def _first_rows(buffers, rows):
+    """The first ``rows`` rows of each of _batch_buffers' buffers."""
+    z, delta, m, work = buffers
+    return z[:rows], delta[:rows], m[:rows], tuple(a[:rows] for a in work)
+
+
+def _batch_step(kind, params, temperature, x, is_pos, kernel, buffers, num_classes):
+    """The batch's loss sum over its rows and the heads of ``params``, and the
+    gradients of the batch loss, that sum over rows x num_classes.
+
+    Every elementwise step writes into ``buffers`` (_first_rows of
+    _batch_buffers for the batch's rows), so on a linear head the forward and
+    backward matrix products are the only arrays it allocates."""
+    z, delta, m, work = buffers
+    logits, cache = _forward(kind, params, temperature, x)
+    np.multiply(logits, 2.0, out=z)
+    z -= delta
+    values, grad_f = kernel(z, is_pos, m, work=work)
+    grad_f /= x.shape[0] * num_classes
+    return float(values.sum()), _backward(kind, params, temperature, x, cache, grad_f)
+
+
 def _train_block(dataset, tcfg, train_idx, rng, params, delta, m, lo, hi):
     """Train the heads of classes lo..hi-1 from the initial ``params`` for
     every epoch.  ``delta`` and ``m`` hold every class's logit shift and
     slope; each epoch's order comes from a copy of ``rng``, so every block
     sees the same orders.
 
+    The block allocates its batch buffers once, with min(batch_size,
+    n_train) rows: a batch of r rows steps in their first r rows, with no
+    elementwise temporary, and the update is in place.
+
     Returns the parameters at each checkpoint after epoch 0, each epoch's sum
     over its batches of the block's loss sum divided by the class count, and
     the first epoch whose loss is not finite (0 when none is), where it stops.
     """
-    if tcfg.loss == "focal_ecm":
-        kernel = functools.partial(_focal_value_grad, focal_gamma=2.0, focal_alpha=0.25)
-    else:
-        kernel = _ecm_value_grad
+    kernel = _loss_kernel(tcfg.loss)
     temperature = _TEMPERATURE if tcfg.temperature_head else None
     num_classes = dataset.num_classes
     rng = copy.deepcopy(rng)
     params = _copy_params(dict(params, w=params["w"][:, lo:hi]))
-    classes, delta, m = np.arange(lo, hi), delta[lo:hi], m[lo:hi]
+    n, size = train_idx.size, tcfg.batch_size
+    full = _batch_buffers(min(size, n), delta[lo:hi], m[lo:hi])
+    # an epoch's batches have two sizes at most: a full one and the last
+    buffers = {r: _first_rows(full, r) for r in (min(size, n), n - (n - 1) // size * size)}
+    classes = np.arange(lo, hi)
     saved = tcfg.checkpoint_epochs()
     checkpoints = []
     loss_sums = np.zeros(tcfg.epochs)
     for epoch in range(1, tcfg.epochs + 1):
         # each epoch's rows and labels gathered once; every batch is a slice of them
-        rows = train_idx[rng.permutation(train_idx.size)]
+        rows = train_idx[rng.permutation(n)]
         x_epoch = dataset.features.take(rows, axis=0)
         pos_epoch = dataset.labels.take(rows)[:, None] == classes
         loss_sum = 0.0
-        for start in range(0, rows.size, tcfg.batch_size):
-            x = x_epoch[start : start + tcfg.batch_size]
-            is_pos = pos_epoch[start : start + tcfg.batch_size]
-            logits, cache = _forward(tcfg.model, params, temperature, x)
-            values, grad_f = kernel(2.0 * logits - delta, is_pos, m)
-            values_sum = float(values.sum())
+        for start in range(0, n, size):
+            x = x_epoch[start : start + size]
+            is_pos = pos_epoch[start : start + size]
+            values_sum, grads = _batch_step(
+                tcfg.model, params, temperature, x, is_pos, kernel, buffers[x.shape[0]], num_classes
+            )
             if not math.isfinite(values_sum):
                 return checkpoints, loss_sums, epoch
             loss_sum += values_sum / num_classes
-            denom = x.shape[0] * num_classes
-            grads = _backward(tcfg.model, params, temperature, x, cache, grad_f / denom)
             for key, grad in grads.items():
-                params[key] -= tcfg.learning_rate * grad
+                grad *= tcfg.learning_rate
+                params[key] -= grad
         loss_sums[epoch - 1] = loss_sum
         if epoch in saved:
             checkpoints.append(_copy_params(params))

@@ -1416,10 +1416,10 @@ class TestTrainCommand:
         real_kernel = sandbox._ecm_value_grad
         calls = {}
 
-        def kernel(z, positive, m):
+        def kernel(z, positive, m, work=None):
             width = z.shape[1]  # 2 in block 0, 1 in block 1
             calls[width] = epoch = calls.get(width, 0) + 1
-            values, grad = real_kernel(z, positive, m)
+            values, grad = real_kernel(z, positive, m, work=work)
             if (width, epoch) in ((1, 2), (2, 3)):
                 values[0, -1] = np.inf
             return values, grad

@@ -1,6 +1,7 @@
 import decimal
 import functools
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -26,7 +27,7 @@ from ecmargin import (
     surrogate_score,
     weights,
 )
-from ecmargin.ecm_loss import _ecm_value_grad, _focal_value_grad, _log1pexp
+from ecmargin.ecm_loss import _ecm_value_grad, _focal_value_grad, _log1pexp, _workspace
 
 BALANCED = MarginWeights(w_plus=2.0, w_minus=2.0)
 SKEWED = weights(optimal_margins(ClassStats(n_plus=16, n_minus=81, alpha=81 / 16)))
@@ -235,7 +236,7 @@ class TestKernelsAreAccurate:
 
     def test_softplus_and_sigmoid(self):
         t = np.concatenate([Z_GRID, -Z_GRID])
-        softplus, sigmoid, _, _ = _log1pexp(t)
+        softplus, sigmoid = _log1pexp(t)
         exact = [exact_log1pexp(x) for x in t.tolist()]
         err_softplus = ulps(softplus, [sp for sp, _ in exact])
         err_sigmoid = ulps(sigmoid, [sig for _, sig in exact])
@@ -319,6 +320,91 @@ class TestKernelsAreAccurate:
                 ours = focal_ecm_loss(f, label, w, 1.7, 3.7, 0.01)
                 want = _focal_value_grad(z, positive, 1.7, 3.7, 0.01)
                 assert (ours.value, ours.grad_logit) == tuple(map(float, want))
+
+
+def expression_ecm_value_grad(z, positive, m):
+    """The kernel as one numpy expression per quantity, each allocating."""
+    t = np.where(positive, -z, z)
+    sign = np.where(positive, -2.0, 2.0)
+    e = np.exp(-np.abs(t))
+    sigmoid_t = np.where(t >= 0, 1.0, e) / (1.0 + e)
+    return m * (np.maximum(t, 0.0) + np.log1p(e)), sign * m * sigmoid_t
+
+
+def expression_focal_value_grad(z, positive, m, gamma, alpha):
+    t = np.where(positive, -z, z)
+    sign = np.where(positive, -2.0, 2.0)
+    e = np.exp(-np.abs(t))
+    log1p_e = np.log1p(e)
+    sp_t = np.maximum(t, 0.0) + log1p_e
+    sig_t = np.where(t >= 0, 1.0, e) / (1.0 + e)
+    sp_o = np.maximum(-t, 0.0) + log1p_e
+    sig_o = np.where(t >= 0, e, 1.0) / (1.0 + e)
+    mod = np.where(positive, alpha, 1.0 - alpha) * np.exp(-gamma * sp_o)
+    return m * (mod * sp_t), sign * m * mod * (gamma * sig_o * sp_t + sig_t)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestWorkspaceForm:
+    """Each kernel is one sequence of steps: in place on a workspace (the
+    trainer's batch step), on a fresh workspace for arrays, or on numpy
+    scalars.  All three give the bits of the expression form."""
+
+    RNG = np.random.default_rng(31)
+    Z = np.concatenate([Z_GRID, RNG.standard_normal(4000) * 20.0])
+    MASK = RNG.random(Z.size) < 0.3
+    SLOPES = RNG.uniform(0.01, 3.0, Z.size)
+
+    def kernels(self, gamma=2.0, alpha=0.25):
+        focal = functools.partial(_focal_value_grad, focal_gamma=gamma, focal_alpha=alpha)
+        expression = functools.partial(expression_focal_value_grad, gamma=gamma, alpha=alpha)
+        return [(_ecm_value_grad, expression_ecm_value_grad), (focal, expression)]
+
+    @pytest.mark.parametrize("positive", [True, False, "mask"])
+    @pytest.mark.parametrize("m", [1.0, 0.37, "slopes"])
+    @pytest.mark.parametrize("gamma,alpha", FOCAL_PARAMS)
+    def test_every_form_gives_the_expression_bits(self, positive, m, gamma, alpha):
+        positive = self.MASK if positive == "mask" else positive
+        m = self.SLOPES if m == "slopes" else m
+        shape = self.Z.shape
+        for kernel, expression in self.kernels(gamma, alpha):
+            want = expression(self.Z, positive, m)
+            z = self.Z.copy()
+            assert all(map(same_bits, kernel(z, positive, m), want))
+            assert same_bits(z, self.Z)  # without a workspace z is left alone
+            work = _workspace(shape)
+            got = kernel(z, np.broadcast_to(positive, shape), np.broadcast_to(m, shape), work=work)
+            assert all(map(same_bits, got, want))
+            assert all(any(g is a for a in work) for g in got)
+            assert same_bits(z, np.where(positive, -self.Z, self.Z))  # z now holds t
+
+    def test_scalars_give_the_expression_bits(self):
+        for z in self.Z[::13].tolist():
+            for positive in (True, False):
+                for kernel, expression in self.kernels(3.7, 0.01):
+                    got = kernel(z, positive, 0.37)
+                    assert all(isinstance(x, np.float64) for x in got)
+                    assert all(map(same_bits, got, expression(z, positive, 0.37)))
+
+    @pytest.mark.parametrize("focal", [False, True])
+    def test_a_workspace_call_allocates_no_array(self, focal):
+        shape = (400, 25)  # 80 kB an array
+        z = self.RNG.standard_normal(shape) * 5.0
+        positive = self.RNG.random(shape) < 0.05
+        m, work = np.full(shape, 0.8), _workspace(shape)
+        kernel = self.kernels()[focal][0]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kernel(z, positive, m, work=work)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
 
 
 class TestStability:

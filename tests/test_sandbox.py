@@ -1,7 +1,10 @@
+import copy
 import functools
 import json
 import math
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from ecmargin import (
 )
 from ecmargin import _fork, sandbox
 from ecmargin.ecm_loss import _ecm_value_grad, _focal_value_grad
-from ecmargin.sandbox import MAX_ARRAY_ELEMENTS, class_score_set
+from ecmargin.sandbox import LOSSES, MAX_ARRAY_ELEMENTS, class_score_set
 
 SMALL = SyntheticConfig(
     num_classes=3,
@@ -107,6 +110,84 @@ def reference_train(dataset, tcfg, margins):
         if epoch % tcfg.checkpoint_every == 0 or epoch == tcfg.epochs:
             checkpoints.append((epoch, {k: v.copy() for k, v in params.items()}))
     return tuple(loss_curve), tuple(checkpoints)
+
+
+def block_inputs(dataset, tcfg, margins):
+    """The arguments train hands every block before lo and hi: the training
+    rows, the shuffling stream, the initial parameters and every class's
+    logit shift and slope."""
+    num_classes = dataset.num_classes
+    if tcfg.loss == "bce":
+        delta, m = np.zeros(num_classes), np.ones(num_classes)
+    else:
+        stats = dataset_stats(dataset)
+        delta = np.array([log_weight_ratio(margins[c]) for c in range(num_classes)])
+        m = slope_m([stats[c].alpha for c in range(num_classes)], tcfg.m_mode)
+    temperature = sandbox._TEMPERATURE if tcfg.temperature_head else None
+    rng = np.random.default_rng(tcfg.seed)
+    params = sandbox._init_params(
+        tcfg.model, tcfg.hidden, num_classes, dataset.config.feature_dim, temperature, rng
+    )
+    train_idx, _ = sandbox._split_indices(dataset, tcfg)
+    return train_idx, rng, params, delta, m
+
+
+def reference_block(dataset, tcfg, train_idx, rng, params, delta, m, lo, hi):
+    """_train_block as it was before the batch step wrote into buffers: every
+    step allocates its z, the kernel's temporaries and the update."""
+    if tcfg.loss == "focal_ecm":
+        kernel = functools.partial(sandbox._focal_value_grad, focal_gamma=2.0, focal_alpha=0.25)
+    else:
+        kernel = sandbox._ecm_value_grad
+    temperature = sandbox._TEMPERATURE if tcfg.temperature_head else None
+    num_classes = dataset.num_classes
+    rng = copy.deepcopy(rng)
+    params = sandbox._copy_params(dict(params, w=params["w"][:, lo:hi]))
+    classes, delta, m = np.arange(lo, hi), delta[lo:hi], m[lo:hi]
+    saved = tcfg.checkpoint_epochs()
+    checkpoints = []
+    loss_sums = np.zeros(tcfg.epochs)
+    for epoch in range(1, tcfg.epochs + 1):
+        rows = train_idx[rng.permutation(train_idx.size)]
+        x_epoch = dataset.features.take(rows, axis=0)
+        pos_epoch = dataset.labels.take(rows)[:, None] == classes
+        loss_sum = 0.0
+        for start in range(0, rows.size, tcfg.batch_size):
+            x = x_epoch[start : start + tcfg.batch_size]
+            is_pos = pos_epoch[start : start + tcfg.batch_size]
+            logits, cache = sandbox._forward(tcfg.model, params, temperature, x)
+            values, grad_f = kernel(2.0 * logits - delta, is_pos, m)
+            values_sum = float(values.sum())
+            if not math.isfinite(values_sum):
+                return checkpoints, loss_sums, epoch
+            loss_sum += values_sum / num_classes
+            denom = x.shape[0] * num_classes
+            grads = sandbox._backward(tcfg.model, params, temperature, x, cache, grad_f / denom)
+            for key, grad in grads.items():
+                params[key] -= tcfg.learning_rate * grad
+        loss_sums[epoch - 1] = loss_sum
+        if epoch in saved:
+            checkpoints.append(sandbox._copy_params(params))
+    return checkpoints, loss_sums, 0
+
+
+def assert_same_block(got, want):
+    (got_checkpoints, got_sums, got_bad), (want_checkpoints, want_sums, want_bad) = got, want
+    assert got_bad == want_bad
+    assert got_sums.tobytes() == want_sums.tobytes()
+    assert len(got_checkpoints) == len(want_checkpoints)
+    for g, w in zip(got_checkpoints, want_checkpoints):
+        assert g.keys() == w.keys()
+        assert all(g[k].tobytes() == w[k].tobytes() and g[k].shape == w[k].shape for k in w)
+
+
+# linear, cosine and MLP heads, with the blocks train gives each on 3 classes
+MODELS = {
+    "linear": ({}, [(0, 2), (2, 3)]),
+    "cosine": ({"temperature_head": True}, [(0, 2), (2, 3)]),
+    "mlp": ({"model": "mlp", "hidden": 8}, [(0, 3)]),
+    "mlp-cosine": ({"model": "mlp", "hidden": 8, "temperature_head": True}, [(0, 3)]),
+}
 
 
 class TestZipfCounts:
@@ -432,6 +513,154 @@ class TestClassBlocks:
         for (e, got), (f, want) in zip(forked.checkpoints, serial.checkpoints):
             assert e == f and np.array_equal(got["w"], want["w"])
         assert np.array_equal(forked.params["w"], serial.params["w"])
+
+
+class TestBatchStep:
+    """Each block's batch step writes every elementwise result into buffers
+    the block allocates once; its bits are those of the loop that allocated
+    them."""
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("model", ["linear", "cosine", "mlp"])
+    @pytest.mark.parametrize("holdout", [0.0, 0.3])
+    def test_a_block_matches_the_allocating_loop_bit_for_bit(
+        self, small_dataset, loss, model, holdout
+    ):
+        """3 classes; 300 or 210 training rows in batches of 64, so each
+        epoch ends on a partial batch."""
+        extra, blocks = MODELS[model]
+        tcfg = TrainConfig(
+            loss=loss, epochs=5, batch_size=64, checkpoint_every=2, holdout_fraction=holdout,
+            seed=3, **extra,
+        )
+        args = block_inputs(small_dataset, tcfg, default_margin_weights(small_dataset))
+        assert args[0].size % 64 != 0
+        for lo, hi in blocks:
+            got = sandbox._train_block(small_dataset, tcfg, *args, lo, hi)
+            assert_same_block(got, reference_block(small_dataset, tcfg, *args, lo, hi))
+            assert got[2] == 0 and len(got[0]) == 3
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("model", ["linear", "cosine", "mlp"])
+    def test_a_block_stops_at_the_same_non_finite_epoch(
+        self, small_dataset, monkeypatch, loss, model
+    ):
+        """The kernel's 13th call of a block, the third batch of epoch 3,
+        returns one infinite value."""
+        extra, blocks = MODELS[model]
+        tcfg = TrainConfig(loss=loss, epochs=6, batch_size=64, checkpoint_every=2, seed=3, **extra)
+        args = block_inputs(small_dataset, tcfg, default_margin_weights(small_dataset))
+        name = "_focal_value_grad" if loss == "focal_ecm" else "_ecm_value_grad"
+        real_kernel = getattr(sandbox, name)
+        calls = []
+
+        def kernel(*args, **kwargs):
+            values, grad = real_kernel(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 13:
+                values[0, -1] = np.inf
+            return values, grad
+
+        monkeypatch.setattr(sandbox, name, kernel)
+        for lo, hi in blocks:
+            results = []
+            for block in (sandbox._train_block, reference_block):
+                del calls[:]
+                results.append(block(small_dataset, tcfg, *args, lo, hi))
+            got, want = results
+            assert got[2] == 3 and len(got[0]) == 1 and np.count_nonzero(got[1]) == 2
+            assert_same_block(got, want)
+
+    @pytest.mark.parametrize("model", ["linear", "mlp"])
+    def test_a_batch_past_the_data_is_one_batch_of_the_data(
+        self, small_dataset, monkeypatch, model
+    ):
+        """The buffers have min(batch_size, n_train) rows, so a batch size of
+        10**12 allocates no more than a batch of every training row, and
+        trains the same bits."""
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)  # the blocks in this process
+        extra, _ = MODELS[model]
+        margins = default_margin_weights(small_dataset)
+        tcfg = TrainConfig(loss="focal_ecm", epochs=3, holdout_fraction=0.3, seed=2, **extra)
+        n_train = sandbox._split_indices(small_dataset, tcfg)[0].size
+        models = []
+        for size in (n_train, 10**12):
+            tracemalloc.start()
+            try:
+                models.append(train(small_dataset, replace(tcfg, batch_size=size), margins))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+        whole, huge = models
+        assert huge.loss_curve == whole.loss_curve
+        for (e, got), (f, want) in zip(huge.checkpoints, whole.checkpoints, strict=True):
+            assert e == f and all(got[k].tobytes() == want[k].tobytes() for k in want)
+        alphas = dataset_alphas(small_dataset)
+        assert evaluate(huge, small_dataset, alphas) == evaluate(whole, small_dataset, alphas)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_a_linear_step_allocates_only_its_two_matrix_products(self, small_dataset, loss):
+        """The forward logits (rows x classes) and the weight gradient
+        (features x classes) are the step's only new arrays: one more
+        rows x classes array would double the peak."""
+        tcfg = TrainConfig(loss=loss, seed=4)
+        train_idx, rng, params, delta, m = block_inputs(
+            small_dataset, tcfg, default_margin_weights(small_dataset)
+        )
+        params = {"w": rng.standard_normal(params["w"].shape)}
+        rows = rng.choice(train_idx, 4000)  # 96 kB of logits, far above the step's small objects
+        x = small_dataset.features[rows]
+        is_pos = small_dataset.labels[rows][:, None] == np.arange(3)
+        buffers = sandbox._batch_buffers(x.shape[0], delta, m)
+        kernel = sandbox._loss_kernel(loss)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sandbox._batch_step("linear", params, None, x, is_pos, kernel, buffers, 3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        logits_bytes = x.shape[0] * 3 * 8
+        assert logits_bytes <= peak < 1.5 * logits_bytes
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_the_step_gradient_matches_central_differences(self, small_dataset, loss, model):
+        """Central differences with eps = 1e-6 of the batch loss the step
+        returns, against its gradients, on a seeded batch of 40 rows; the
+        error of each parameter array is taken relative to its largest
+        gradient."""
+        extra, _ = MODELS[model]
+        tcfg = TrainConfig(loss=loss, seed=6, **extra)
+        _, rng, params, delta, m = block_inputs(
+            small_dataset, tcfg, default_margin_weights(small_dataset)
+        )
+        params = {k: v + 0.5 * rng.standard_normal(v.shape) for k, v in params.items()}
+        rows = rng.choice(small_dataset.labels.size, 40, replace=False)
+        x = small_dataset.features[rows]
+        is_pos = small_dataset.labels[rows][:, None] == np.arange(3)
+        temperature = sandbox._TEMPERATURE if tcfg.temperature_head else None
+        kernel = sandbox._loss_kernel(loss)
+        buffers = sandbox._batch_buffers(40, delta, m)
+
+        def step(p):
+            return sandbox._batch_step(tcfg.model, p, temperature, x, is_pos, kernel, buffers, 3)
+
+        grads = step(params)[1]
+        assert grads.keys() == params.keys()
+        eps = 1e-6
+        for key, value in params.items():
+            fd = np.empty_like(value)
+            for i in np.ndindex(value.shape):
+                sums = []
+                for sign in (1.0, -1.0):
+                    moved = dict(params, **{key: value.copy()})
+                    moved[key][i] += sign * eps
+                    sums.append(step(moved)[0] / (40 * 3))
+                fd[i] = (sums[0] - sums[1]) / (2.0 * eps)
+            rel = np.abs(fd - grads[key]).max() / np.abs(grads[key]).max()
+            assert rel <= 1e-6, (key, rel)
 
 
 class TestEvaluation:
