@@ -1,12 +1,12 @@
-"""The one fork policy: when a forked child may take a share of the work, and
-how its bytes come back.
+"""The one fork policy: share(mine, theirs) runs mine() here while a forked
+child runs theirs(), and hands back the child's bytes.
 
 ``metrics --pr-curve`` formats the second half of a long curve, ``verify
 --suite all`` runs four of its five suites, and ``sandbox.train`` trains the
-second class block of a linear head in such a child.  Each caller runs its
-own share while the child runs the other, and does the child's share itself
-when no child could start or the child failed, so the result never depends
-on the fork.
+second class block of a linear head in such a child.  A child starts only
+when a fork is available, safe (no other thread is alive) and has a second
+CPU to run on.  Each caller does the child's share itself when share returns
+None, so the result never depends on the fork.
 """
 
 from __future__ import annotations
@@ -21,16 +21,23 @@ def usable_cpus() -> int:
     return 1 if getaffinity is None else len(getaffinity(0))
 
 
-def can_fork() -> bool:
-    """Whether a forked child can take a share of the work: a fork is
-    available, safe (no other thread is alive) and has a second CPU to run on."""
-    return hasattr(os, "fork") and threading.active_count() == 1 and usable_cpus() >= 2
+def share(mine, theirs) -> tuple[object, bytes | None]:
+    """(mine(), the bytes theirs() returned in a forked child), or None for
+    the bytes when theirs is None, no child could start or the child failed.
+    The child is collected and reaped on every path, mine() raising too."""
+    can_fork = hasattr(os, "fork") and threading.active_count() == 1 and usable_cpus() >= 2
+    child = _fork(theirs) if theirs is not None and can_fork else None
+    try:
+        result = mine()
+    finally:
+        data = _collect(child)
+    return result, data
 
 
-def fork(produce) -> tuple[int, io.BufferedReader] | None:
+def _fork(produce) -> tuple[int, io.BufferedReader] | None:
     """Fork a child that sends its pid, a newline and the bytes produce()
     returns through a pipe: (pid, the pipe's read end), or None when no child
-    could be started.  Hand the result to collect."""
+    could be started."""
     read_fd, write_fd = os.pipe()
     parent = os.getpid()
     try:
@@ -65,8 +72,8 @@ def fork(produce) -> tuple[int, io.BufferedReader] | None:
     return pid, open(read_fd, "rb")
 
 
-def collect(child) -> bytes | None:
-    """The bytes a child from fork sent, or None when there was no child or
+def _collect(child) -> bytes | None:
+    """The bytes a child from _fork sent, or None when there was no child or
     it failed.  The pipe is closed and the child reaped on every path."""
     if child is None:
         return None

@@ -5,12 +5,8 @@ machine-readable report still goes to standard output); 2 malformed input or
 flag values.  Every emitted document echoes the resolved configuration, JSON
 under a "config" key and CSV as a leading "# {...}" comment line, and
 contains no timestamps, so identical invocations produce identical bytes.
-
-On Linux with more than one usable CPU, a long ``metrics --pr-curve`` curve is
-formatted in two halves, the second by a forked worker, and written in order;
-``verify --suite all`` runs the bounds suite here and the other four suites in
-a forked worker; and ``train`` with a linear head trains its second block of
-classes in a forked worker.  The bytes are identical either way.
+``metrics --pr-curve``, ``verify --suite all`` and ``train`` share their work
+with a forked child as ``_fork`` describes; the bytes are identical either way.
 
 ``metrics`` parses a plain scores file, and writes the PR curve, in fixed-size
 chunks with the same bytes as in one piece.  Its memory grows with the file's
@@ -30,6 +26,7 @@ import io
 import json
 import math
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -290,13 +287,10 @@ def _write_pr_curve(fh, head: str, curve) -> None:
     while this process formats the first, and its bytes go to fh's binary
     layer; a half whose child failed or never started is formatted here too."""
     rows = curve.thresholds.size
-    cut = rows // 2 if rows >= _SPLIT_MIN_ROWS and _fork.can_fork() else rows
-    child = _fork.fork(lambda: _curve_bytes(curve, cut, rows)) if cut < rows else None
-    try:
-        fh.write(head)
-        fh.writelines(_curve_chunks(curve, 0, cut))
-    finally:
-        data = _fork.collect(child)
+    cut = rows // 2 if rows >= _SPLIT_MIN_ROWS else rows
+    theirs = (lambda: _curve_bytes(curve, cut, rows)) if cut < rows else None
+    fh.write(head)
+    _, data = _fork.share(lambda: fh.writelines(_curve_chunks(curve, 0, cut)), theirs)
     if data is None:
         fh.writelines(_curve_chunks(curve, cut, rows))
     else:
@@ -312,17 +306,12 @@ def _cmd_verify(args) -> int:
     def run_suites(part) -> list[dict]:
         return [verify.run_suite(name, args.trials, args.seed) for name in part]
 
-    # the first suite (bounds, the longest) runs here, the rest in a forked
-    # child that sends their reports back as JSON, which keeps every float
+    # the first suite (bounds, the longest) runs here, the rest in a forked child
     here, there = names[:1], names[1:]
     with _open_output(args.out) as out:
-        forks = there and _fork.can_fork()
-        child = _fork.fork(lambda: json.dumps(run_suites(there)).encode()) if forks else None
-        try:
-            reports = run_suites(here)
-        finally:
-            data = _fork.collect(child)
-        reports += run_suites(there) if data is None else json.loads(data)
+        theirs = (lambda: pickle.dumps(run_suites(there))) if there else None
+        reports, data = _fork.share(lambda: run_suites(here), theirs)
+        reports += run_suites(there) if data is None else pickle.loads(data)
         report = verify.report(args.suite, args.trials, args.seed, reports)
         _emit_report({"config": config, **report}, out)
     return 0 if report["passed"] else 1

@@ -15,6 +15,7 @@ import copy
 import functools
 import logging
 import math
+import pickle
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -443,21 +444,6 @@ def _train_block(dataset, tcfg, train_idx, rng, params, delta, m, lo, hi):
     return checkpoints, loss_sums, 0
 
 
-def _block_bytes(block) -> bytes:
-    """A linear block's result as raw float64: its non-finite epoch, its loss
-    sums, then the head weights of each checkpoint."""
-    checkpoints, loss_sums, bad_epoch = block
-    flat = [np.array([bad_epoch]), loss_sums, *(p["w"].ravel() for p in checkpoints)]
-    return np.concatenate(flat).tobytes()
-
-
-def _block_from_bytes(data: bytes, epochs: int, w_shape: tuple[int, int]):
-    """The block result that _block_bytes wrote, for head weights of w_shape."""
-    flat = np.frombuffer(data)
-    weights = flat[1 + epochs :].reshape(-1, *w_shape)
-    return [{"w": w} for w in weights], flat[1 : 1 + epochs], int(flat[0])
-
-
 def train(
     dataset: Dataset, tcfg: TrainConfig, margins: dict[int, MarginWeights]
 ) -> Model:
@@ -498,23 +484,18 @@ def train(
     train_idx, eval_idx = _split_indices(dataset, tcfg)
 
     run_block = functools.partial(_train_block, dataset, tcfg, train_idx, rng, params, delta, m)
-    if tcfg.model == "mlp":
-        results = [run_block(0, num_classes)]
-    else:
-        half = -(-num_classes // 2)
-        child = None
-        if _fork.can_fork():
-            child = _fork.fork(lambda: _block_bytes(run_block(half, num_classes)))
-        try:
-            first = run_block(0, half)
-        finally:
-            data = _fork.collect(child)
-        if data is None:
-            second = run_block(half, num_classes)
+    # an overflow ends training with the NumericalError below, not a numpy
+    # warning; the forked block inherits this state
+    with np.errstate(over="ignore", invalid="ignore"):
+        if tcfg.model == "mlp":
+            results = [run_block(0, num_classes)]
         else:
-            w_shape = (params["w"].shape[0], num_classes - half)
-            second = _block_from_bytes(data, tcfg.epochs, w_shape)
-        results = [first, second]
+            half = -(-num_classes // 2)
+            first, data = _fork.share(
+                lambda: run_block(0, half), lambda: pickle.dumps(run_block(half, num_classes))
+            )
+            second = run_block(half, num_classes) if data is None else pickle.loads(data)
+            results = [first, second]
 
     bad_epochs = [bad for _, _, bad in results if bad]
     if bad_epochs:

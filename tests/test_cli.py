@@ -1001,15 +1001,19 @@ class SplitCommand:
             self.argv = ["metrics", "--scores", "scores.csv", "--alpha", "3"]
             self.argv += ["--pr-curve", "pr.csv"]
             self.work = (cli, "_curve_rows")
+            self.own_share = lambda curve, lo, hi: hi <= SPLIT // 2
         elif name == "train":
             (tmp_path / "train.json").write_text(json.dumps(TRAIN_CONFIG))
             self.output = "report.json"
             self.argv = ["train", "--config", "train.json", "--out", "report.json"]
             self.work = (sandbox, "_train_block")
+            half = -(-TRAIN_CONFIG["num_classes"] // 2)
+            self.own_share = lambda *args: args[-2:] == (0, half)
         else:
             self.output = "report.json"
             self.argv = VERIFY_ALL_ARGV + ["--out", "report.json"]
             self.work = (verify, "run_suite")
+            self.own_share = lambda name, trials, seed: name == "bounds"
 
     def run(self, cpus):
         """((exit, stdout, stderr), the output file's bytes) on cpus usable CPUs."""
@@ -1017,6 +1021,20 @@ class SplitCommand:
         result = run_cli(self.capsys, self.argv)
         assert_no_children()
         return result, (self.tmp_path / self.output).read_bytes()
+
+    def record_work(self):
+        """The arguments of each work call made in the parent, from now on."""
+        module, name = self.work
+        real = getattr(module, name)
+        parent, calls = os.getpid(), []
+
+        def recording(*args):
+            if os.getpid() == parent:
+                calls.append(args)
+            return real(*args)
+
+        self.monkeypatch.setattr(module, name, recording)
+        return calls
 
     def fail_work(self, where, failure):
         """Make work raise failure(), or SIGKILL itself for "kill", when
@@ -1052,6 +1070,15 @@ class TestForkedShare:
         split_command.fail_work("child", failure)
         assert split_command.run(2) == expected
         assert len(forks) == 1
+
+    def test_the_parent_does_only_its_own_share_when_the_child_succeeds(
+        self, split_command, forks
+    ):
+        expected = split_command.run(1)
+        calls = split_command.record_work()
+        assert split_command.run(2) == expected
+        assert len(forks) == 1
+        assert calls and all(split_command.own_share(*args) for args in calls)
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
     def test_children_are_reaped_when_the_parent_fails(self, split_command, forks, error):
@@ -1431,6 +1458,28 @@ class TestTrainCommand:
             sandbox.train(dataset, tcfg, sandbox.default_margin_weights(dataset))
         assert len(forks) == cpus - 1
         assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "config",
+        [{"learning_rate": 1e308}, {"class_separation": 1e300, "epochs": 3}],
+        ids=["learning-rate", "class-separation"],
+    )
+    def test_an_overflow_exits_two_with_one_error_line(self, tmp_path, config, cpus):
+        """The trainer turns an overflow into its non-finite loss error; no
+        numpy warning, from this process or the forked block, reaches stderr."""
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(config))
+        code = (
+            "import sys; from ecmargin import _fork, cli; "
+            f"_fork.usable_cpus = lambda: {cpus}; sys.exit(cli.main(sys.argv[1:]))"
+        )
+        # the child imports this same copy of the package
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        argv = [sys.executable, "-c", code, "train", "--config", str(path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        message = "non-finite training loss at epoch 1"
+        assert_input_error(proc.returncode, proc.stdout, proc.stderr, message)
 
     @pytest.mark.parametrize(
         "key,value,message",
