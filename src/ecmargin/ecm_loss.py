@@ -25,11 +25,11 @@ e never overflows and 1 + e lies in [1, 2], so nothing cancels: the sigmoid
 is within 2 ulp and the softplus within 1 ulp of the exact value.  The only
 other exp is the focal modulation sigmoid(t)^g = exp(-g softplus(-t)).
 
-Each kernel is one sequence of steps, run in one of two forms.  Given a
-workspace (``_workspace``), every step writes into z or a workspace array
-with ``out=``, so a call allocates no array: the sandbox trainer's batch step.
-Without one, scalars take the same steps as numpy scalars and arrays get a
-fresh workspace.  Either form gives the same bits as the expressions above.
+Each kernel is one sequence of steps, each writing into z or a workspace
+array (``_workspace``) with ``out=``.  The workspace is the caller's, so a
+call allocates no array (the sandbox trainer's batch step), or a fresh one at
+the arguments' broadcast shape, 0-d for scalars.  Either way the bits are
+those of the expressions above.
 """
 
 from __future__ import annotations
@@ -73,39 +73,14 @@ def _workspace(shape):
     )
 
 
-_NEW_SCALARS = ({},) * 8
-
-
-def _outs(z, positive, m, work):
-    """z as the array t overwrites, and one ``out=`` keyword set for z and
-    for each workspace array.  Without ``work``, array arguments get a copy of
-    z and a fresh workspace of the broadcast shape; scalar arguments get no
-    ``out=``, so every step makes a new scalar."""
+def _start(z, positive, m, work):
+    """The array t overwrites and the workspace: z and ``work`` when given,
+    else a float copy of z and a fresh workspace at the arguments' broadcast
+    shape."""
     if work is None:
-        if not any(isinstance(a, np.ndarray) for a in (z, positive, m)):
-            return z, _NEW_SCALARS
         shape = np.broadcast_shapes(np.shape(z), np.shape(positive), np.shape(m))
         z, work = np.array(np.broadcast_to(z, shape), dtype=float), _workspace(shape)
-    return z, [{"out": a} for a in (z, *work)]
-
-
-def _masked(mask, x, ufunc, *args, **out):
-    """x with ufunc(*args) where mask holds: written into ``out``, which is x,
-    or for a scalar the one value it picks.  A masked ufunc pays per run of
-    equal mask values, so this is for the sparse label masks."""
-    if out:
-        return ufunc(*args, where=mask, **out)
-    return ufunc(*args) if mask else x
-
-
-def _put(mask, x, value):
-    """x with the constant value where mask holds: in place for an array (a
-    copy by mask, fast for dense masks too), or for a scalar the one value
-    it picks."""
-    if isinstance(x, np.ndarray):
-        np.putmask(x, mask, value)
-        return x
-    return value if mask else x
+    return z, work
 
 
 def _check_label(label: str) -> bool:
@@ -159,58 +134,65 @@ def _ecm_value_grad(z, positive, m, work=None):
     """Vectorized ECM value/gradient at z = 2f - ln(w-/w+).
 
     ``positive`` is a boolean array (or scalar) marking positive labels;
-    shapes broadcast.  Single source of truth for the scalar API and the
-    sandbox trainer.  With ``work``, a ``_workspace`` of z's shape, no array
-    is allocated: z must be a float array of that shape and is overwritten
-    with t, and the value and gradient returned are two of the workspace
-    arrays.
+    shapes broadcast.  Single source of truth for the scalar API, the sandbox
+    trainer and ``verify``.  With ``work``, a ``_workspace`` of z's shape, no
+    array is allocated: z must be a float array of that shape and is
+    overwritten with t, and the value and gradient returned are two of the
+    workspace arrays.
     """
-    z, (t_, e_, a_, v_, g_, _, ge_, _) = _outs(z, positive, m, work)
-    t = _masked(positive, z, np.negative, z, **t_)
-    e = np.exp(np.negative(np.abs(t, **e_), **e_), **e_)
-    value = np.maximum(t, 0.0, **v_)
-    value += np.log1p(e, **a_)
+    t, (e, a, value, grad, _, nonneg, _) = _start(z, positive, m, work)
+    # where= pays per run of equal mask values, which suits the sparse label
+    # mask; np.putmask copies by mask, fast for the dense sign masks too
+    np.negative(t, out=t, where=positive)
+    np.exp(np.negative(np.abs(t, out=e), out=e), out=e)
+    np.maximum(t, 0.0, out=value)
+    value += np.log1p(e, out=a)
     value *= m
-    denom = np.add(e, 1.0, **a_)
-    sigmoid = _put(np.greater_equal(t, 0.0, **ge_), e, 1.0)
-    sigmoid /= denom
+    denom = np.add(e, 1.0, out=a)
+    np.putmask(e, np.greater_equal(t, 0.0, out=nonneg), 1.0)
+    e /= denom  # sigmoid(t)
     # sign m sigmoid as +-(2m sigmoid): IEEE rounding is symmetric, so the
     # label's sign comes last and moves no bit
-    grad = np.add(m, m, **g_)
-    grad *= sigmoid
-    return value, _masked(positive, grad, np.negative, grad, **g_)
+    np.add(m, m, out=grad)
+    grad *= e
+    np.negative(grad, out=grad, where=positive)
+    return value, grad
 
 
 def _focal_value_grad(z, positive, m, focal_gamma, focal_alpha, work=None):
     """Vectorized focal-ECM value/gradient at z = 2f - ln(w-/w+); ``work`` as
-    for ``_ecm_value_grad``."""
-    z, (t_, e_, a_, s_, o_, p_, ge_, lt_) = _outs(z, positive, m, work)
-    t = _masked(positive, z, np.negative, z, **t_)
-    e = np.exp(np.negative(np.abs(t, **e_), **e_), **e_)
-    log1p_e = np.log1p(e, **a_)
-    sp_t = np.maximum(t, 0.0, **s_)
+    for ``_ecm_value_grad``.  The focal parameters may be arrays that broadcast
+    to z's shape."""
+    t, (e, a, sp_t, sp_o, sig_t, nonneg, neg) = _start(z, positive, m, work)
+    np.negative(t, out=t, where=positive)
+    np.exp(np.negative(np.abs(t, out=e), out=e), out=e)
+    log1p_e = np.log1p(e, out=a)
+    np.maximum(t, 0.0, out=sp_t)
     sp_t += log1p_e  # -ln of the label's own probability
-    sp_o = np.maximum(np.negative(t, **o_), 0.0, **o_)
+    np.maximum(np.negative(t, out=sp_o), 0.0, out=sp_o)
     sp_o += log1p_e  # -ln of the other label's probability
-    denom = np.add(e, 1.0, **a_)
-    nonneg = np.greater_equal(t, 0.0, **ge_)
-    sig_t = _put(nonneg, np.positive(e, **p_), 1.0)
+    denom = np.add(e, 1.0, out=a)
+    np.greater_equal(t, 0.0, out=nonneg)
+    np.copyto(sig_t, e)
+    np.putmask(sig_t, nonneg, 1.0)
     sig_t /= denom  # 1 - p
-    sig_o = _put(np.logical_not(nonneg, **lt_), e, 1.0)
+    np.putmask(e, np.logical_not(nonneg, out=neg), 1.0)
+    sig_o = e
     sig_o /= denom  # p
     sp_o *= -focal_gamma
-    powered = np.exp(sp_o, **o_)
-    mod = np.multiply(powered, 1.0 - focal_alpha, **a_)
-    mod = _masked(positive, mod, np.multiply, powered, focal_alpha, **a_)
-    value = np.multiply(mod, sp_t, **o_)
+    powered = np.exp(sp_o, out=sp_o)
+    mod = np.multiply(powered, 1.0 - focal_alpha, out=a)
+    np.multiply(powered, focal_alpha, out=mod, where=positive)
+    value = np.multiply(mod, sp_t, out=sp_o)
     value *= m
     sig_o *= focal_gamma
     sig_o *= sp_t
     sig_o += sig_t
-    grad = np.add(m, m, **s_)
+    grad = np.add(m, m, out=sp_t)
     grad *= mod
     grad *= sig_o
-    return value, _masked(positive, grad, np.negative, grad, **s_)
+    np.negative(grad, out=grad, where=positive)
+    return value, grad
 
 
 def ecm_loss(f: float, label: str, w: MarginWeights, m: float = 1.0) -> LossEval:
@@ -239,6 +221,7 @@ def focal_ecm_loss(
     Defaults focal_gamma=2, focal_alpha=0.25.
     """
     f, is_pos, m = _check_args(f, label, m)
+    focal_gamma = _check_finite("focal_gamma", focal_gamma)
     if focal_gamma < 0:
         raise ValidationError(f"focal_gamma must be >= 0, got {focal_gamma}")
     if not 0.0 < focal_alpha < 1.0:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import bounds as bnd
-from .ecm_loss import NEGATIVE, POSITIVE, decision_logit, ecm_loss, focal_ecm_loss
+from .ecm_loss import _ecm_value_grad, _focal_value_grad, decision_logit, log_weight_ratio
 from .errors import ValidationError
 from .margins import Margins, margins_grid_oracle, optimal_margins, weights
 from .metrics import (
@@ -139,48 +139,45 @@ def _sample_logit(rng: np.random.Generator) -> float:
     return float(rng.choice([-50.0, 50.0]))
 
 
+def _sound(value, grad):
+    """Where a value is finite and >= 0, as ``LossEval`` admits, and its
+    gradient finite: anywhere else a check fails, and never warns."""
+    with np.errstate(invalid="ignore"):
+        return np.isfinite(value) & (value >= 0.0) & np.isfinite(grad)
+
+
 def _gradient_check(rng: np.random.Generator, trials: int, focal: bool) -> dict:
     h = 1e-5
-    failures = 0
-    non_finite = 0
-    worst_rel = 0.0
-    for _ in range(trials):
-        w = _random_weights(rng)
-        m = float(rng.uniform(0.01, 2.0))
-        label = POSITIVE if rng.random() < 0.5 else NEGATIVE
-        f = _sample_logit(rng)
+    shift, m, f = np.empty(trials), np.empty(trials), np.empty(trials)
+    positive, focal_params = np.empty(trials, dtype=bool), np.empty((2, trials))
+    for i in range(trials):
+        shift[i] = log_weight_ratio(_random_weights(rng))
+        m[i] = rng.uniform(0.01, 2.0)
+        positive[i] = rng.random() < 0.5
+        f[i] = _sample_logit(rng)
         if focal:
-            fg = float(rng.uniform(0.0, 4.0))
-            fa = float(rng.uniform(0.05, 0.95))
-
-            def ev(x):
-                return focal_ecm_loss(x, label, w, m, fg, fa)
-
-        else:
-
-            def ev(x):
-                return ecm_loss(x, label, w, m)
-
-        res = ev(f)
-        if not (math.isfinite(res.value) and math.isfinite(res.grad_logit)):
-            non_finite += 1
-            failures += 1
-            continue
-        fd = (ev(f + h).value - ev(f - h).value) / (2.0 * h)
-        diff = abs(res.grad_logit - fd)
-        scale = max(abs(res.grad_logit), abs(fd))
-        rel = diff / scale if scale > 0 else 0.0
-        ok = diff <= 1e-6 * scale or (abs(res.grad_logit) < 1e-3 and diff <= 1e-9)
-        if scale > 1e-3:
-            worst_rel = max(worst_rel, rel)
-        if not ok:
-            failures += 1
+            focal_params[:, i] = rng.uniform(0.0, 4.0), rng.uniform(0.05, 0.95)
+    # one kernel call; its rows are f, f + h and f - h
+    z = 2.0 * np.stack([f, f + h, f - h]) - shift
+    if focal:
+        value, grad = _focal_value_grad(z, positive, m, *focal_params)
+    else:
+        value, grad = _ecm_value_grad(z, positive, m)
+    grad = grad[0]
+    finite = np.isfinite(value).all(axis=0) & np.isfinite(grad)
+    sound = _sound(value, grad).all(axis=0)
+    with np.errstate(all="ignore"):
+        fd = (value[1] - value[2]) / (2.0 * h)
+        diff = np.abs(grad - fd)
+        scale = np.maximum(np.abs(grad), np.abs(fd))
+        ok = sound & ((diff <= 1e-6 * scale) | ((np.abs(grad) < 1e-3) & (diff <= 1e-9)))
+        worst_rel = np.max(diff / scale, where=sound & (scale > 1e-3), initial=0.0)
     return _check(
         "focal_ecm_gradients" if focal else "ecm_gradients",
-        failures == 0,
+        bool(ok.all()),
         trials=trials,
-        failures=failures,
-        non_finite=non_finite,
+        failures=int(trials - ok.sum()),
+        non_finite=int(trials - finite.sum()),
         worst_rel=float(worst_rel),
     )
 
@@ -191,35 +188,32 @@ def _run_gradients(rng: np.random.Generator, trials: int) -> dict:
         _gradient_check(rng, trials, focal=True),
     ]
 
-    convex_ok = True
-    for _ in range(min(trials, 200)):
-        w = _random_weights(rng)
-        label = POSITIVE if rng.random() < 0.5 else NEGATIVE
-        fs = np.sort(rng.uniform(-10.0, 10.0, size=3))
-        f1, f2, f3 = (float(x) for x in fs)
-        if f3 - f1 < 1e-9:
-            continue
+    n = min(trials, 200)
+    shift, fs, positive = np.empty(n), np.empty((n, 3)), np.empty(n, dtype=bool)
+    for i in range(n):
+        shift[i] = log_weight_ratio(_random_weights(rng))
+        positive[i] = rng.random() < 0.5
+        fs[i] = np.sort(rng.uniform(-10.0, 10.0, size=3))
+    # one kernel call; its columns are f1 <= f2 <= f3
+    value, grad = _ecm_value_grad(2.0 * fs - shift[:, None], positive[:, None], 1.0)
+    (f1, f2, f3), (v1, v2, v3) = fs.T, value.T
+    with np.errstate(all="ignore"):
         t = (f2 - f1) / (f3 - f1)
-        chord = (1 - t) * ecm_loss(f1, label, w).value + t * ecm_loss(
-            f3, label, w
-        ).value
-        if ecm_loss(f2, label, w).value > chord + 1e-9:
-            convex_ok = False
-    checks.append(_check("ecm_convex_in_f", convex_ok))
+        convex = _sound(value, grad).all(axis=1) & ~(v2 > (1 - t) * v1 + t * v3 + 1e-9)
+    checks.append(_check("ecm_convex_in_f", bool(np.all(convex | (f3 - f1 < 1e-9)))))
 
-    direction_ok = True
-    for _ in range(min(trials, 200)):
+    f, shift = np.empty(n), np.empty((n, 2))
+    for i in range(n):
         a_freq = float(np.exp(rng.uniform(0.0, math.log(100.0))))
         a_rare = a_freq * float(np.exp(rng.uniform(0.1, math.log(1e4))))
-        f = float(rng.uniform(-5.0, 5.0))
-        w_f = _weights_from_alpha(a_freq)
-        w_r = _weights_from_alpha(a_rare)
-        g_pos_f = ecm_loss(f, POSITIVE, w_f).grad_logit
-        g_pos_r = ecm_loss(f, POSITIVE, w_r).grad_logit
-        g_neg_f = ecm_loss(f, NEGATIVE, w_f).grad_logit
-        g_neg_r = ecm_loss(f, NEGATIVE, w_r).grad_logit
-        if abs(g_pos_r) < abs(g_pos_f) - 1e-12 or g_neg_r > g_neg_f + 1e-12:
-            direction_ok = False
+        f[i] = rng.uniform(-5.0, 5.0)
+        shift[i] = [log_weight_ratio(_weights_from_alpha(a)) for a in (a_freq, a_rare)]
+    # one kernel call over trial x (positive, negative) x (frequent, rare)
+    value, grad = _ecm_value_grad(2.0 * f[:, None, None] - shift[:, None], [[True], [False]], 1.0)
+    (g_pos_f, g_pos_r), (g_neg_f, g_neg_r) = grad.transpose(1, 2, 0)
+    with np.errstate(invalid="ignore"):
+        wrong = (np.abs(g_pos_r) < np.abs(g_pos_f) - 1e-12) | (g_neg_r > g_neg_f + 1e-12)
+    direction_ok = bool(_sound(value, grad).all() and not wrong.any())
     checks.append(_check("rare_class_gradient_direction", direction_ok))
 
     return _suite_report("gradients", checks)

@@ -80,7 +80,10 @@ GOLDEN_METRICS_REPORT = """\
 # the scalar, bisection-based bounds; the alphas stay away from the branch
 # crossing at alpha*R = 1/6, so the closed-form meet point keeps every byte.
 # "verify_all" is stdout of VERIFY_ALL_ARGV, recorded while verify ran its
-# suites one after another in one process.
+# suites one after another in one process.  "verify_gradients" is stdout of
+# `verify --suite gradients --trials 1000 --seed 0`, recorded while the
+# gradients suite called the scalar loss API once per point; its worst_rel
+# figures pin the bits of 3000 kernel points per loss.
 GOLDEN_BOUNDS = json.loads((Path(__file__).parent / "golden_bounds.json").read_text())
 VERIFY_ALL_ARGV = ["verify", "--suite", "all", "--trials", "20", "--seed", "5"]
 # stdout of each command below, run from a directory holding counts.json
@@ -1287,6 +1290,10 @@ class TestVerifyCommand:
         assert (code, err) == (0, "")
         assert out == GOLDEN_BOUNDS["verify_bounds"]
         assert forks == []  # one suite has no share to give away
+
+    def test_gradients_suite_bytes_are_golden(self, capsys):
+        argv = ["verify", "--suite", "gradients", "--trials", "1000", "--seed", "0"]
+        assert run_cli(capsys, argv) == (0, GOLDEN_BOUNDS["verify_gradients"], "")
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_all_bytes_are_golden_on_any_cpu_count(self, capsys, monkeypatch, forks, cpus):

@@ -350,9 +350,9 @@ def same_bits(got, want):
 
 
 class TestWorkspaceForm:
-    """Each kernel is one sequence of steps: in place on a workspace (the
-    trainer's batch step), on a fresh workspace for arrays, or on numpy
-    scalars.  All three give the bits of the expression form."""
+    """Each kernel is one sequence of steps, in place on a workspace: the
+    caller's (the trainer's batch step) or a fresh one, 0-d for scalars.
+    Either gives the bits of the expression form."""
 
     RNG = np.random.default_rng(31)
     Z = np.concatenate([Z_GRID, RNG.standard_normal(4000) * 20.0])
@@ -387,7 +387,7 @@ class TestWorkspaceForm:
             for positive in (True, False):
                 for kernel, expression in self.kernels(3.7, 0.01):
                     got = kernel(z, positive, 0.37)
-                    assert all(isinstance(x, np.float64) for x in got)
+                    assert all(isinstance(x, np.ndarray) and x.shape == () for x in got)
                     assert all(map(same_bits, got, expression(z, positive, 0.37)))
 
     @pytest.mark.parametrize("focal", [False, True])
@@ -506,6 +506,9 @@ class TestValidation:
     def test_bad_focal_parameters_rejected(self):
         with pytest.raises(ValidationError, match="focal_gamma"):
             focal_ecm_loss(0.0, POSITIVE, SKEWED, focal_gamma=-1.0)
+        for gamma in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="focal_gamma must be finite"):
+                focal_ecm_loss(0.0, POSITIVE, SKEWED, focal_gamma=gamma)
         with pytest.raises(ValidationError, match="focal_alpha"):
             focal_ecm_loss(0.0, POSITIVE, SKEWED, focal_alpha=0.0)
         with pytest.raises(ValidationError, match="focal_alpha"):

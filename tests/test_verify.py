@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from ecmargin import SUITES, ValidationError, run_verification, verify
@@ -71,3 +73,101 @@ class TestRun:
         report = run_verification("estimators", trials=1000, seed=seed)
         checks = {c["name"]: c for c in report["suites"][0]["checks"]}
         assert checks["binary_bound"]["worst_slack"] == 0.0
+
+
+TRIALS = 50
+
+
+def corrupt_kernel(monkeypatch, name, shape, corrupt):
+    """Patch verify's kernel ``name`` so that a call whose value has
+    ``shape`` hands its value and gradient to ``corrupt`` before returning
+    them."""
+    real = getattr(verify, name)
+
+    def kernel(z, *args, **kwargs):
+        value, grad = real(z, *args, **kwargs)
+        if value.shape == shape:
+            corrupt(value, grad)
+        return value, grad
+
+    monkeypatch.setattr(verify, name, kernel)
+
+
+def gradient_checks():
+    report = verify.run_suite("gradients", TRIALS, 0)
+    return {c["name"]: c for c in report["checks"]}
+
+
+# a gradient check's kernel call gives values of shape (3, trials), with rows
+# f, f + h and f - h; the convexity check's (trials, 3), with columns
+# f1 <= f2 <= f3, and the direction check's (trials, 2, 2)
+GRADIENT_KERNELS = [("_ecm_value_grad", "ecm_gradients"), ("_focal_value_grad", "focal_ecm_gradients")]
+
+
+class TestFailuresAfterBatching:
+    @pytest.mark.parametrize("kernel,check", GRADIENT_KERNELS)
+    def test_a_gradient_off_by_1e_3_relative_fails_one_trial(self, monkeypatch, kernel, check):
+        def corrupt(value, grad):
+            grad[0, np.argmax(np.abs(grad[0]))] *= 1.0 + 1e-3
+
+        corrupt_kernel(monkeypatch, kernel, (3, TRIALS), corrupt)
+        checks = gradient_checks()
+        assert (checks[check]["passed"], checks[check]["failures"], checks[check]["non_finite"]) == (
+            False, 1, 0,
+        )
+        assert all(c["passed"] for name, c in checks.items() if name != check)
+
+    @pytest.mark.parametrize("kernel,check", GRADIENT_KERNELS)
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("at", [0, TRIALS, 3 * TRIALS - 1], ids=["f", "f+h", "f-h"])
+    def test_a_non_finite_value_counts_once(self, monkeypatch, kernel, check, bad, at):
+        def corrupt(value, grad):
+            value.flat[at] = bad
+
+        corrupt_kernel(monkeypatch, kernel, (3, TRIALS), corrupt)
+        checks = gradient_checks()
+        assert (checks[check]["passed"], checks[check]["failures"], checks[check]["non_finite"]) == (
+            False, 1, 1,
+        )
+
+    def test_a_non_finite_gradient_counts_once(self, monkeypatch):
+        def corrupt(value, grad):
+            grad[0, 7] = math.nan
+
+        corrupt_kernel(monkeypatch, "_ecm_value_grad", (3, TRIALS), corrupt)
+        check = gradient_checks()["ecm_gradients"]
+        assert (check["failures"], check["non_finite"]) == (1, 1)
+
+    def test_a_negative_value_fails_its_trial(self, monkeypatch):
+        def corrupt(value, grad):
+            value[1, 3] = -1.0
+
+        corrupt_kernel(monkeypatch, "_ecm_value_grad", (3, TRIALS), corrupt)
+        check = gradient_checks()["ecm_gradients"]
+        assert (check["passed"], check["failures"], check["non_finite"]) == (False, 1, 0)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda value, grad: value.__setitem__((0, 1), value[0, [0, 2]].max() + 1e-6),
+            lambda value, grad: value.__setitem__((0, 1), math.nan),
+            lambda value, grad: value.__setitem__((0, 2), math.inf),
+            lambda value, grad: value.__setitem__((0, 0), -1.0),
+        ],
+        ids=["above-the-chord", "nan", "inf", "negative"],
+    )
+    def test_a_value_that_is_not_convex_fails_convexity(self, monkeypatch, corrupt):
+        corrupt_kernel(monkeypatch, "_ecm_value_grad", (TRIALS, 3), corrupt)
+        checks = gradient_checks()
+        assert not checks["ecm_convex_in_f"]["passed"]
+        assert all(c["passed"] for name, c in checks.items() if name != "ecm_convex_in_f")
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_a_non_finite_gradient_fails_the_direction_check(self, monkeypatch, bad):
+        def corrupt(value, grad):
+            grad[0, 1, 1] = bad
+
+        corrupt_kernel(monkeypatch, "_ecm_value_grad", (TRIALS, 2, 2), corrupt)
+        checks = gradient_checks()
+        assert not checks["rare_class_gradient_direction"]["passed"]
+        assert all(c["passed"] for name, c in checks.items() if name != "rare_class_gradient_direction")
