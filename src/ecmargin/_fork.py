@@ -1,6 +1,7 @@
 """The one fork policy: share(mine, theirs) runs mine() here while a forked
 child runs theirs(), and hands back the child's bytes.
 
+``metrics.load_scores`` parses the second half of a long plain scores file,
 ``metrics --pr-curve`` formats the second half of a long curve, ``verify
 --suite all`` runs four of its five suites, and ``sandbox.train`` trains the
 second class block of a linear head in such a child.  A child starts only

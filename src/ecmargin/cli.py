@@ -5,15 +5,19 @@ machine-readable report still goes to standard output); 2 malformed input or
 flag values.  Every emitted document echoes the resolved configuration, JSON
 under a "config" key and CSV as a leading "# {...}" comment line, and
 contains no timestamps, so identical invocations produce identical bytes.
-``metrics --pr-curve``, ``verify --suite all`` and ``train`` share their work
-with a forked child as ``_fork`` describes; the bytes are identical either way.
+``metrics``, ``verify --suite all`` and ``train`` share their work with a
+forked child as ``_fork`` describes; the bytes are identical either way.
+``metrics`` forks up to twice: ``load_scores`` parses the second half of a
+long plain scores file in one child, and with ``--pr-curve`` another formats
+the second half of a long curve.
 
 ``metrics`` parses a plain scores file, and writes the PR curve, in fixed-size
 chunks with the same bytes as in one piece.  Its memory grows with the file's
 bytes, numpy arrays of one entry per row or curve point, and the bytes of the
-forked worker's half of the curve, not with a Python object per row.  Every
-command opens its output files before it reads or computes anything, and
-refuses an output path that names an input file or another output.
+forked workers' halves of the parse and of the curve, not with a Python
+object per row.  Every command opens its output files before it reads or
+computes anything, and refuses an output path that names an input file or
+another output.
 """
 
 from __future__ import annotations
@@ -255,15 +259,19 @@ def _cmd_metrics(args) -> int:
 
 def _curve_rows(curve, lo: int, hi: int) -> str:
     """Rows lo..hi-1 of the PR-curve CSV.  csv.writer writes a float as its
-    repr, so these are _csv_text's bytes.  Recall steps only at a positive's
-    score, so it is formatted once per run of equal values and that text
-    repeated over the run; thresholds and precisions are formatted per row."""
+    repr, so these are _csv_text's bytes.  The rows are joined from one list
+    of cells filled a column at a time: thresholds and precisions are mapped
+    through repr, and recall, which steps only at a positive's score, is
+    formatted once per run of equal values with the commas around it and that
+    text repeated over the run."""
     recall = curve.recall[lo:hi]
     starts = np.flatnonzero(np.concatenate([[True], recall[1:] != recall[:-1]]))
-    text = np.array([repr(x) for x in recall[starts].tolist()], dtype=object)
-    rec = np.repeat(text, np.diff(starts, append=recall.size)).tolist()
-    columns = (curve.thresholds[lo:hi].tolist(), rec, curve.precision[lo:hi].tolist())
-    return "".join([f"{t!r},{r},{prec!r}\n" for t, r, prec in zip(*columns)])
+    text = np.array([f",{x!r}," for x in recall[starts].tolist()], dtype=object)
+    cells = ["\n"] * (4 * recall.size)
+    cells[0::4] = map(repr, curve.thresholds[lo:hi].tolist())
+    cells[1::4] = np.repeat(text, np.diff(starts, append=recall.size)).tolist()
+    cells[2::4] = map(repr, curve.precision[lo:hi].tolist())
+    return "".join(cells)
 
 
 def _curve_chunks(curve, lo: int, hi: int):

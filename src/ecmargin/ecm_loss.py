@@ -107,6 +107,21 @@ def _check_args(f: float, label: str, m: float = 1.0) -> tuple[float, bool, floa
     return f, _check_label(label), m
 
 
+def _evaluate(kernel, *args) -> LossEval:
+    """The scalar API's kernel call: a LossEval of the value and gradient,
+    or ValidationError when either overflowed.  A finite f and m can still
+    overflow the kernel's 2m or m softplus(t), and inf times an underflowed
+    modulation is NaN, so neither warns here: the result is checked instead."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad = kernel(*args)
+    value, grad = float(value), float(grad)
+    if not (math.isfinite(value) and math.isfinite(grad)):
+        raise ValidationError(
+            f"loss overflows at these arguments: value {value}, gradient {grad}"
+        )
+    return LossEval(value=value, grad_logit=grad)
+
+
 def log_weight_ratio(w: MarginWeights) -> float:
     """ln(w- / w+), the logit shift that encodes the margins."""
     return math.log(w.w_minus) - math.log(w.w_plus)
@@ -202,8 +217,7 @@ def ecm_loss(f: float, label: str, w: MarginWeights, m: float = 1.0) -> LossEval
     m * softplus(2f - ln(w-/w+)).  Gradients are -2m(1-s_hat) and +2m s_hat.
     """
     f, is_pos, m = _check_args(f, label, m)
-    value, grad = _ecm_value_grad(2.0 * f - log_weight_ratio(w), is_pos, m)
-    return LossEval(value=float(value), grad_logit=float(grad))
+    return _evaluate(_ecm_value_grad, 2.0 * f - log_weight_ratio(w), is_pos, m)
 
 
 def focal_ecm_loss(
@@ -227,8 +241,7 @@ def focal_ecm_loss(
     if not 0.0 < focal_alpha < 1.0:
         raise ValidationError(f"focal_alpha must lie in (0,1), got {focal_alpha}")
     z = 2.0 * f - log_weight_ratio(w)
-    value, grad = _focal_value_grad(z, is_pos, m, focal_gamma, focal_alpha)
-    return LossEval(value=float(value), grad_logit=float(grad))
+    return _evaluate(_focal_value_grad, z, is_pos, m, focal_gamma, focal_alpha)
 
 
 def bce_loss(f: float, label: str) -> LossEval:
@@ -238,8 +251,7 @@ def bce_loss(f: float, label: str) -> LossEval:
     value; this is ecm_loss with z = 2f.
     """
     f, is_pos, m = _check_args(f, label)
-    value, grad = _ecm_value_grad(2.0 * f, is_pos, m)
-    return LossEval(value=float(value), grad_logit=float(grad))
+    return _evaluate(_ecm_value_grad, 2.0 * f, is_pos, m)
 
 
 def margin_error(score: float, gamma: float, side: str) -> int:

@@ -14,8 +14,11 @@ negative; the positives' own counts come from their runs of equal scores.
 
 ``load_scores`` parses a plain file in fixed-size chunks of bytes, so besides
 the file's bytes it holds two arrays of one entry per row and one chunk's
-temporaries, not a Python object per row.  Any other file goes through
-``priors.read_csv``, the CSV reader it shares with the count files.
+temporaries, not a Python object per row.  A long plain file is parsed on two
+cores: a forked child (``_fork.share``) parses the rows after the first
+newline past the body's middle and sends back their scores and labels as raw
+bytes, with the same values as a parse in one process.  Any other file goes
+through ``priors.read_csv``, the CSV reader it shares with the count files.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fork
 from .errors import (
     InputFormatError,
     ResourceLimitError,
@@ -45,6 +49,9 @@ _PLAIN_BYTES[list(b"0123456789.,\n")] = True
 # The plain pass checks and parses the body about this many bytes at a time,
 # each chunk ending just after a newline (the measurement is in CHANGES.md).
 _PARSE_CHUNK_BYTES = 1 << 18
+# Forking a child to parse the second half of a plain body pays for itself
+# only from this many rows on (the measurement is in CHANGES.md).
+_PARSE_SPLIT_MIN_ROWS = 100_000
 
 
 def _check_alpha(alpha: float) -> float:
@@ -293,13 +300,58 @@ def pr_curve(s: ScoreSet, alpha: float) -> PrecisionRecallCurve:
     return PrecisionRecallCurve(thresholds=thresholds, recall=r, precision=r / (r + alpha * g))
 
 
-def _line_chunks(data: bytes, start: int, size: int):
-    """(start, stop) of consecutive chunks of data[start:], each ending just
-    after the first newline at or past size bytes in; data ends with one."""
-    while start < len(data):
-        stop = data.find(b"\n", min(start + size, len(data)) - 1) + 1
-        yield start, stop
-        start = stop
+def _line_chunks(data: bytes, start: int, stop: int, size: int):
+    """(start, stop) of consecutive chunks of data[start:stop], each ending
+    just after the first newline at or past size bytes in; data[stop - 1] is
+    a newline."""
+    while start < stop:
+        end = data.find(b"\n", min(start + size, stop) - 1) + 1
+        yield start, end
+        start = end
+
+
+def _parse_span(data: bytes, start: int, stop: int, scores, is_pos) -> bool:
+    """Check and parse the whole rows of data[start:stop] into scores and
+    is_pos, one entry per row, one chunk of rows at a time.  False when this
+    pass cannot prove every row plain; the entries are then unspecified."""
+    row = 0
+    for lo, hi in _line_chunks(data, start, stop, _PARSE_CHUNK_BYTES):
+        body = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
+        ends = np.flatnonzero(body == ord("\n"))
+        # each line has >= 1 score byte, the only ',' just before a 0/1 label
+        if not (
+            _PLAIN_BYTES[body].all()
+            and (np.diff(ends, prepend=-1) >= 4).all()
+            and np.count_nonzero(body == ord(",")) == ends.size
+            and (body[ends - 2] == ord(",")).all()
+            and ((body[ends - 1] == ord("0")) | (body[ends - 1] == ord("1"))).all()
+        ):
+            return False
+        try:
+            part = np.loadtxt(
+                data[lo:hi].decode("ascii").splitlines(),
+                delimiter=",",
+                usecols=0,
+                comments=None,
+                ndmin=1,
+            )
+        except ValueError:  # '.', '1.2.3': float() rejects these too
+            return False
+        if not ((part >= 0.0) & (part <= 1.0)).all():
+            return False
+        scores[row : row + ends.size] = part
+        is_pos[row : row + ends.size] = body[ends - 1] == ord("1")
+        row += ends.size
+    return True
+
+
+def _parse_tail(data: bytes, cut: int, rows: int):
+    """The forked child's share of _parse_plain: the rows of data[cut:] as
+    one buffer of their scores' float64 bytes and then their labels' bool
+    bytes, or no bytes when some row is not plain."""
+    payload = np.empty(9 * rows, dtype=np.uint8)
+    scores, is_pos = payload[: 8 * rows].view(np.float64), payload[8 * rows :].view(bool)
+    return payload if _parse_span(data, cut, len(data), scores, is_pos) else b""
 
 
 def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
@@ -310,42 +362,34 @@ def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     the csv row loop, which owns every diagnostic and the rarer valid layouts
     (quoted or padded fields, CRLF, blank lines, no trailing newline).  The
     body is checked and parsed one chunk of whole rows at a time, straight
-    into arrays sized from the newline count.
+    into arrays sized from the newline count.  A body of _PARSE_SPLIT_MIN_ROWS
+    rows or more is cut at the first newline at or past its middle, and a
+    forked child parses the rows after the cut while this process parses
+    those before it; np.loadtxt parses each row on its own, so the values do
+    not depend on the cut.
     """
     if not data.startswith(_HEADER) or not data.endswith(b"\n") or len(data) == len(_HEADER):
         return None
-    rows = data.count(b"\n", len(_HEADER))
+    start = len(_HEADER)
+    rows = data.count(b"\n", start)
+    cut = len(data)
+    if rows >= _PARSE_SPLIT_MIN_ROWS:
+        cut = data.find(b"\n", (start + len(data)) // 2) + 1
+    head = data.count(b"\n", start, cut)
     scores = np.empty(rows)
     is_pos = np.empty(rows, dtype=bool)
-    row = 0
-    for start, stop in _line_chunks(data, len(_HEADER), _PARSE_CHUNK_BYTES):
-        body = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
-        ends = np.flatnonzero(body == ord("\n"))
-        # each line has >= 1 score byte, the only ',' just before a 0/1 label
-        if not (
-            _PLAIN_BYTES[body].all()
-            and (np.diff(ends, prepend=-1) >= 4).all()
-            and np.count_nonzero(body == ord(",")) == ends.size
-            and (body[ends - 2] == ord(",")).all()
-            and ((body[ends - 1] == ord("0")) | (body[ends - 1] == ord("1"))).all()
-        ):
-            return None
-        try:
-            part = np.loadtxt(
-                data[start:stop].decode("ascii").splitlines(),
-                delimiter=",",
-                usecols=0,
-                comments=None,
-                ndmin=1,
-            )
-        except ValueError:  # '.', '1.2.3': float() rejects these too
-            return None
-        if not ((part >= 0.0) & (part <= 1.0)).all():
-            return None
-        scores[row : row + ends.size] = part
-        is_pos[row : row + ends.size] = body[ends - 1] == ord("1")
-        row += ends.size
-    return scores, is_pos
+    theirs = (lambda: _parse_tail(data, cut, rows - head)) if cut < len(data) else None
+    plain, tail = _fork.share(
+        lambda: _parse_span(data, start, cut, scores[:head], is_pos[:head]), theirs
+    )
+    if tail is None:  # no child, or it failed: the rows after the cut are parsed here
+        plain = plain and _parse_span(data, cut, len(data), scores[head:], is_pos[head:])
+    elif plain and tail:
+        scores[head:] = np.frombuffer(tail, dtype=np.float64, count=rows - head)
+        is_pos[head:] = np.frombuffer(tail, dtype=bool, offset=8 * (rows - head))
+    else:
+        plain = False
+    return (scores, is_pos) if plain else None
 
 
 def _parse_rows(path: str, data: bytes) -> tuple[list[float], list[float]]:

@@ -19,6 +19,7 @@ from ecmargin import (
     _fork,
     cli,
     load_scores,
+    metrics,
     pr_curve,
     sandbox,
     slope_m,
@@ -820,6 +821,7 @@ class TestMetricsCommand:
 
 
 SPLIT = cli._SPLIT_MIN_ROWS
+PARSE_SPLIT = metrics._PARSE_SPLIT_MIN_ROWS
 
 
 def curve_scores(rows: int, positive) -> str:
@@ -888,7 +890,8 @@ def deadline():
 @pytest.mark.usefixtures("deadline")
 class TestSplitCurveWriter:
     """metrics --pr-curve formats the second half of a long curve in a forked
-    child; the bytes never depend on the split."""
+    child, after a second child parsed the second half of a long scores file;
+    the bytes never depend on either split."""
 
     ALPHA = 3.0
 
@@ -903,7 +906,7 @@ class TestSplitCurveWriter:
         assert_no_children()
         return result, (tmp_path / "pr.csv").read_bytes()
 
-    @pytest.mark.parametrize("rows", [1, SPLIT - 1, SPLIT, 2 * SPLIT + 1])
+    @pytest.mark.parametrize("rows", [1, SPLIT - 1, SPLIT, 2 * SPLIT + 1, PARSE_SPLIT - 1])
     def test_every_split_gives_the_per_row_bytes(
         self, capsys, monkeypatch, tmp_path, forks, rows
     ):
@@ -912,7 +915,10 @@ class TestSplitCurveWriter:
             del forks[:]
             (code, out, err), data = self.run_metrics(capsys, monkeypatch, tmp_path, rows, cpus)
             assert (code, err) == (0, "")
-            assert len(forks) == (1 if cpus >= 2 and rows >= SPLIT else 0)
+            # the file has rows + 1 rows: one fork parses, one formats
+            assert len(forks) == (
+                (int(rows + 1 >= PARSE_SPLIT) + int(rows >= SPLIT)) if cpus >= 2 else 0
+            )
             outputs.add((out, data))
         assert len(outputs) == 1
         _, data = outputs.pop()
@@ -990,21 +996,32 @@ class TestSplitCurveWriter:
 
 
 class SplitCommand:
-    """A command that shares its work with one forked child, run from
-    tmp_path: metrics --pr-curve on a curve long enough to split, verify
-    --suite all, or train with a linear head.  Both processes call work,
-    (module, name), for their share."""
+    """A command that shares its work with forked children, run from
+    tmp_path: metrics on a scores file long enough to split its parse, the
+    same with --pr-curve on a curve long enough to split too, verify --suite
+    all, or train with a linear head.  Both processes call work, (module,
+    name), for their share of the one split it names; the command forks
+    ``forks`` times on two CPUs."""
 
     def __init__(self, name, capsys, monkeypatch, tmp_path):
         self.capsys, self.monkeypatch, self.tmp_path = capsys, monkeypatch, tmp_path
         monkeypatch.chdir(tmp_path)
-        if name == "metrics":
-            (tmp_path / "scores.csv").write_text(split_curve_scores(SPLIT))
-            self.output = "pr.csv"
+        self.forks = 1
+        if name.startswith("metrics"):
+            rows = max(SPLIT, PARSE_SPLIT)
+            (tmp_path / "scores.csv").write_text(split_curve_scores(rows))
             self.argv = ["metrics", "--scores", "scores.csv", "--alpha", "3"]
+        if name == "metrics-parse":
+            self.output = "report.json"
+            self.argv += ["--out", "report.json"]
+            self.work = (metrics, "_parse_span")
+            self.own_share = lambda data, start, *rest: start == len(b"score,label\n")
+        elif name == "metrics-curve":
+            self.output = "pr.csv"
             self.argv += ["--pr-curve", "pr.csv"]
             self.work = (cli, "_curve_rows")
-            self.own_share = lambda curve, lo, hi: hi <= SPLIT // 2
+            self.own_share = lambda curve, lo, hi: hi <= rows // 2
+            self.forks = 2  # the parse's child, then the curve's
         elif name == "train":
             (tmp_path / "train.json").write_text(json.dumps(TRAIN_CONFIG))
             self.output = "report.json"
@@ -1056,7 +1073,7 @@ class SplitCommand:
         self.monkeypatch.setattr(module, name, failing)
 
 
-@pytest.fixture(params=["metrics", "verify", "train"])
+@pytest.fixture(params=["metrics-parse", "metrics-curve", "verify", "train"])
 def split_command(request, capsys, monkeypatch, tmp_path):
     return SplitCommand(request.param, capsys, monkeypatch, tmp_path)
 
@@ -1072,7 +1089,7 @@ class TestForkedShare:
         assert expected[0][0] == 0 and expected[0][2] == ""
         split_command.fail_work("child", failure)
         assert split_command.run(2) == expected
-        assert len(forks) == 1
+        assert len(forks) == split_command.forks
 
     def test_the_parent_does_only_its_own_share_when_the_child_succeeds(
         self, split_command, forks
@@ -1080,7 +1097,7 @@ class TestForkedShare:
         expected = split_command.run(1)
         calls = split_command.record_work()
         assert split_command.run(2) == expected
-        assert len(forks) == 1
+        assert len(forks) == split_command.forks
         assert calls and all(split_command.own_share(*args) for args in calls)
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
@@ -1089,7 +1106,7 @@ class TestForkedShare:
         fds = open_fds()
         with pytest.raises(error):
             split_command.run(2)
-        assert len(forks) == 1
+        assert len(forks) == split_command.forks
         assert_no_children()
         assert open_fds() == fds
 

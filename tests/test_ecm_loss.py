@@ -514,6 +514,29 @@ class TestValidation:
         with pytest.raises(ValidationError, match="focal_alpha"):
             focal_ecm_loss(0.0, POSITIVE, SKEWED, focal_alpha=1.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: ecm_loss(3.0, POSITIVE, w, 1e308),
+            lambda w: focal_ecm_loss(3.0, NEGATIVE, w, 1e308, 0.0, 0.5),
+            lambda w: focal_ecm_loss(-400.0, NEGATIVE, w, 1e308),
+        ],
+        ids=["ecm-gradient", "focal-value", "focal-underflowed-modulation"],
+    )
+    def test_an_overflow_is_rejected_without_a_warning(self, call):
+        """A finite huge m overflows the kernel's 2m or m softplus(t); the
+        API raises instead of returning inf or NaN, and numpy warns of nothing
+        (the tier-1 settings make a warning an error)."""
+        w = weights(Margins(gamma_plus=0.3, gamma_minus=0.7))
+        with pytest.raises(ValidationError, match="loss overflows"):
+            call(w)
+
+    def test_a_huge_finite_result_is_returned(self):
+        w = weights(Margins(gamma_plus=0.3, gamma_minus=0.7))
+        huge = ecm_loss(3.0, POSITIVE, w, 1e300)
+        assert math.isfinite(huge.value) and math.isfinite(huge.grad_logit)
+        assert huge.grad_logit < -1e297
+
     def test_negative_loss_value_rejected(self):
         with pytest.raises(ValidationError, match="loss value"):
             LossEval(value=-0.5, grad_logit=0.0)

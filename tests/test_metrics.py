@@ -1,4 +1,5 @@
 import csv
+import os
 import tracemalloc
 
 import numpy as np
@@ -23,9 +24,10 @@ from ecmargin import (
     ranking_error_bruteforce,
     recall_at,
 )
-from ecmargin import metrics
+from ecmargin import _fork, metrics
 from ecmargin.metrics import _line_chunks, _parse_plain
 
+_HEADER = "score,label\n"
 EXAMPLE = ScoreSet(positives=[0.9, 0.4], negatives=[0.5, 0.1])
 
 
@@ -538,6 +540,15 @@ class TestLoadScoresMatchesRowLoop:
             patch.setattr(metrics, "_PARSE_CHUNK_BYTES", chunk_bytes)
             check_against_row_loop(tmp_path_factory)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_same_values_or_same_error_across_the_parse_split(self, tmp_path_factory, cpus):
+        """The same 400 files, each body of 2 rows or more cut in two, the
+        second part parsed by a forked child when a second CPU is usable."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_PARSE_SPLIT_MIN_ROWS", 2)
+            patch.setattr(_fork, "usable_cpus", lambda: cpus)
+            check_against_row_loop(tmp_path_factory)
+
     def test_plain_file_takes_the_vectorized_pass(self, tmp_path, rng):
         k = rng.integers(0, 10**6, size=3000)
         labels = rng.integers(0, 2, size=k.size)
@@ -601,7 +612,7 @@ class TestChunkBoundaries:
         body = "0.125000,1\n0.500000,0\n" * rows  # 11-byte rows
         monkeypatch.setattr(metrics, "_PARSE_CHUNK_BYTES", 11)
         data = ("score,label\n" + body).encode()
-        chunks = list(_line_chunks(data, len(b"score,label\n"), 11))
+        chunks = list(_line_chunks(data, len(b"score,label\n"), len(data), 11))
         assert len(chunks) == 2 * rows and chunks[-1][1] == len(data)
         scores, is_pos = _parse_plain(data)
         assert scores.tolist() == [0.125, 0.5] * rows and is_pos.tolist() == [True, False] * rows
@@ -611,7 +622,7 @@ class TestChunkBoundaries:
         long_score = "0." + "1234567890" * 3
         text = "score,label\n" + plain_rows(rng, 5) + f"{long_score},1\n" + plain_rows(rng, 5)
         data = text.encode()
-        chunks = list(_line_chunks(data, len(b"score,label\n"), self.CHUNK))
+        chunks = list(_line_chunks(data, len(b"score,label\n"), len(data), self.CHUNK))
         assert [data[stop - 1] for _, stop in chunks] == [ord("\n")] * len(chunks)
         assert b"".join(data[a:b] for a, b in chunks) == data[len(b"score,label\n") :]
         long_row = f"{long_score},1\n".encode()
@@ -619,6 +630,79 @@ class TestChunkBoundaries:
         scores, _ = _parse_plain(data)
         assert scores[5] == float(long_score)
         self.same_as_reference(tmp_path, text)
+
+
+class TestParseSplit:
+    """A plain body of _PARSE_SPLIT_MIN_ROWS rows or more is cut at the first
+    newline at or past its middle, and a forked child parses the rows after
+    the cut; a row that is not plain on either side of the cut sends the
+    whole file to the row loop."""
+
+    ROW = "0.123456,1\n"  # every row has this length, so the cut stays put
+
+    @pytest.fixture(autouse=True)
+    def small_split(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_PARSE_SPLIT_MIN_ROWS", 2)
+
+    def cut_row(self, monkeypatch, rows: int) -> int:
+        """The index of the first row after the cut, seen from the spans the
+        parser is handed on one CPU."""
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        spans = []
+        real = metrics._parse_span
+
+        def recording(data, start, stop, *arrays):
+            spans.append((start, stop))
+            return real(data, start, stop, *arrays)
+
+        monkeypatch.setattr(metrics, "_parse_span", recording)
+        assert _parse_plain((_HEADER + self.ROW * rows).encode()) is not None
+        monkeypatch.setattr(metrics, "_parse_span", real)
+        (start, cut), (after, end) = spans
+        assert (start, after, end) == (len(_HEADER), cut, len(_HEADER) + len(self.ROW) * rows)
+        return (cut - start) // len(self.ROW)
+
+    @pytest.mark.parametrize("side", ["before", "after"])
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("0.123456,2", "label must be 1 or 0, got '2'"),
+            ("1.234567,0", "score 1.234567 outside [0,1]"),
+            ("0.12.456,1", "field 'score' is not a number: '0.12.456'"),
+        ],
+    )
+    def test_a_bad_row_next_to_the_cut_gets_the_row_loop_error(
+        self, tmp_path, monkeypatch, side, bad_row, message
+    ):
+        rows = 41
+        at = self.cut_row(monkeypatch, rows) - (side == "before")
+        lines = [self.ROW.replace(",1", ",0") if j % 2 else self.ROW for j in range(rows)]
+        lines[at] = bad_row + "\n"
+        path = tmp_path / "scores.csv"
+        path.write_text(_HEADER + "".join(lines))
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        for cpus in (1, 2):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+            del forks[:]
+            with pytest.raises(InputFormatError) as info:
+                load_scores(str(path))
+            assert len(forks) == cpus - 1
+            assert str(info.value) == f"{path}: line {at + 2}: {message}"
+            assert _load_outcome(load_scores, str(path)) == _load_outcome(
+                reference_load_scores, str(path)
+            )
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_last_row_longer_than_the_body_before_it_is_not_split(self, monkeypatch, cpus):
+        """The first newline past the middle ends the body, so there is no
+        second part and nothing to fork."""
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with no second part"))
+        long_score = "0." + "1234567890" * 3
+        scores, is_pos = _parse_plain(f"{_HEADER}0.5,0\n{long_score},1\n".encode())
+        assert scores.tolist() == [0.5, float(long_score)] and is_pos.tolist() == [False, True]
 
 
 def test_load_scores_memory_does_not_grow_with_python_objects_per_row(tmp_path, rng):
