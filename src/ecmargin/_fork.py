@@ -2,8 +2,9 @@
 child runs theirs(), and hands back the child's bytes.
 
 ``metrics.load_scores`` parses the second half of a long plain scores file,
-``metrics --pr-curve`` formats the second half of a long curve, ``verify
---suite all`` runs four of its five suites, and ``sandbox.train`` trains the
+``metrics --pr-curve`` formats the second half of a long curve, ``verify``
+runs the units after its cut (the later bounds sandwich blocks and the suites
+after them, about half the estimated cost), and ``sandbox.train`` trains the
 second class block of a linear head in such a child.  A child starts only
 when a fork is available, safe (no other thread is alive) and has a second
 CPU to run on.  Each caller does the child's share itself when share returns

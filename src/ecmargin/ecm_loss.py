@@ -110,8 +110,8 @@ def _check_args(f: float, label: str, m: float = 1.0) -> tuple[float, bool, floa
 def _evaluate(kernel, *args) -> LossEval:
     """The scalar API's kernel call: a LossEval of the value and gradient,
     or ValidationError when either overflowed.  A finite f and m can still
-    overflow the kernel's 2m or m softplus(t), and inf times an underflowed
-    modulation is NaN, so neither warns here: the result is checked instead."""
+    overflow the value m softplus(t), the gradient, or focal's partial
+    product 2 mod m, so neither warns here: the result is checked instead."""
     with np.errstate(over="ignore", invalid="ignore"):
         value, grad = kernel(*args)
     value, grad = float(value), float(grad)
@@ -166,10 +166,11 @@ def _ecm_value_grad(z, positive, m, work=None):
     denom = np.add(e, 1.0, out=a)
     np.putmask(e, np.greater_equal(t, 0.0, out=nonneg), 1.0)
     e /= denom  # sigmoid(t)
-    # sign m sigmoid as +-(2m sigmoid): IEEE rounding is symmetric, so the
-    # label's sign comes last and moves no bit
-    np.add(m, m, out=grad)
-    grad *= e
+    # sign m sigmoid as +-(2 sigmoid m): 2 sigmoid <= 2 is exact, so this is
+    # the rounding of 2m sigmoid, and it overflows only where the gradient
+    # does, never on 2m; IEEE rounding is symmetric, so the sign comes last
+    np.add(e, e, out=grad)
+    grad *= m
     np.negative(grad, out=grad, where=positive)
     return value, grad
 
@@ -203,8 +204,8 @@ def _focal_value_grad(z, positive, m, focal_gamma, focal_alpha, work=None):
     sig_o *= focal_gamma
     sig_o *= sp_t
     sig_o += sig_t
-    grad = np.add(m, m, out=sp_t)
-    grad *= mod
+    grad = np.add(mod, mod, out=sp_t)  # 2 mod <= 2, as 2 sigmoid for ecm
+    grad *= m
     grad *= sig_o
     np.negative(grad, out=grad, where=positive)
     return value, grad

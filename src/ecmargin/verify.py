@@ -2,7 +2,12 @@
 
 Each suite draws its randomness from a child of one SeedSequence, indexed by
 suite name, so a suite produces the same stream whether it runs alone or as
-part of ``all``.  Reports are plain dicts of JSON-safe scalars with no
+part of ``all``.  A run is a list of independent units (``units``): the
+bounds sandwich in fixed blocks of ``_SANDWICH_BLOCK`` trials, block b drawing
+from child b of the bounds suite's SeedSequence, then the rest of the bounds
+suite and each other suite whole.  Units merge exactly in unit order
+(``merge``), so the CLI can deal them to two processes and print the serial
+report.  Reports are plain dicts of JSON-safe scalars with no
 timestamps: identical inputs give byte-identical serialized reports.
 """
 
@@ -27,6 +32,9 @@ from .priors import ClassStats
 
 _SANDWICH_ALPHAS = (0.1, 1.0, 10.0, 1000.0)
 _SANDWICH_SAMPLES = 4000
+# trials per block of the sandwich; fixed, so a block's stream and its result
+# never depend on the CPU count
+_SANDWICH_BLOCK = 50
 _ORACLE_ALPHAS = (0.5, 1.0, 5.0, 50.0)
 _ORACLE_TAUS = (0.05, 1.0 / 6.0, 0.3, 0.5, 0.9)
 _ORACLE_GRID = 2000
@@ -47,9 +55,9 @@ def _suite_report(name: str, checks: list[dict]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_bounds(rng: np.random.Generator, trials: int) -> dict:
-    checks = []
-
+def _sandwich_block(rng: np.random.Generator, trials: int) -> tuple[int, float]:
+    """One block of the sandwich: (violations, min_slack) over ``trials``
+    drawn detectors.  Blocks merge exactly: counts add, slacks take the min."""
     violations = 0
     min_slack = math.inf
     for _ in range(trials):
@@ -64,16 +72,13 @@ def _run_bounds(rng: np.random.Generator, trials: int) -> dict:
             min_slack = min(min_slack, a.slack)
             if a.slack < 0:
                 violations += 1
-    checks.append(
-        _check(
-            "sandwich",
-            violations == 0,
-            detectors=trials,
-            alphas=list(_SANDWICH_ALPHAS),
-            violations=violations,
-            min_slack=float(min_slack),
-        )
-    )
+    return violations, min_slack
+
+
+def _run_bounds(rng: np.random.Generator, trials: int) -> dict:
+    """The bounds suite's checks after the sandwich, which runs in blocks
+    (``run_unit``); ``merge`` puts the sandwich first."""
+    checks = []
 
     rs = np.linspace(0.0, 1.0, 101)
     alphas = np.logspace(-2.0, 3.0, 21)
@@ -443,14 +448,59 @@ def plan(suite: str, trials: int, seed: int) -> tuple[str, ...]:
     return SUITES if suite == "all" else (suite,)
 
 
+def units(names: tuple[str, ...], trials: int) -> list[tuple[str, int | None]]:
+    """The independent units a run of the suites ``names`` is made of, in
+    the order their results merge: (suite, block) for each block of the
+    bounds sandwich, then (suite, None) for the rest of the bounds suite and
+    for each other suite whole."""
+    blocks = -(-trials // _SANDWICH_BLOCK) if "bounds" in names else 0
+    return [("bounds", b) for b in range(blocks)] + [(name, None) for name in names]
+
+
+def run_unit(unit: tuple[str, int | None], trials: int, seed: int):
+    """The result of one unit of ``units``: (violations, min_slack) for a
+    sandwich block, else the suite's report.  Each unit draws from its own
+    stream, so its result does not depend on which process runs it or what
+    ran before."""
+    name, block = unit
+    stream = np.random.SeedSequence(seed).spawn(len(SUITES))[SUITES.index(name)]
+    if block is None:
+        return _RUNNERS[name](np.random.default_rng(stream), trials)
+    rng = np.random.default_rng(stream.spawn(-(-trials // _SANDWICH_BLOCK))[block])
+    return _sandwich_block(rng, min(_SANDWICH_BLOCK, trials - block * _SANDWICH_BLOCK))
+
+
+def merge(parts: list[tuple[str, int | None]], results: list, trials: int) -> list[dict]:
+    """The suite reports of the units' results, in unit order: the sandwich
+    blocks' partials merge into the sandwich check, which leads the bounds
+    suite's checks."""
+    violations, min_slack = 0, math.inf
+    reports = []
+    for (name, block), result in zip(parts, results, strict=True):
+        if block is not None:
+            violations += result[0]
+            min_slack = min(min_slack, result[1])
+        elif name == "bounds":
+            sandwich = _check(
+                "sandwich",
+                violations == 0,
+                detectors=trials,
+                alphas=list(_SANDWICH_ALPHAS),
+                violations=violations,
+                min_slack=float(min_slack),
+            )
+            reports.append(_suite_report(name, [sandwich, *result["checks"]]))
+        else:
+            reports.append(result)
+    return reports
+
+
 def run_suite(name: str, trials: int = 1000, seed: int = 0) -> dict:
     """Run one named suite and return its report, the same report that the
     suite gives inside ``all``."""
     if name not in SUITES:
         raise ValidationError(f"suite must be one of {SUITES}, got {name!r}")
-    plan(name, trials, seed)
-    child = np.random.SeedSequence(seed).spawn(len(SUITES))[SUITES.index(name)]
-    return _RUNNERS[name](np.random.default_rng(child), trials)
+    return run(name, trials, seed)["suites"][0]
 
 
 def report(suite: str, trials: int, seed: int, reports: list[dict]) -> dict:
@@ -465,6 +515,8 @@ def report(suite: str, trials: int, seed: int, reports: list[dict]) -> dict:
 
 
 def run(suite: str = "all", trials: int = 1000, seed: int = 0) -> dict:
-    """Run one named suite (or all) and return a JSON-safe report dict."""
-    names = plan(suite, trials, seed)
-    return report(suite, trials, seed, [run_suite(name, trials, seed) for name in names])
+    """Run one named suite (or all) and return a JSON-safe report dict: the
+    units of ``units`` one after another, merged."""
+    parts = units(plan(suite, trials, seed), trials)
+    results = [run_unit(unit, trials, seed) for unit in parts]
+    return report(suite, trials, seed, merge(parts, results, trials))

@@ -80,8 +80,10 @@ GOLDEN_METRICS_REPORT = """\
 # `verify --suite bounds --trials 50 --seed 3` ("verify_bounds"), recorded from
 # the scalar, bisection-based bounds; the alphas stay away from the branch
 # crossing at alpha*R = 1/6, so the closed-form meet point keeps every byte.
-# "verify_all" is stdout of VERIFY_ALL_ARGV, recorded while verify ran its
-# suites one after another in one process.  "verify_gradients" is stdout of
+# "verify_all" is stdout of VERIFY_ALL_ARGV.  Both verify cases were recorded
+# again when the sandwich began drawing from one stream per block of 50
+# trials, which moved only their sandwich min_slack; the serial run of the
+# units recorded them.  "verify_gradients" is stdout of
 # `verify --suite gradients --trials 1000 --seed 0`, recorded while the
 # gradients suite called the scalar loss API once per point; its worst_rel
 # figures pin the bits of 3000 kernel points per loss.
@@ -999,9 +1001,9 @@ class SplitCommand:
     """A command that shares its work with forked children, run from
     tmp_path: metrics on a scores file long enough to split its parse, the
     same with --pr-curve on a curve long enough to split too, verify --suite
-    all, or train with a linear head.  Both processes call work, (module,
-    name), for their share of the one split it names; the command forks
-    ``forks`` times on two CPUs."""
+    all (its units), or train with a linear head.  Both processes call work,
+    (module, name), for their share of the one split it names; the command
+    forks ``forks`` times on two CPUs."""
 
     def __init__(self, name, capsys, monkeypatch, tmp_path):
         self.capsys, self.monkeypatch, self.tmp_path = capsys, monkeypatch, tmp_path
@@ -1032,8 +1034,10 @@ class SplitCommand:
         else:
             self.output = "report.json"
             self.argv = VERIFY_ALL_ARGV + ["--out", "report.json"]
-            self.work = (verify, "run_suite")
-            self.own_share = lambda name, trials, seed: name == "bounds"
+            self.work = (verify, "run_unit")
+            # at --trials 20 the one sandwich block is about half the
+            # estimated cost, so it is the parent's whole prefix
+            self.own_share = lambda unit, trials, seed: unit == ("bounds", 0)
 
     def run(self, cpus):
         """((exit, stdout, stderr), the output file's bytes) on cpus usable CPUs."""
@@ -1306,7 +1310,9 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, argv)
         assert (code, err) == (0, "")
         assert out == GOLDEN_BOUNDS["verify_bounds"]
-        assert forks == []  # one suite has no share to give away
+        # one suite is two units, the sandwich's one block and the rest of
+        # the suite, so a forked child runs the second
+        assert len(forks) == 1
 
     def test_gradients_suite_bytes_are_golden(self, capsys):
         argv = ["verify", "--suite", "gradients", "--trials", "1000", "--seed", "0"]
@@ -1344,6 +1350,85 @@ class TestVerifyCommand:
         assert doc["passed"] is False
         # edge_cases is an estimators check, and estimators runs in the child
         assert [s["passed"] for s in doc["suites"]] == [s != "estimators" for s in verify.SUITES]
+
+    def test_a_sandwich_block_failing_in_the_child_exits_one_with_the_serial_bytes(
+        self, capsys, monkeypatch, forks
+    ):
+        """At --trials 120 the blocks hold 50, 50 and 20 trials; the block of
+        20 reports a violation and a negative slack, and runs in the child."""
+        real_block = verify._sandwich_block
+
+        def failing_short_block(rng, trials):
+            violations, min_slack = real_block(rng, trials)
+            return (violations + 1, -min_slack) if trials == 20 else (violations, min_slack)
+
+        monkeypatch.setattr(verify, "_sandwich_block", failing_short_block)
+        real_unit, parent, here = verify.run_unit, os.getpid(), []
+
+        def recording_unit(unit, trials, seed):
+            if os.getpid() == parent:
+                here.append(unit)
+            return real_unit(unit, trials, seed)
+
+        monkeypatch.setattr(verify, "run_unit", recording_unit)
+        argv = ["verify", "--suite", "bounds", "--trials", "120", "--seed", "4"]
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+            del forks[:], here[:]
+            runs.append(run_cli(capsys, argv))
+            assert len(forks) == cpus - 1
+            assert_no_children()
+        assert here == [("bounds", 0), ("bounds", 1)]  # the child ran block 2 and the rest
+        assert runs[0] == runs[1]
+        code, out, err = runs[1]
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        sandwich = doc["suites"][0]["checks"][0]
+        assert (doc["passed"], sandwich["passed"], sandwich["violations"]) == (False, False, 1)
+        assert sandwich["min_slack"] < 0.0
+        assert [c["passed"] for c in doc["suites"][0]["checks"][1:]] == [True] * 3
+
+    @staticmethod
+    def library_text(argv):
+        """The document verify prints for argv, built from verify.run."""
+        _, _, suite, _, trials, _, seed = argv
+        config = {"command": "verify", "format": "json", "out": None, "seed": int(seed),
+                  "suite": suite, "trials": int(trials)}
+        return cli._json_text({"config": config, **verify.run(suite, int(trials), int(seed))})
+
+    @pytest.mark.parametrize("suite", ["all", "bounds"])
+    def test_every_cut_of_the_units_gives_the_library_bytes(
+        self, capsys, monkeypatch, forks, suite
+    ):
+        """On two CPUs the parent runs units[:cut] and a child the rest, for
+        every cut; at --trials 120 the sandwich blocks hold 50, 50 and 20."""
+        argv = ["verify", "--suite", suite, "--trials", "120", "--seed", "9"]
+        expected = self.library_text(argv)
+        units = verify.units(verify.plan(suite, 120, 9), 120)
+        assert units[:4] == [("bounds", 0), ("bounds", 1), ("bounds", 2), ("bounds", None)]
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        for cut in range(len(units) + 1):
+            monkeypatch.setattr(cli, "_verify_cut", lambda units, trials: cut)
+            del forks[:]
+            assert run_cli(capsys, argv) == (0, expected, ""), f"cut {cut}"
+            assert len(forks) == int(cut < len(units))
+            assert_no_children()
+
+    @pytest.mark.parametrize("trials", [1, 49, 50, 51])
+    def test_a_partial_block_counts_every_detector(self, capsys, monkeypatch, trials):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        argv = ["verify", "--suite", "all", "--trials", str(trials), "--seed", "2"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (0, self.library_text(argv), "")
+        assert json.loads(out)["suites"][0]["checks"][0]["detectors"] == trials
+
+    def test_the_cut_reaches_half_the_estimated_cost(self):
+        units = verify.units(verify.SUITES, 1000)
+        costs = [cli._unit_cost(unit, 1000) for unit in units]
+        cut = cli._verify_cut(units, 1000)
+        assert sum(costs[: cut - 1]) < sum(costs) / 2 <= sum(costs[:cut])
+        assert units[cut - 1][0] == "bounds" and units[cut - 1][1] is not None
 
     def test_output_is_byte_deterministic(self, capsys):
         argv = ["verify", "--suite", "estimators", "--trials", "25", "--seed", "1"]

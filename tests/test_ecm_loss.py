@@ -514,22 +514,27 @@ class TestValidation:
         with pytest.raises(ValidationError, match="focal_alpha"):
             focal_ecm_loss(0.0, POSITIVE, SKEWED, focal_alpha=1.0)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda w: ecm_loss(3.0, POSITIVE, w, 1e308),
-            lambda w: focal_ecm_loss(3.0, NEGATIVE, w, 1e308, 0.0, 0.5),
-            lambda w: focal_ecm_loss(-400.0, NEGATIVE, w, 1e308),
-        ],
-        ids=["ecm-gradient", "focal-value", "focal-underflowed-modulation"],
-    )
-    def test_an_overflow_is_rejected_without_a_warning(self, call):
-        """A finite huge m overflows the kernel's 2m or m softplus(t); the
-        API raises instead of returning inf or NaN, and numpy warns of nothing
-        (the tier-1 settings make a warning an error)."""
+    def test_an_overflow_is_rejected_without_a_warning(self):
+        """A finite huge m overflows focal's value m mod softplus(t); the API
+        raises instead of returning inf, and numpy warns of nothing (the
+        tier-1 settings make a warning an error)."""
         w = weights(Margins(gamma_plus=0.3, gamma_minus=0.7))
         with pytest.raises(ValidationError, match="loss overflows"):
-            call(w)
+            focal_ecm_loss(3.0, NEGATIVE, w, 1e308, 0.0, 0.5)
+
+    def test_a_finite_result_past_2m_is_returned(self):
+        """2m overflows at m = 1e308, but the kernels double last, so a
+        finite gradient comes back without a warning: -2m (1 - s_hat) from
+        logs for ECM, and 0 for focal where its modulation underflows."""
+        w = weights(Margins(gamma_plus=0.3, gamma_minus=0.7))
+        z = 2.0 * 3.0 - math.log(w.w_minus / w.w_plus)
+        got = ecm_loss(3.0, POSITIVE, w, 1e308)
+        log_rest = math.log1p(math.exp(-z))  # softplus(-z) = -ln s_hat
+        assert got.value == pytest.approx(1e308 * log_rest, rel=1e-14)
+        grad = -math.exp(math.log(2.0) + math.log(1e308) - math.log1p(math.exp(z)))
+        assert got.grad_logit == pytest.approx(grad, rel=1e-12)
+        assert got.grad_logit == pytest.approx(-2.12239006e305, rel=1e-8)
+        assert focal_ecm_loss(-400.0, NEGATIVE, w, 1e308) == LossEval(0.0, 0.0)
 
     def test_a_huge_finite_result_is_returned(self):
         w = weights(Margins(gamma_plus=0.3, gamma_minus=0.7))

@@ -48,6 +48,50 @@ class TestRun:
         reports = [verify.run_suite(name, 40, 42) for name in reversed(SUITES)]
         assert verify.report("all", 40, 42, reports[::-1]) == full_report
 
+    def test_units_are_the_sandwich_blocks_then_whole_suites(self):
+        assert verify.units(SUITES, 120) == [
+            ("bounds", 0), ("bounds", 1), ("bounds", 2), *((name, None) for name in SUITES)
+        ]
+        assert verify.units(("margins",), 120) == [("margins", None)]
+
+    @pytest.mark.parametrize("trials,sizes", [(1, [1]), (50, [50]), (120, [50, 50, 20])])
+    def test_sandwich_block_b_draws_from_child_b_of_the_bounds_stream(
+        self, monkeypatch, trials, sizes
+    ):
+        """Child b of the bounds suite's SeedSequence has spawn key (0, b)
+        whatever the block count, so each block's stream is built here
+        without spawn; the rest of the suite draws from the suite's own."""
+        blocks = [
+            verify._sandwich_block(
+                np.random.default_rng(np.random.SeedSequence(9, spawn_key=(0, b))), size
+            )
+            for b, size in enumerate(sizes)
+        ]
+        rest = verify._run_bounds(np.random.default_rng(np.random.SeedSequence(9, spawn_key=(0,))), trials)
+        real_block, drawn = verify._sandwich_block, []
+
+        def counting_block(rng, trials):
+            drawn.append(trials)
+            return real_block(rng, trials)
+
+        monkeypatch.setattr(verify, "_sandwich_block", counting_block)
+        sandwich, *checks = verify.run_suite("bounds", trials, 9)["checks"]
+        assert drawn == sizes
+        assert sandwich["detectors"] == trials
+        assert sandwich["violations"] == sum(v for v, _ in blocks) == 0
+        assert sandwich["min_slack"] == min(s for _, s in blocks)
+        assert checks == rest["checks"]
+
+    def test_sandwich_partials_merge_exactly(self):
+        """Counts add and slacks take the min, in whichever blocks they fall."""
+        parts = verify.units(("bounds",), 120)
+        rest = {"suite": "bounds", "passed": True, "checks": [{"name": "rest", "passed": True}]}
+        (bounds,) = verify.merge(parts, [(1, 0.5), (0, -0.25), (2, 0.125), rest], 120)
+        sandwich = bounds["checks"][0]
+        assert (sandwich["detectors"], sandwich["violations"], sandwich["min_slack"]) == (120, 3, -0.25)
+        assert (bounds["passed"], sandwich["passed"]) == (False, False)
+        assert bounds["checks"][1:] == rest["checks"]
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValidationError, match="suite"):
             run_verification("everything", trials=10, seed=0)
