@@ -2,7 +2,7 @@
 child runs theirs(), and hands back the child's bytes.
 
 ``metrics.load_scores`` parses the second half of a long plain scores file,
-``metrics --pr-curve`` formats the second half of a long curve, ``verify``
+``metrics --pr-curve`` formats the second half of a long curve, ``verify.run``
 runs the units after its cut (the later bounds sandwich blocks and the suites
 after them, about half the estimated cost), and ``sandbox.train`` trains the
 second class block of a linear head in such a child.  A child starts only

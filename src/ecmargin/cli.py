@@ -6,10 +6,11 @@ flag values.  Every emitted document echoes the resolved configuration, JSON
 under a "config" key and CSV as a leading "# {...}" comment line, and
 contains no timestamps, so identical invocations produce identical bytes.
 ``metrics``, ``verify`` and ``train`` share their work with a forked child
-as ``_fork`` describes; the bytes are identical either way.
-``metrics`` forks up to twice: ``load_scores`` parses the second half of a
-long plain scores file in one child, and with ``--pr-curve`` another formats
-the second half of a long curve.
+as ``_fork`` describes; the bytes are identical either way.  ``verify.run``
+and ``sandbox.train`` fork for ``verify`` and ``train``; ``metrics`` forks up
+to twice: ``load_scores`` parses the second half of a long plain scores file
+in one child, and with ``--pr-curve`` another formats the second half of a
+long curve.
 
 ``metrics`` parses a plain scores file, and writes the PR curve, in fixed-size
 chunks with the same bytes as in one piece.  Its memory grows with the file's
@@ -23,16 +24,13 @@ another output.
 from __future__ import annotations
 
 import argparse
-import bisect
 import contextlib
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import math
 import os
-import pickle
 import sys
 
 import numpy as np
@@ -308,57 +306,12 @@ def _write_pr_curve(fh, head: str, curve) -> None:
         fh.buffer.write(data)
 
 
-# Estimated seconds per trial of each kind of verify unit ("sandwich" for a
-# block of the bounds sandwich, "bounds" for the rest of that suite), used
-# only to cut the unit list, so they move no output byte.  Each is the median
-# of 5 seeds x 2 runs, timed in process at --trials 1000 on a 2-vCPU x86-64
-# VM (Python 3.11.7, numpy 2.4.6).  The oracles' cost does not grow with the
-# trials; it is small either way.
-_VERIFY_TRIAL_S = {
-    "sandwich": 9.3e-4,
-    "bounds": 6.0e-6,
-    "gradients": 3.5e-5,
-    "estimators": 3.8e-4,
-    "margins": 9.8e-6,
-    "oracles": 1.9e-5,
-}
-
-
-def _unit_cost(unit, trials: int) -> float:
-    name, block = unit
-    if block is None:
-        return _VERIFY_TRIAL_S[name] * trials
-    return _VERIFY_TRIAL_S["sandwich"] * min(
-        verify._SANDWICH_BLOCK, trials - block * verify._SANDWICH_BLOCK
-    )
-
-
-def _verify_cut(units, trials: int) -> int:
-    """How many units, from the first, this process runs: the shortest prefix
-    whose estimated cost reaches half the total."""
-    costs = list(itertools.accumulate(_unit_cost(unit, trials) for unit in units))
-    return bisect.bisect_left(costs, costs[-1] / 2.0) + 1
-
-
 def _cmd_verify(args) -> int:
     _require_json_format(args, "verify")
-    names = verify.plan(args.suite, args.trials, args.seed)
+    verify.plan(args.suite, args.trials, args.seed)  # before --out is opened
     config = _resolved(args, "verify", suite=args.suite, trials=args.trials)
-    units = verify.units(names, args.trials)
-
-    def run_units(part) -> list:
-        return [verify.run_unit(unit, args.trials, args.seed) for unit in part]
-
-    # a prefix of the units, about half their estimated cost, runs here and
-    # the rest in a forked child; the results merge in unit order
-    cut = _verify_cut(units, args.trials)
-    here, there = units[:cut], units[cut:]
     with _open_output(args.out) as out:
-        theirs = (lambda: pickle.dumps(run_units(there))) if there else None
-        results, data = _fork.share(lambda: run_units(here), theirs)
-        results += run_units(there) if data is None else pickle.loads(data)
-        reports = verify.merge(units, results, args.trials)
-        report = verify.report(args.suite, args.trials, args.seed, reports)
+        report = verify.run(args.suite, args.trials, args.seed)
         _emit_report({"config": config, **report}, out)
     return 0 if report["passed"] else 1
 

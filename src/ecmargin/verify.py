@@ -2,22 +2,25 @@
 
 Each suite draws its randomness from a child of one SeedSequence, indexed by
 suite name, so a suite produces the same stream whether it runs alone or as
-part of ``all``.  A run is a list of independent units (``units``): the
+part of ``all``.  A run is a list of independent units (``_units``): the
 bounds sandwich in fixed blocks of ``_SANDWICH_BLOCK`` trials, block b drawing
 from child b of the bounds suite's SeedSequence, then the rest of the bounds
-suite and each other suite whole.  Units merge exactly in unit order
-(``merge``), so the CLI can deal them to two processes and print the serial
-report.  Reports are plain dicts of JSON-safe scalars with no
+suite and each other suite whole.  ``run`` deals them to this process and a
+forked child and merges them exactly in unit order, so every caller gets the
+serial report.  Reports are plain dicts of JSON-safe scalars with no
 timestamps: identical inputs give byte-identical serialized reports.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import pickle
 
 import numpy as np
 
-from . import bounds as bnd
+from . import _fork, bounds as bnd
 from .ecm_loss import _ecm_value_grad, _focal_value_grad, decision_logit, log_weight_ratio
 from .errors import ValidationError
 from .margins import Margins, margins_grid_oracle, optimal_margins, weights
@@ -77,7 +80,7 @@ def _sandwich_block(rng: np.random.Generator, trials: int) -> tuple[int, float]:
 
 def _run_bounds(rng: np.random.Generator, trials: int) -> dict:
     """The bounds suite's checks after the sandwich, which runs in blocks
-    (``run_unit``); ``merge`` puts the sandwich first."""
+    (``_run_unit``); ``_merge`` puts the sandwich first."""
     checks = []
 
     rs = np.linspace(0.0, 1.0, 101)
@@ -437,18 +440,39 @@ _RUNNERS = {
 SUITES = tuple(_RUNNERS)
 
 
+# 100 times criterion 02's 10^4 detectors: a run's unit list grows with its
+# trials, so with no cap a typo such as 10**30 fills memory before any check
+_MAX_TRIALS = 10**6
+# Estimated seconds per trial of each kind of unit ("sandwich" for a block of
+# the bounds sandwich, "bounds" for the rest of that suite), used only to cut
+# the unit list, so they move no report byte.  Each is the median of 5 seeds x
+# 2 runs, timed in process at 1000 trials on a 2-vCPU x86-64 VM (Python
+# 3.11.7, numpy 2.4.6).  The oracles' cost does not grow with the trials; it
+# is small either way.
+_TRIAL_S = {
+    "sandwich": 9.3e-4,
+    "bounds": 6.0e-6,
+    "gradients": 3.5e-5,
+    "estimators": 3.8e-4,
+    "margins": 9.8e-6,
+    "oracles": 1.9e-5,
+}
+
+
 def plan(suite: str, trials: int, seed: int) -> tuple[str, ...]:
     """Check the arguments of a run and return the suites it runs, in order."""
     if suite != "all" and suite not in SUITES:
         raise ValidationError(f"suite must be 'all' or one of {SUITES}, got {suite!r}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if trials > _MAX_TRIALS:
+        raise ValidationError(f"trials must be <= {_MAX_TRIALS}, got {trials}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     return SUITES if suite == "all" else (suite,)
 
 
-def units(names: tuple[str, ...], trials: int) -> list[tuple[str, int | None]]:
+def _units(names: tuple[str, ...], trials: int) -> list[tuple[str, int | None]]:
     """The independent units a run of the suites ``names`` is made of, in
     the order their results merge: (suite, block) for each block of the
     bounds sandwich, then (suite, None) for the rest of the bounds suite and
@@ -457,8 +481,8 @@ def units(names: tuple[str, ...], trials: int) -> list[tuple[str, int | None]]:
     return [("bounds", b) for b in range(blocks)] + [(name, None) for name in names]
 
 
-def run_unit(unit: tuple[str, int | None], trials: int, seed: int):
-    """The result of one unit of ``units``: (violations, min_slack) for a
+def _run_unit(unit: tuple[str, int | None], trials: int, seed: int):
+    """The result of one unit of ``_units``: (violations, min_slack) for a
     sandwich block, else the suite's report.  Each unit draws from its own
     stream, so its result does not depend on which process runs it or what
     ran before."""
@@ -470,13 +494,27 @@ def run_unit(unit: tuple[str, int | None], trials: int, seed: int):
     return _sandwich_block(rng, min(_SANDWICH_BLOCK, trials - block * _SANDWICH_BLOCK))
 
 
-def merge(parts: list[tuple[str, int | None]], results: list, trials: int) -> list[dict]:
+def _cost(unit: tuple[str, int | None], trials: int) -> float:
+    name, block = unit
+    if block is None:
+        return _TRIAL_S[name] * trials
+    return _TRIAL_S["sandwich"] * min(_SANDWICH_BLOCK, trials - block * _SANDWICH_BLOCK)
+
+
+def _cut(units: list[tuple[str, int | None]], trials: int) -> int:
+    """How many units, from the first, this process runs: the shortest prefix
+    whose estimated cost reaches half the total."""
+    costs = list(itertools.accumulate(_cost(unit, trials) for unit in units))
+    return bisect.bisect_left(costs, costs[-1] / 2.0) + 1
+
+
+def _merge(units: list[tuple[str, int | None]], results: list, trials: int) -> list[dict]:
     """The suite reports of the units' results, in unit order: the sandwich
     blocks' partials merge into the sandwich check, which leads the bounds
     suite's checks."""
     violations, min_slack = 0, math.inf
     reports = []
-    for (name, block), result in zip(parts, results, strict=True):
+    for (name, block), result in zip(units, results, strict=True):
         if block is not None:
             violations += result[0]
             min_slack = min(min_slack, result[1])
@@ -503,8 +541,23 @@ def run_suite(name: str, trials: int = 1000, seed: int = 0) -> dict:
     return run(name, trials, seed)["suites"][0]
 
 
-def report(suite: str, trials: int, seed: int, reports: list[dict]) -> dict:
-    """The report of a run: its arguments, its suite reports and whether all passed."""
+def run(suite: str = "all", trials: int = 1000, seed: int = 0) -> dict:
+    """Run one named suite (or all) and return a JSON-safe report dict: its
+    arguments, its suite reports and whether all passed.  The units up to
+    about half their estimated cost run here and the rest in a forked child
+    (``_fork.share``); the results merge in unit order, so the report is the
+    same on any CPU count."""
+    units = _units(plan(suite, trials, seed), trials)
+
+    def run_units(part) -> list:
+        return [_run_unit(unit, trials, seed) for unit in part]
+
+    cut = _cut(units, trials)
+    here, there = units[:cut], units[cut:]
+    theirs = (lambda: pickle.dumps(run_units(there))) if there else None
+    results, data = _fork.share(lambda: run_units(here), theirs)
+    results += run_units(there) if data is None else pickle.loads(data)
+    reports = _merge(units, results, trials)
     return {
         "suite": suite,
         "trials": trials,
@@ -512,11 +565,3 @@ def report(suite: str, trials: int, seed: int, reports: list[dict]) -> dict:
         "passed": all(r["passed"] for r in reports),
         "suites": reports,
     }
-
-
-def run(suite: str = "all", trials: int = 1000, seed: int = 0) -> dict:
-    """Run one named suite (or all) and return a JSON-safe report dict: the
-    units of ``units`` one after another, merged."""
-    parts = units(plan(suite, trials, seed), trials)
-    results = [run_unit(unit, trials, seed) for unit in parts]
-    return report(suite, trials, seed, merge(parts, results, trials))

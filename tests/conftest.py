@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,3 +7,17 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made from now on, counted in this process."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls

@@ -862,20 +862,6 @@ def open_fds() -> set[str]:
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The forks the CLI makes, counted in the parent."""
-    calls = []
-    real_fork = os.fork
-
-    def counting_fork():
-        calls.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return calls
-
-
-@pytest.fixture
 def deadline():
     """Fail, instead of hanging, a test whose writer blocks on a child or a pipe."""
 
@@ -1034,7 +1020,7 @@ class SplitCommand:
         else:
             self.output = "report.json"
             self.argv = VERIFY_ALL_ARGV + ["--out", "report.json"]
-            self.work = (verify, "run_unit")
+            self.work = (verify, "_run_unit")
             # at --trials 20 the one sandwich block is about half the
             # estimated cost, so it is the parent's whole prefix
             self.own_share = lambda unit, trials, seed: unit == ("bounds", 0)
@@ -1363,14 +1349,14 @@ class TestVerifyCommand:
             return (violations + 1, -min_slack) if trials == 20 else (violations, min_slack)
 
         monkeypatch.setattr(verify, "_sandwich_block", failing_short_block)
-        real_unit, parent, here = verify.run_unit, os.getpid(), []
+        real_unit, parent, here = verify._run_unit, os.getpid(), []
 
         def recording_unit(unit, trials, seed):
             if os.getpid() == parent:
                 here.append(unit)
             return real_unit(unit, trials, seed)
 
-        monkeypatch.setattr(verify, "run_unit", recording_unit)
+        monkeypatch.setattr(verify, "_run_unit", recording_unit)
         argv = ["verify", "--suite", "bounds", "--trials", "120", "--seed", "4"]
         runs = []
         for cpus in (1, 2):
@@ -1391,11 +1377,15 @@ class TestVerifyCommand:
 
     @staticmethod
     def library_text(argv):
-        """The document verify prints for argv, built from verify.run."""
+        """The document verify prints for argv, built from verify.run on one
+        CPU, where every unit runs in this process."""
         _, _, suite, _, trials, _, seed = argv
         config = {"command": "verify", "format": "json", "out": None, "seed": int(seed),
                   "suite": suite, "trials": int(trials)}
-        return cli._json_text({"config": config, **verify.run(suite, int(trials), int(seed))})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_fork, "usable_cpus", lambda: 1)
+            report = verify.run(suite, int(trials), int(seed))
+        return cli._json_text({"config": config, **report})
 
     @pytest.mark.parametrize("suite", ["all", "bounds"])
     def test_every_cut_of_the_units_gives_the_library_bytes(
@@ -1405,11 +1395,11 @@ class TestVerifyCommand:
         every cut; at --trials 120 the sandwich blocks hold 50, 50 and 20."""
         argv = ["verify", "--suite", suite, "--trials", "120", "--seed", "9"]
         expected = self.library_text(argv)
-        units = verify.units(verify.plan(suite, 120, 9), 120)
+        units = verify._units(verify.plan(suite, 120, 9), 120)
         assert units[:4] == [("bounds", 0), ("bounds", 1), ("bounds", 2), ("bounds", None)]
         monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
         for cut in range(len(units) + 1):
-            monkeypatch.setattr(cli, "_verify_cut", lambda units, trials: cut)
+            monkeypatch.setattr(verify, "_cut", lambda units, trials: cut)
             del forks[:]
             assert run_cli(capsys, argv) == (0, expected, ""), f"cut {cut}"
             assert len(forks) == int(cut < len(units))
@@ -1424,9 +1414,9 @@ class TestVerifyCommand:
         assert json.loads(out)["suites"][0]["checks"][0]["detectors"] == trials
 
     def test_the_cut_reaches_half_the_estimated_cost(self):
-        units = verify.units(verify.SUITES, 1000)
-        costs = [cli._unit_cost(unit, 1000) for unit in units]
-        cut = cli._verify_cut(units, 1000)
+        units = verify._units(verify.SUITES, 1000)
+        costs = [verify._cost(unit, 1000) for unit in units]
+        cut = verify._cut(units, 1000)
         assert sum(costs[: cut - 1]) < sum(costs) / 2 <= sum(costs[:cut])
         assert units[cut - 1][0] == "bounds" and units[cut - 1][1] is not None
 
@@ -1456,6 +1446,16 @@ class TestVerifyCommand:
     def test_negative_seed_rejected(self, capsys):
         argv = ["verify", "--suite", "margins", "--trials", "1", "--seed", "-1"]
         assert_input_error(*run_cli(capsys, argv), "seed must be >= 0, got -1")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_trials_past_the_cap_exit_two_before_any_unit_is_built(
+        self, capsys, monkeypatch, forks, cpus
+    ):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(verify, "_units", lambda *args: pytest.fail("built the unit list"))
+        argv = ["verify", "--trials", str(10**30)]
+        assert_input_error(*run_cli(capsys, argv), f"trials must be <= 1000000, got {10**30}")
+        assert forks == []
 
     def test_csv_format_rejected(self, capsys):
         code, _, err = run_cli(

@@ -1,10 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from ecmargin import SUITES, ValidationError, run_verification, verify
+from ecmargin import SUITES, ValidationError, _fork, run_verification, verify
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +47,13 @@ class TestRun:
 
     def test_run_suite_gives_its_slice_of_the_full_run(self, full_report):
         reports = [verify.run_suite(name, 40, 42) for name in reversed(SUITES)]
-        assert verify.report("all", 40, 42, reports[::-1]) == full_report
+        assert reports[::-1] == full_report["suites"]
 
     def test_units_are_the_sandwich_blocks_then_whole_suites(self):
-        assert verify.units(SUITES, 120) == [
+        assert verify._units(SUITES, 120) == [
             ("bounds", 0), ("bounds", 1), ("bounds", 2), *((name, None) for name in SUITES)
         ]
-        assert verify.units(("margins",), 120) == [("margins", None)]
+        assert verify._units(("margins",), 120) == [("margins", None)]
 
     @pytest.mark.parametrize("trials,sizes", [(1, [1]), (50, [50]), (120, [50, 50, 20])])
     def test_sandwich_block_b_draws_from_child_b_of_the_bounds_stream(
@@ -60,7 +61,9 @@ class TestRun:
     ):
         """Child b of the bounds suite's SeedSequence has spawn key (0, b)
         whatever the block count, so each block's stream is built here
-        without spawn; the rest of the suite draws from the suite's own."""
+        without spawn; the rest of the suite draws from the suite's own.  On
+        one CPU every block is drawn in this process, where it is counted."""
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
         blocks = [
             verify._sandwich_block(
                 np.random.default_rng(np.random.SeedSequence(9, spawn_key=(0, b))), size
@@ -84,9 +87,9 @@ class TestRun:
 
     def test_sandwich_partials_merge_exactly(self):
         """Counts add and slacks take the min, in whichever blocks they fall."""
-        parts = verify.units(("bounds",), 120)
+        parts = verify._units(("bounds",), 120)
         rest = {"suite": "bounds", "passed": True, "checks": [{"name": "rest", "passed": True}]}
-        (bounds,) = verify.merge(parts, [(1, 0.5), (0, -0.25), (2, 0.125), rest], 120)
+        (bounds,) = verify._merge(parts, [(1, 0.5), (0, -0.25), (2, 0.125), rest], 120)
         sandwich = bounds["checks"][0]
         assert (sandwich["detectors"], sandwich["violations"], sandwich["min_slack"]) == (120, 3, -0.25)
         assert (bounds["passed"], sandwich["passed"]) == (False, False)
@@ -106,6 +109,13 @@ class TestRun:
         with pytest.raises(ValidationError, match="trials"):
             run_verification("bounds", trials=trials, seed=0)
 
+    @pytest.mark.parametrize("trials", [10**6 + 1, 10**30])
+    def test_trials_past_the_cap_rejected_before_any_unit_is_built(self, monkeypatch, trials):
+        assert verify.plan("all", 10**6, 0) == SUITES
+        monkeypatch.setattr(verify, "_units", lambda *args: pytest.fail("built the unit list"))
+        with pytest.raises(ValidationError, match=f"trials must be <= 1000000, got {trials}$"):
+            run_verification("all", trials=trials, seed=0)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
             run_verification("bounds", trials=1, seed=-1)
@@ -117,6 +127,44 @@ class TestRun:
         report = run_verification("estimators", trials=1000, seed=seed)
         checks = {c["name"]: c for c in report["suites"][0]["checks"]}
         assert checks["binary_bound"]["worst_slack"] == 0.0
+
+
+class TestDeal:
+    """run deals its units: the prefix up to about half their estimated cost
+    runs in this process and the rest in one forked child."""
+
+    def test_a_run_forks_once_and_gives_the_one_cpu_report(self, monkeypatch, forks):
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+            reports.append(run_verification("all", 120, 9))
+        assert len(forks) == 1
+        assert reports[0] == reports[1]
+        with pytest.raises(ChildProcessError):  # the child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("suite", [name for name in SUITES if name != "bounds"])
+    def test_a_one_unit_suite_forks_nothing(self, monkeypatch, suite):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a one-unit run"))
+        assert run_verification(suite, 20, 9)["passed"]
+
+    def test_the_parent_runs_only_its_prefix_when_the_child_succeeds(self, monkeypatch, forks):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        expected = run_verification("all", 120, 9)
+        real_unit, parent, here = verify._run_unit, os.getpid(), []
+
+        def recording_unit(unit, trials, seed):
+            if os.getpid() == parent:
+                here.append(unit)
+            return real_unit(unit, trials, seed)
+
+        monkeypatch.setattr(verify, "_run_unit", recording_unit)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        assert run_verification("all", 120, 9) == expected
+        units = verify._units(SUITES, 120)
+        assert here == units[: verify._cut(units, 120)] == [("bounds", 0), ("bounds", 1)]
+        assert len(forks) == 1
 
 
 TRIALS = 50
