@@ -1,20 +1,28 @@
-"""The one fork policy: share(mine, theirs) runs mine() here while a forked
-child runs theirs(), and hands back the child's bytes.
+"""The one fork policy: share(mine, theirs) is a fork-join that returns
+(mine(), theirs()), running theirs() in a forked child while this process
+runs mine().
+
+The child pickles what theirs() returns onto a pipe, and this process loads it
+straight off the pipe.  A child starts only when ``available()``: a fork
+exists, it is safe (no other thread is alive) and a second CPU can run it.
+When no child started, or the child failed (raised, was killed, or sent a
+truncated pickle), theirs() runs here after mine(), so the results never
+depend on the fork.  When mine() raises, the child is killed; it is reaped
+and its pipe closed on every path.
 
 ``metrics.load_scores`` parses the second half of a long plain scores file,
 ``metrics --pr-curve`` formats the second half of a long curve, ``verify.run``
 runs the units after its cut (the later bounds sandwich blocks and the suites
 after them, about half the estimated cost), and ``sandbox.train`` trains the
-second class block of a linear head in such a child.  A child starts only
-when a fork is available, safe (no other thread is alive) and has a second
-CPU to run on.  Each caller does the child's share itself when share returns
-None, so the result never depends on the fork.
+second class block of a linear head in such a child.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import pickle
+import signal
 import threading
 
 
@@ -23,23 +31,38 @@ def usable_cpus() -> int:
     return 1 if getaffinity is None else len(getaffinity(0))
 
 
-def share(mine, theirs) -> tuple[object, bytes | None]:
-    """(mine(), the bytes theirs() returned in a forked child), or None for
-    the bytes when theirs is None, no child could start or the child failed.
-    The child is collected and reaped on every path, mine() raising too."""
-    can_fork = hasattr(os, "fork") and threading.active_count() == 1 and usable_cpus() >= 2
-    child = _fork(theirs) if theirs is not None and can_fork else None
+def available() -> bool:
+    """Whether share would run theirs() in a forked child."""
+    return hasattr(os, "fork") and threading.active_count() == 1 and usable_cpus() >= 2
+
+
+def share(mine, theirs):
+    """(mine(), theirs()), theirs() run in a forked child when one is
+    available; (mine(), None) when theirs is None."""
+    child = _fork(theirs) if theirs is not None and available() else None
+    if child is None:
+        return mine(), None if theirs is None else theirs()
+    pid, pipe = child
     try:
         result = mine()
+        pipe.readline()  # the child's pid
+        try:
+            return result, pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):  # the child failed before its pickle ended
+            pass
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        data = _collect(child)
-    return result, data
+        pipe.close()
+        os.waitpid(pid, 0)
+    return result, theirs()
 
 
 def _fork(produce) -> tuple[int, io.BufferedReader] | None:
-    """Fork a child that sends its pid, a newline and the bytes produce()
-    returns through a pipe: (pid, the pipe's read end), or None when no child
-    could be started."""
+    """Fork a child that sends its pid, a newline and the pickle of what
+    produce() returns through a pipe: (pid, the pipe's read end), or None
+    when no child could be started."""
     read_fd, write_fd = os.pipe()
     parent = os.getpid()
     try:
@@ -66,26 +89,9 @@ def _fork(produce) -> tuple[int, io.BufferedReader] | None:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
                 pipe.write(b"%d\n" % os.getpid())
-                pipe.write(produce())
+                pickle.dump(produce(), pipe, protocol=pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
-
-
-def _collect(child) -> bytes | None:
-    """The bytes a child from _fork sent, or None when there was no child or
-    it failed.  The pipe is closed and the child reaped on every path."""
-    if child is None:
-        return None
-    pid, pipe = child
-    data = io.BytesIO()  # filled block by block: one read of it all holds it twice
-    try:
-        pipe.readline()  # the child's pid
-        while block := pipe.read(1 << 16):
-            data.write(block)
-    finally:
-        pipe.close()
-        _, status = os.waitpid(pid, 0)
-    return data.getvalue() if os.waitstatus_to_exitcode(status) == 0 else None

@@ -6,18 +6,18 @@ flag values.  Every emitted document echoes the resolved configuration, JSON
 under a "config" key and CSV as a leading "# {...}" comment line, and
 contains no timestamps, so identical invocations produce identical bytes.
 ``metrics``, ``verify`` and ``train`` share their work with a forked child
-as ``_fork`` describes; the bytes are identical either way.  ``verify.run``
-and ``sandbox.train`` fork for ``verify`` and ``train``; ``metrics`` forks up
-to twice: ``load_scores`` parses the second half of a long plain scores file
-in one child, and with ``--pr-curve`` another formats the second half of a
-long curve.
+through ``_fork.share``'s fork-join; the bytes are identical either way.
+``verify.run`` and ``sandbox.train`` fork for ``verify`` and ``train``;
+``metrics`` forks up to twice: ``load_scores`` parses the second half of a
+long plain scores file in one child, and with ``--pr-curve`` another formats
+the second half of a long curve.
 
 ``metrics`` parses a plain scores file, and writes the PR curve, in fixed-size
 chunks with the same bytes as in one piece.  Its memory grows with the file's
-bytes, numpy arrays of one entry per row or curve point, and the bytes of the
-forked workers' halves of the parse and of the curve, not with a Python
-object per row.  Every command opens its output files before it reads or
-computes anything, and refuses an output path that names an input file or
+bytes, numpy arrays of one entry per row or curve point, and the forked
+workers' results, their halves of the parse and of the curve, not with a
+Python object per row.  Every command opens its output files before it reads
+or computes anything, and refuses an output path that names an input file or
 another output.
 """
 
@@ -280,30 +280,17 @@ def _curve_chunks(curve, lo: int, hi: int):
         yield _curve_rows(curve, start, min(start + _CURVE_CHUNK_ROWS, hi))
 
 
-def _curve_bytes(curve, lo: int, hi: int) -> bytearray:
-    """Rows lo..hi-1 of the PR-curve CSV, encoded one chunk at a time into
-    one buffer, so they are never held twice, as a join of the chunks would."""
-    data = bytearray()
-    for chunk in _curve_chunks(curve, lo, hi):
-        data += chunk.encode()
-    return data
-
-
 def _write_pr_curve(fh, head: str, curve) -> None:
     """head, then the curve's rows, to the open text file fh, one chunk of
-    rows at a time.  A long curve's second half is formatted by a forked child
-    while this process formats the first, and its bytes go to fh's binary
-    layer; a half whose child failed or never started is formatted here too."""
+    rows at a time.  When a fork is available, a long curve's second half is
+    formatted by a forked child, whose chunks are written after the first
+    half's."""
     rows = curve.thresholds.size
-    cut = rows // 2 if rows >= _SPLIT_MIN_ROWS else rows
-    theirs = (lambda: _curve_bytes(curve, cut, rows)) if cut < rows else None
+    cut = rows // 2 if rows >= _SPLIT_MIN_ROWS and _fork.available() else rows
+    theirs = (lambda: list(_curve_chunks(curve, cut, rows))) if cut < rows else None
     fh.write(head)
-    _, data = _fork.share(lambda: fh.writelines(_curve_chunks(curve, 0, cut)), theirs)
-    if data is None:
-        fh.writelines(_curve_chunks(curve, cut, rows))
-    else:
-        fh.flush()
-        fh.buffer.write(data)
+    _, rest = _fork.share(lambda: fh.writelines(_curve_chunks(curve, 0, cut)), theirs)
+    fh.writelines(rest or ())
 
 
 def _cmd_verify(args) -> int:

@@ -16,9 +16,10 @@ negative; the positives' own counts come from their runs of equal scores.
 the file's bytes it holds two arrays of one entry per row and one chunk's
 temporaries, not a Python object per row.  A long plain file is parsed on two
 cores: a forked child (``_fork.share``) parses the rows after the first
-newline past the body's middle and sends back their scores and labels as raw
-bytes, with the same values as a parse in one process.  Any other file goes
-through ``priors.read_csv``, the CSV reader it shares with the count files.
+newline past the body's middle into its copy of the arrays and returns that
+part of them, with the same values as a parse in one process.  Any other
+file goes through ``priors.read_csv``, the CSV reader it shares with the
+count files.
 """
 
 from __future__ import annotations
@@ -345,15 +346,6 @@ def _parse_span(data: bytes, start: int, stop: int, scores, is_pos) -> bool:
     return True
 
 
-def _parse_tail(data: bytes, cut: int, rows: int):
-    """The forked child's share of _parse_plain: the rows of data[cut:] as
-    one buffer of their scores' float64 bytes and then their labels' bool
-    bytes, or no bytes when some row is not plain."""
-    payload = np.empty(9 * rows, dtype=np.uint8)
-    scores, is_pos = payload[: 8 * rows].view(np.float64), payload[8 * rows :].view(bool)
-    return payload if _parse_span(data, cut, len(data), scores, is_pos) else b""
-
-
 def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """(scores, is_positive) when every row of ``data`` is plain ``<score>,<0|1>\\n``.
 
@@ -378,18 +370,18 @@ def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     head = data.count(b"\n", start, cut)
     scores = np.empty(rows)
     is_pos = np.empty(rows, dtype=bool)
-    theirs = (lambda: _parse_tail(data, cut, rows - head)) if cut < len(data) else None
+
+    def parse_tail():
+        tail = scores[head:], is_pos[head:]
+        return tail if _parse_span(data, cut, len(data), *tail) else None
+
     plain, tail = _fork.share(
-        lambda: _parse_span(data, start, cut, scores[:head], is_pos[:head]), theirs
+        lambda: _parse_span(data, start, cut, scores[:head], is_pos[:head]),
+        parse_tail if cut < len(data) else None,
     )
-    if tail is None:  # no child, or it failed: the rows after the cut are parsed here
-        plain = plain and _parse_span(data, cut, len(data), scores[head:], is_pos[head:])
-    elif plain and tail:
-        scores[head:] = np.frombuffer(tail, dtype=np.float64, count=rows - head)
-        is_pos[head:] = np.frombuffer(tail, dtype=bool, offset=8 * (rows - head))
-    else:
-        plain = False
-    return (scores, is_pos) if plain else None
+    if tail is not None:  # the child's copy, or these arrays' own views
+        scores[head:], is_pos[head:] = tail
+    return (scores, is_pos) if plain and (tail is not None or cut == len(data)) else None
 
 
 def _parse_rows(path: str, data: bytes) -> tuple[list[float], list[float]]:

@@ -15,7 +15,6 @@ import copy
 import functools
 import logging
 import math
-import pickle
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -130,20 +129,27 @@ class TrainConfig:
     def checkpoint_epochs(self) -> tuple[int, ...]:
         """The epochs after 0 whose parameters a model keeps: every
         checkpoint_every-th and the last."""
-        epochs = range(1, self.epochs + 1)
-        return tuple(e for e in epochs if e % self.checkpoint_every == 0 or e == self.epochs)
+        every, last = self.checkpoint_every, self.epochs
+        epochs = range(every, last + 1, every)
+        return tuple(epochs) if last % every == 0 else (*epochs, last)
 
     def check_array_sizes(self, config: SyntheticConfig) -> None:
-        """The MLP's arrays on ``config``'s data past the SyntheticConfig ones:
-        w1, and the hidden activations that evaluation computes for every
-        sample at once (a batch has fewer rows, and the head's hidden x
-        classes weights are smaller too, as data never has more classes than
-        samples)."""
+        """The arrays of a run on ``config``'s data past the SyntheticConfig
+        ones: the MLP's w1 and the hidden activations that evaluation computes
+        for every sample at once (a batch has fewer rows, and the head's
+        hidden x classes weights are smaller too, as data never has more
+        classes than samples), the loss curve of one float an epoch, and the
+        checkpoints, each a copy of every parameter."""
+        shapes = {}
+        params = config.feature_dim * config.num_classes
         if self.model == "mlp":
-            _check_array_sizes(
-                w1=(config.feature_dim, self.hidden),
-                hidden_activations=(config.total_samples, self.hidden),
-            )
+            shapes = {
+                "w1": (config.feature_dim, self.hidden),
+                "hidden_activations": (config.total_samples, self.hidden),
+            }
+            params = (config.feature_dim + 1 + config.num_classes) * self.hidden
+        checkpoints = -(-self.epochs // self.checkpoint_every)  # len(checkpoint_epochs())
+        _check_array_sizes(**shapes, loss_curve=(self.epochs, 1), checkpoints=(checkpoints, params))
 
 
 def zipf_class_counts(num_classes: int, total: int, exponent: float) -> tuple[int, ...]:
@@ -456,8 +462,8 @@ def train(
 
     A linear head's class columns never exchange a number in training, so
     its classes train in two fixed blocks, the first ceil(K/2) and the rest,
-    each through every epoch; on Linux with a second usable CPU a forked
-    worker trains the second.  An epoch's loss is the sum of the blocks'
+    each through every epoch, the second in ``_fork.share``'s forked child
+    when one is available.  An epoch's loss is the sum of the blocks'
     sums over the training samples.  The MLP's classes share w1, so they
     train as one block.  The blocks depend only on the config, so the result
     is the same on any CPU count.
@@ -491,11 +497,7 @@ def train(
             results = [run_block(0, num_classes)]
         else:
             half = -(-num_classes // 2)
-            first, data = _fork.share(
-                lambda: run_block(0, half), lambda: pickle.dumps(run_block(half, num_classes))
-            )
-            second = run_block(half, num_classes) if data is None else pickle.loads(data)
-            results = [first, second]
+            results = _fork.share(lambda: run_block(0, half), lambda: run_block(half, num_classes))
 
     bad_epochs = [bad for _, _, bad in results if bad]
     if bad_epochs:

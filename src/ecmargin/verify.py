@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import pickle
 
 import numpy as np
 
@@ -544,9 +543,9 @@ def run_suite(name: str, trials: int = 1000, seed: int = 0) -> dict:
 def run(suite: str = "all", trials: int = 1000, seed: int = 0) -> dict:
     """Run one named suite (or all) and return a JSON-safe report dict: its
     arguments, its suite reports and whether all passed.  The units up to
-    about half their estimated cost run here and the rest in a forked child
-    (``_fork.share``); the results merge in unit order, so the report is the
-    same on any CPU count."""
+    about half their estimated cost run here and the rest in
+    ``_fork.share``'s forked child when one is available; the results merge
+    in unit order, so the report is the same on any CPU count."""
     units = _units(plan(suite, trials, seed), trials)
 
     def run_units(part) -> list:
@@ -554,10 +553,9 @@ def run(suite: str = "all", trials: int = 1000, seed: int = 0) -> dict:
 
     cut = _cut(units, trials)
     here, there = units[:cut], units[cut:]
-    theirs = (lambda: pickle.dumps(run_units(there))) if there else None
-    results, data = _fork.share(lambda: run_units(here), theirs)
-    results += run_units(there) if data is None else pickle.loads(data)
-    reports = _merge(units, results, trials)
+    theirs = (lambda: run_units(there)) if there else None
+    results, rest = _fork.share(lambda: run_units(here), theirs)
+    reports = _merge(units, results + (rest or []), trials)
     return {
         "suite": suite,
         "trials": trials,

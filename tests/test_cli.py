@@ -1662,6 +1662,29 @@ class TestTrainCommand:
         code, out, err = run_cli(capsys, ["train", "--config", str(path)])
         assert_input_error(code, out, err, message)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"epochs": 10**30}, f"loss_curve would be {10**30} x 1"),
+            ({"epochs": 10**9}, "loss_curve would be 1000000000 x 1"),
+            ({"epochs": 10**8, "checkpoint_every": 1}, "checkpoints would be 100000000 x 320"),
+        ],
+        ids=["epochs-1e30", "epochs-1e9", "checkpoints"],
+    )
+    def test_epochs_past_the_array_cap_rejected_before_any_work(
+        self, capsys, monkeypatch, tmp_path, forks, cpus, config, message
+    ):
+        """The default data's 16 x 20 linear weights make 320 elements a
+        checkpoint."""
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sandbox, "generate", lambda cfg: pytest.fail("generated data"))
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, ["train", "--config", str(path)])
+        assert_input_error(code, out, err, message)
+        assert forks == []
+
     def test_out_writes_the_same_document_it_prints(self, capsys, train_config_file, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, ["train", "--config", train_config_file, "--out", str(path)])

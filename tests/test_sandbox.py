@@ -427,7 +427,41 @@ class TestTraining:
         tcfg = TrainConfig(model="mlp", hidden=hidden)
         with pytest.raises(ResourceLimitError, match=array):
             tcfg.check_array_sizes(config)
-        TrainConfig(hidden=hidden).check_array_sizes(config)  # a linear head has no hidden layer
+        # a linear head has no hidden layer; one checkpoint, as the default
+        # six of 10**6 x 20 weights are past the cap
+        TrainConfig(hidden=hidden, checkpoint_every=30).check_array_sizes(config)
+
+    @pytest.mark.parametrize(
+        "kwargs,array",
+        [
+            ({"epochs": 10**30}, "loss_curve"),
+            ({"epochs": MAX_ARRAY_ELEMENTS + 1, "checkpoint_every": 10**30}, "loss_curve"),
+            ({"epochs": MAX_ARRAY_ELEMENTS, "checkpoint_every": 1}, "checkpoints"),
+            (
+                {"model": "mlp", "hidden": 10**4, "epochs": 1251, "checkpoint_every": 1},
+                "checkpoints",
+            ),
+        ],
+    )
+    def test_epoch_arrays_past_the_size_cap_rejected(self, kwargs, array):
+        """The loss curve holds a float an epoch, and each checkpoint a copy
+        of every parameter: SMALL's 4 x 3 linear weights, or the MLP's 4 x h
+        w1, h biases and h x 3 head weights, 8 h elements in all."""
+        with pytest.raises(ResourceLimitError, match=array):
+            TrainConfig(**kwargs).check_array_sizes(SMALL)
+
+    def test_epoch_arrays_at_the_size_cap_accepted(self):
+        for kwargs in (
+            {"epochs": MAX_ARRAY_ELEMENTS, "checkpoint_every": MAX_ARRAY_ELEMENTS},
+            {"model": "mlp", "hidden": 10**4, "epochs": 1250, "checkpoint_every": 1},
+        ):
+            TrainConfig(**kwargs).check_array_sizes(SMALL)
+
+    def test_checkpoint_epochs_step_past_the_epochs_between(self):
+        tcfg = TrainConfig(epochs=10**30, checkpoint_every=3 * 10**29)
+        assert tcfg.checkpoint_epochs() == (3 * 10**29, 6 * 10**29, 9 * 10**29, 10**30)
+        assert TrainConfig(epochs=12, checkpoint_every=4).checkpoint_epochs() == (4, 8, 12)
+        assert TrainConfig(epochs=0).checkpoint_epochs() == ()
 
     def test_train_checks_the_size_cap_before_allocating(self, small_dataset):
         margins = default_margin_weights(small_dataset)
