@@ -15,6 +15,12 @@ and its pipe closed on every path.
 runs the units after its cut (the later bounds sandwich blocks and the suites
 after them, about half the estimated cost), and ``sandbox.train`` trains the
 second class block of a linear head in such a child.
+
+The one cut rule: the scores parse and the curve writer cut their rows in two
+only when ``available()``, and otherwise do all of them in one piece, so one
+CPU never pays for a cut, nor parses a tail after the head has failed.
+``verify.run`` and ``sandbox.train`` cut always: their shares are independent
+units, and the train blocks fix the loss curve's bits.
 """
 
 from __future__ import annotations

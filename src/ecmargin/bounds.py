@@ -285,7 +285,7 @@ def audit(s: ScoreSet, alphas) -> tuple[Audit, ...]:
 
 
 @dataclass(frozen=True)
-class GFunction:
+class _GFunction:
     """A discretized false-positive-mass profile g over uniform bins in [0,1]."""
 
     grid: np.ndarray
@@ -358,7 +358,7 @@ def variational_min_oracle(alpha: float, tau: float, n: int = 2000) -> float:
     if tau == 0.0:
         return 1.0
     g = _kkt_grid(alpha, tau, n)
-    GFunction(grid=g, tau=tau)  # feasibility assertion
+    _GFunction(grid=g, tau=tau)  # feasibility assertion
     return _objective(_grid_midpoints(n), g, alpha)
 
 
@@ -383,7 +383,7 @@ def variational_max_oracle(alpha: float, tau: float, n: int = 2000) -> float:
     alpha, tau, n = _check_oracle_args(alpha, tau, n, allow_zero_tau=False)
     x = _grid_midpoints(n)
     g = _bang_bang_grid(tau, n)
-    GFunction(grid=g, tau=tau)
+    _GFunction(grid=g, tau=tau)
 
     delta = 1.0 / n
     terms = x / (x + alpha * g)
@@ -422,7 +422,7 @@ def _best_disjoint_pair(remove: np.ndarray, add: np.ndarray) -> tuple[float, tup
     return float(totals[i]), pair
 
 
-def analytic_min_gmax(alpha: float, tau: float) -> float:
+def _analytic_min_gmax(alpha: float, tau: float) -> float:
     """Peak value of the unboxed Euler-Lagrange minimizer of the AP integral.
 
     The closed-form lower bound ignores the g <= 1 box; its minimizer is
@@ -444,4 +444,4 @@ def analytic_min_gmax(alpha: float, tau: float) -> float:
 
 def analytic_min_feasible(alpha: float, tau: float) -> bool:
     """Whether the closed-form lower bound's minimizer respects g <= 1."""
-    return analytic_min_gmax(alpha, tau) <= 1.0
+    return _analytic_min_gmax(alpha, tau) <= 1.0

@@ -1,4 +1,4 @@
-"""The weighted-sigmoid surrogate score, the ECM loss, and its focal variant.
+"""The ECM loss on the weighted-sigmoid surrogate score, and its focal variant.
 
 Everything is evaluated in logit space, never by exponentiating probabilities
 and taking logs afterwards, so the kernels stay finite for logits up to +-1e4
@@ -58,12 +58,6 @@ class LossEval:
             raise ValidationError(f"loss value must be >= 0, got {self.value}")
 
 
-def _log1pexp(t):
-    """softplus(t) and sigmoid(t) from one e = exp(-|t|)."""
-    e = np.exp(-np.abs(t))
-    return np.maximum(t, 0.0) + np.log1p(e), np.where(t >= 0, 1.0, e) / (1.0 + e)
-
-
 def _workspace(shape):
     """The kernels' scratch arrays for arguments of ``shape``: five float and
     two bool arrays."""
@@ -83,14 +77,6 @@ def _start(z, positive, m, work):
     return z, work
 
 
-def _check_label(label: str) -> bool:
-    if label == POSITIVE:
-        return True
-    if label == NEGATIVE:
-        return False
-    raise ValidationError(f"label must be 'positive' or 'negative', got {label!r}")
-
-
 def _check_finite(name: str, x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
@@ -104,7 +90,9 @@ def _check_args(f: float, label: str, m: float = 1.0) -> tuple[float, bool, floa
     m = _check_finite("m", m)
     if m <= 0:
         raise ValidationError(f"m must be > 0, got {m}")
-    return f, _check_label(label), m
+    if label not in (POSITIVE, NEGATIVE):
+        raise ValidationError(f"label must be 'positive' or 'negative', got {label!r}")
+    return f, label == POSITIVE, m
 
 
 def _evaluate(kernel, *args) -> LossEval:
@@ -125,15 +113,6 @@ def _evaluate(kernel, *args) -> LossEval:
 def log_weight_ratio(w: MarginWeights) -> float:
     """ln(w- / w+), the logit shift that encodes the margins."""
     return math.log(w.w_minus) - math.log(w.w_plus)
-
-
-def surrogate_score(f: float, w: MarginWeights) -> float:
-    """Weighted sigmoid s_hat = w+ e^f / (w+ e^f + w- e^-f), in (0,1).
-
-    Computed as sigmoid(2f - ln(w-/w+)); strictly increasing in f.
-    """
-    f = _check_finite("f", f)
-    return float(_log1pexp(2.0 * f - log_weight_ratio(w))[1])
 
 
 def decision_logit(w: MarginWeights) -> float:
@@ -254,18 +233,3 @@ def bce_loss(f: float, label: str) -> LossEval:
     f, is_pos, m = _check_args(f, label)
     return _evaluate(_ecm_value_grad, 2.0 * f, is_pos, m)
 
-
-def margin_error(score: float, gamma: float, side: str) -> int:
-    """Empirical margin-violation indicator.
-
-    Positives violate when s_c <= gamma_plus; negatives when the complement
-    score s_nonc = 1 - s_c is <= gamma_minus.
-    """
-    if not 0.0 <= score <= 1.0:
-        raise ValidationError(f"score must lie in [0,1], got {score}")
-    if not 0.0 < gamma < 1.0:
-        raise ValidationError(f"gamma must lie in (0,1), got {gamma}")
-    is_pos = _check_label(side)
-    if is_pos:
-        return 1 if score <= gamma else 0
-    return 1 if (1.0 - score) <= gamma else 0

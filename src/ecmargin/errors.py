@@ -18,14 +18,6 @@ class InputFormatError(EcmError, ValueError):
     """
 
 
-class UnknownClassError(EcmError, KeyError):
-    """A class_id was requested that is not present in the counts."""
-
-
-class UndefinedPrecisionError(EcmError, ArithmeticError):
-    """Precision is 0/0 at the requested threshold; the caller must pick a convention."""
-
-
 class ResourceLimitError(EcmError, RuntimeError):
     """A guard on problem size was exceeded (e.g. the O(n^2) oracle)."""
 

@@ -77,7 +77,7 @@ def optimal_margins(stats: ClassStats) -> Margins:
     return Margins(gamma_plus=gamma_plus, gamma_minus=gamma_minus)
 
 
-def margin_objective(gamma_plus, stats: ClassStats):
+def _margin_objective(gamma_plus, stats: ClassStats):
     """The complexity objective (1/g+) n+^(-1/2) + (1/(1-g+)) n-^(-1/2).
 
     Strictly convex in gamma_plus on (0,1).  A float for a float, an array
@@ -92,14 +92,15 @@ def margin_objective(gamma_plus, stats: ClassStats):
 
 
 def margins_grid_oracle(stats: ClassStats, step: float) -> Margins:
-    """Brute-force argmin of margin_objective over {k * step < 1 : k >= 1}; ties go low."""
+    """Brute-force argmin of the objective (1/g+) n+^(-1/2) + (1/(1-g+)) n-^(-1/2)
+    over g+ in {k * step < 1 : k >= 1}; ties go low."""
     # the grid holds 1/step floats, so step has a floor
     if not 1e-6 <= step <= 1e-2:
         raise ValidationError(f"step must lie in [1e-6, 1e-2], got {step}")
     # k * step rounds monotonically in k, and k = ceil(1/step) + 1 reaches past 1
     grid = np.arange(1, math.ceil(1.0 / step) + 2) * step
     grid = grid[grid < 1.0]
-    best_gamma = float(grid[np.argmin(margin_objective(grid, stats))])
+    best_gamma = float(grid[np.argmin(_margin_objective(grid, stats))])
     return Margins(gamma_plus=best_gamma, gamma_minus=1.0 - best_gamma)
 
 

@@ -14,12 +14,14 @@ negative; the positives' own counts come from their runs of equal scores.
 
 ``load_scores`` parses a plain file in fixed-size chunks of bytes, so besides
 the file's bytes it holds two arrays of one entry per row and one chunk's
-temporaries, not a Python object per row.  A long plain file is parsed on two
-cores: a forked child (``_fork.share``) parses the rows after the first
-newline past the body's middle into its copy of the arrays and returns that
-part of them, with the same values as a parse in one process.  Any other
-file goes through ``priors.read_csv``, the CSV reader it shares with the
-count files.
+temporaries, not a Python object per row.  A long plain file is cut in two
+only when ``_fork.available()``, the one cut rule it shares with the PR-curve
+writer: then a forked child (``_fork.share``) parses the rows after the first
+newline past the body's middle into the same shared map of the arrays and
+returns only whether they were plain, with the same values as a parse in one
+process; otherwise the body is parsed in one piece, which stops at the first
+chunk with a row that is not plain.  Any other file goes through ``priors.read_csv``, the
+CSV reader it shares with the count files.
 """
 
 from __future__ import annotations
@@ -30,12 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fork
-from .errors import (
-    InputFormatError,
-    ResourceLimitError,
-    UndefinedPrecisionError,
-    ValidationError,
-)
+from .errors import InputFormatError, ResourceLimitError, ValidationError
 from .priors import read_csv
 
 HALF = "half"
@@ -172,35 +169,15 @@ def _count_above(sorted_scores: np.ndarray, t):
     return sorted_scores.size - np.searchsorted(sorted_scores, t, side="right")
 
 
-def recall_at(s: ScoreSet, t: float) -> float:
-    """Fraction of positives scoring strictly above t."""
-    _require_positives(s)
-    return float(_count_above(s.positives, t)) / s.n_plus
-
-
-def precision_at(s: ScoreSet, t: float, alpha: float) -> float:
-    """Probabilistic precision r / (r + alpha * negative tail) at threshold t.
-
-    Raises UndefinedPrecisionError when both tails are zero (0/0); the caller
-    picks the convention.
-    """
-    _require_positives(s)
-    _require_negatives(s)
-    alpha = _check_alpha(alpha)
-    r = recall_at(s, t)
-    g = float(_count_above(s.negatives, t)) / s.n_minus
-    if r == 0.0 and g == 0.0:
-        raise UndefinedPrecisionError(f"no positive or negative mass above t={t}")
-    return r / (r + alpha * g)
-
-
 def average_precision(s: ScoreSet, alpha: float) -> float:
     """Mean precision over positive samples, >=-convention at each positive score.
 
     For positive score s_k: prec_k = (P_k/n+) / (P_k/n+ + alpha * N_k/n-), with
     P_k = #positives >= s_k and N_k = #negatives >= s_k.  O(n log n).
     """
-    return float(np.mean(positive_precisions(s, alpha)))
+    _require_positives(s)
+    _require_negatives(s)
+    return float(np.mean(_precisions(s, _check_alpha(alpha))))
 
 
 def _precisions(s: ScoreSet, alpha) -> np.ndarray:
@@ -209,16 +186,6 @@ def _precisions(s: ScoreSet, alpha) -> np.ndarray:
     r = s._p_ge / s.n_plus
     g = s._n_ge / s.n_minus
     return r / (r + alpha * g)
-
-
-def positive_precisions(s: ScoreSet, alpha: float) -> np.ndarray:
-    """The per-positive precision terms averaged by average_precision.
-
-    Terms come back in ascending score order.
-    """
-    _require_positives(s)
-    _require_negatives(s)
-    return _precisions(s, _check_alpha(alpha))
 
 
 def _pair_counts_bruteforce(s: ScoreSet) -> tuple[int, int]:
@@ -354,34 +321,36 @@ def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     the csv row loop, which owns every diagnostic and the rarer valid layouts
     (quoted or padded fields, CRLF, blank lines, no trailing newline).  The
     body is checked and parsed one chunk of whole rows at a time, straight
-    into arrays sized from the newline count.  A body of _PARSE_SPLIT_MIN_ROWS
-    rows or more is cut at the first newline at or past its middle, and a
-    forked child parses the rows after the cut while this process parses
-    those before it; np.loadtxt parses each row on its own, so the values do
-    not depend on the cut.
+    into arrays sized from the newline count.  When a fork is available, a
+    body of _PARSE_SPLIT_MIN_ROWS rows or more is cut at the first newline at
+    or past its middle, and a forked child parses the rows after the cut into
+    the same shared map while this process parses those before it;
+    np.loadtxt parses each row on its own, so the values do not depend on the
+    cut.
     """
     if not data.startswith(_HEADER) or not data.endswith(b"\n") or len(data) == len(_HEADER):
         return None
     start = len(_HEADER)
     rows = data.count(b"\n", start)
     cut = len(data)
-    if rows >= _PARSE_SPLIT_MIN_ROWS:
+    if rows >= _PARSE_SPLIT_MIN_ROWS and _fork.available():
         cut = data.find(b"\n", (start + len(data)) // 2) + 1
     head = data.count(b"\n", start, cut)
-    scores = np.empty(rows)
-    is_pos = np.empty(rows, dtype=bool)
+    import mmap  # here, so that importing ecmargin or its CLI does not load it
+
+    # made before any fork, so a child writes its rows where this process reads them
+    shared = mmap.mmap(-1, 9 * rows)
+    scores = np.frombuffer(shared, count=rows)
+    is_pos = np.frombuffer(shared, dtype=bool, count=rows, offset=8 * rows)
 
     def parse_tail():
-        tail = scores[head:], is_pos[head:]
-        return tail if _parse_span(data, cut, len(data), *tail) else None
+        return _parse_span(data, cut, len(data), scores[head:], is_pos[head:])
 
-    plain, tail = _fork.share(
+    plain, tail_plain = _fork.share(
         lambda: _parse_span(data, start, cut, scores[:head], is_pos[:head]),
         parse_tail if cut < len(data) else None,
     )
-    if tail is not None:  # the child's copy, or these arrays' own views
-        scores[head:], is_pos[head:] = tail
-    return (scores, is_pos) if plain and (tail is not None or cut == len(data)) else None
+    return (scores, is_pos) if plain and tail_plain is not False else None
 
 
 def _parse_rows(path: str, data: bytes) -> tuple[list[float], list[float]]:

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import InputFormatError, UnknownClassError, ValidationError
+from .errors import InputFormatError, ValidationError
 
 # counts enter float arithmetic (alpha, the margins), so they must fit a float
 _MAX_COUNT = int(sys.float_info.max)
@@ -62,12 +62,6 @@ class ClassCounts:
 
     def total_foreground(self) -> int:
         return sum(e.instance_count for e in self.entries)
-
-    def get(self, class_id: int) -> ClassEntry:
-        for e in self.entries:
-            if e.class_id == class_id:
-                return e
-        raise UnknownClassError(f"unknown class_id {class_id}")
 
 
 @dataclass(frozen=True)
@@ -225,27 +219,17 @@ def background_count(counts: ClassCounts, ratio: float) -> int:
     return int(math.floor(background + 0.5))
 
 
-def class_stats(counts: ClassCounts, class_id: int, background: int) -> ClassStats:
-    """Stats for one class: n_plus = n_c, n_minus = (all foreground + background) - n_c."""
-    _check_background(background)
-    return _entry_stats(counts.get(class_id), counts.total_foreground(), background)
-
-
 def all_class_stats(counts: ClassCounts, background: int) -> dict[int, ClassStats]:
-    """class_stats for every class, keyed by class_id in ascending order.
+    """Stats for every class, keyed by class_id in ascending order:
+    n_plus = n_c, n_minus = (all foreground + background) - n_c.
 
     One pass: the foreground total is summed once, not once per class.
     """
     entries = sorted(counts.entries, key=lambda e: e.class_id)
-    if entries:
-        _check_background(background)
+    if entries and background < 0:
+        raise ValidationError(f"background must be >= 0, got {background}")
     foreground = counts.total_foreground()
     return {e.class_id: _entry_stats(e, foreground, background) for e in entries}
-
-
-def _check_background(background: int) -> None:
-    if background < 0:
-        raise ValidationError(f"background must be >= 0, got {background}")
 
 
 def _entry_stats(entry: ClassEntry, foreground: int, background: int) -> ClassStats:

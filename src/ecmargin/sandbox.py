@@ -233,14 +233,6 @@ def generate(config: SyntheticConfig) -> Dataset:
     return Dataset(features=features, labels=labels, class_counts=counts, config=config)
 
 
-def measured_background_ratio(dataset: Dataset) -> float:
-    """Background-to-foreground sample ratio observed in the dataset."""
-    n_fg = sum(dataset.class_counts)
-    if n_fg < 1:
-        raise ValidationError("dataset has no foreground samples")
-    return dataset.n_background / n_fg
-
-
 def dataset_stats(dataset: Dataset) -> dict[int, ClassStats]:
     """Per-class (n+, n-, alpha) with all other samples (incl. background) negative."""
     total = int(dataset.labels.size)

@@ -429,6 +429,9 @@ def _run_oracles(rng: np.random.Generator, trials: int) -> dict:
     return _suite_report("oracles", checks)
 
 
+# One runner per suite.  The "bounds" entry runs only that suite's checks
+# after the sandwich, whose blocks are units of their own (_units); the key
+# keeps the suite's name because the benchmark wraps this table by suite.
 _RUNNERS = {
     "bounds": _run_bounds,
     "gradients": _run_gradients,

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from ecmargin import (
     BoundEnvelope,
-    GFunction,
     ScoreSet,
     ValidationError,
     analytic_min_feasible,
-    analytic_min_gmax,
     ap_lower,
     ap_lower_branches,
     ap_upper,
@@ -22,13 +20,20 @@ from ecmargin import (
     average_precision,
     binary_bound_check,
     envelope,
-    positive_precisions,
     ranking_error,
     slope_m,
     variational_max_oracle,
     variational_min_oracle,
 )
-from ecmargin.bounds import SLOPE_MODES, _best_disjoint_pair, _grid_midpoints, _kkt_grid
+from ecmargin.bounds import (
+    SLOPE_MODES,
+    _GFunction,
+    _analytic_min_gmax,
+    _best_disjoint_pair,
+    _grid_midpoints,
+    _kkt_grid,
+)
+from ecmargin.metrics import _precisions
 
 alphas = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 errors = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -460,7 +465,7 @@ def reference_audit(s: ScoreSet, alpha: float) -> tuple[float, float, float, flo
     r = ranking_error(s)
     inv = 1.0 / s.n_plus + 1.0 / s.n_minus
     se_r = float(np.sqrt(r * (1.0 - r) * inv)) + inv
-    se_ap = float(np.sqrt(np.var(positive_precisions(s, alpha)) / s.n_plus)) + 2.0 * inv
+    se_ap = float(np.sqrt(np.var(_precisions(s, alpha)) / s.n_plus)) + 2.0 * inv
     lower = ap_lower(alpha, min(1.0, r + 3.0 * se_r)) - 3.0 * se_ap
     upper = ap_upper(alpha, max(0.0, r - 3.0 * se_r)) + 3.0 * se_ap
     return se_r, se_ap, lower, upper
@@ -531,22 +536,22 @@ class TestAudit:
 
 class TestGFunction:
     def test_accepts_a_profile_whose_mean_matches_tau(self):
-        g = GFunction(grid=np.full(100, 0.25), tau=0.25)
+        g = _GFunction(grid=np.full(100, 0.25), tau=0.25)
         assert g.grid.dtype == np.float64
 
     def test_mean_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="differs from tau"):
-            GFunction(grid=np.full(100, 0.25), tau=0.3)
+            _GFunction(grid=np.full(100, 0.25), tau=0.3)
 
     def test_values_outside_unit_interval_rejected(self):
         with pytest.raises(ValidationError, match="lie in"):
-            GFunction(grid=np.array([0.5, 1.5, -0.5, 0.5]), tau=0.5)
+            _GFunction(grid=np.array([0.5, 1.5, -0.5, 0.5]), tau=0.5)
 
     def test_empty_or_matrix_grid_rejected(self):
         with pytest.raises(ValidationError, match="1-d"):
-            GFunction(grid=np.array([]), tau=0.0)
+            _GFunction(grid=np.array([]), tau=0.0)
         with pytest.raises(ValidationError, match="1-d"):
-            GFunction(grid=np.full((10, 10), 0.5), tau=0.5)
+            _GFunction(grid=np.full((10, 10), 0.5), tau=0.5)
 
 
 def best_transfer_drop(g: np.ndarray, alpha: float, delta: float) -> float:
@@ -568,7 +573,7 @@ class TestMinOracleSolve:
     )
     def test_no_two_bin_transfer_lowers_the_objective(self, alpha, tau, n):
         g = _kkt_grid(alpha, tau, n)
-        GFunction(grid=g, tau=tau)
+        _GFunction(grid=g, tau=tau)
         for delta in (1.0 / n, 1e-3 / n):
             assert best_transfer_drop(g, alpha, delta) <= 1e-12
 
@@ -693,9 +698,9 @@ class TestVariationalOracles:
 
 class TestAnalyticMinimizerPeak:
     def test_branch_values(self):
-        assert analytic_min_gmax(1.0, 0.1) == 0.25 * math.sqrt(0.6)
-        assert analytic_min_gmax(1.0, 0.5) == 9.0 * 4.0 / 64.0
-        assert analytic_min_gmax(1.0, 0.95) == 1.5 * 0.95 - 0.25
+        assert _analytic_min_gmax(1.0, 0.1) == 0.25 * math.sqrt(0.6)
+        assert _analytic_min_gmax(1.0, 0.5) == 9.0 * 4.0 / 64.0
+        assert _analytic_min_gmax(1.0, 0.95) == 1.5 * 0.95 - 0.25
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
     def test_branches_join_continuously(self, alpha):
@@ -704,25 +709,25 @@ class TestAnalyticMinimizerPeak:
             eps = 1e-9
             if tau + eps > 1.0:
                 continue
-            left = analytic_min_gmax(alpha, tau - eps)
-            right = analytic_min_gmax(alpha, tau + eps)
+            left = _analytic_min_gmax(alpha, tau - eps)
+            right = _analytic_min_gmax(alpha, tau + eps)
             assert abs(left - right) <= 1e-7
 
     def test_zero_tau_peak_is_zero_and_feasible(self):
-        assert analytic_min_gmax(1.0, 0.0) == 0.0
+        assert _analytic_min_gmax(1.0, 0.0) == 0.0
         assert analytic_min_feasible(1.0, 0.0)
 
     def test_feasibility_is_the_unit_peak_test(self):
         for alpha in (0.2, 1.0, 5.0, 50.0):
             for tau in np.linspace(0.01, 1.0, 25):
-                expected = analytic_min_gmax(alpha, float(tau)) <= 1.0
+                expected = _analytic_min_gmax(alpha, float(tau)) <= 1.0
                 assert analytic_min_feasible(alpha, float(tau)) == expected
 
     def test_peak_grows_with_tau(self):
         taus = np.linspace(0.0, 1.0, 50)
-        peaks = [analytic_min_gmax(2.0, float(t)) for t in taus]
+        peaks = [_analytic_min_gmax(2.0, float(t)) for t in taus]
         assert all(a <= b + 1e-15 for a, b in zip(peaks, peaks[1:]))
 
     def test_tau_outside_unit_interval_rejected(self):
         with pytest.raises(ValidationError, match="tau"):
-            analytic_min_gmax(1.0, 1.1)
+            _analytic_min_gmax(1.0, 1.1)

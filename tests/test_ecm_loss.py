@@ -22,12 +22,10 @@ from ecmargin import (
     ecm_loss,
     focal_ecm_loss,
     log_weight_ratio,
-    margin_error,
     optimal_margins,
-    surrogate_score,
     weights,
 )
-from ecmargin.ecm_loss import _ecm_value_grad, _focal_value_grad, _log1pexp, _workspace
+from ecmargin.ecm_loss import _ecm_value_grad, _focal_value_grad, _workspace
 
 BALANCED = MarginWeights(w_plus=2.0, w_minus=2.0)
 SKEWED = weights(optimal_margins(ClassStats(n_plus=16, n_minus=81, alpha=81 / 16)))
@@ -236,7 +234,10 @@ class TestKernelsAreAccurate:
 
     def test_softplus_and_sigmoid(self):
         t = np.concatenate([Z_GRID, -Z_GRID])
-        softplus, sigmoid = _log1pexp(t)
+        # a negative label at m = 1: the value is softplus(t), the gradient
+        # 2 sigmoid(t), and halving it is exact
+        softplus, twice_sigmoid = _ecm_value_grad(t, False, 1.0)
+        sigmoid = twice_sigmoid / 2.0
         exact = [exact_log1pexp(x) for x in t.tolist()]
         err_softplus = ulps(softplus, [sp for sp, _ in exact])
         err_sigmoid = ulps(sigmoid, [sig for _, sig in exact])
@@ -442,46 +443,11 @@ class TestStability:
 class TestSurrogateScore:
     def test_crosses_one_half_at_the_decision_logit(self):
         for w in WEIGHT_CASES:
-            assert surrogate_score(decision_logit(w), w) == 0.5
-
-    @given(logits, logits)
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_strictly_increasing_in_the_logit(self, a, b):
-        if a == b:
-            return
-        lo, hi = sorted((a, b))
-        assert surrogate_score(lo, SKEWED) <= surrogate_score(hi, SKEWED)
-
-    @given(logits)
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_stays_inside_the_open_unit_interval(self, f):
-        s = surrogate_score(f, SKEWED)
-        assert 0.0 <= s <= 1.0
+            # a negative's gradient is 2 s_hat
+            assert ecm_loss(decision_logit(w), NEGATIVE, w).grad_logit == 1.0
 
     def test_log_weight_ratio_of_the_exact_case(self):
         assert abs(log_weight_ratio(SKEWED) - math.log(1.5)) <= 1e-12
-
-
-class TestMarginError:
-    def test_positive_side_violation_rule(self):
-        assert margin_error(0.7, 0.6, POSITIVE) == 0
-        assert margin_error(0.5, 0.6, POSITIVE) == 1
-        assert margin_error(0.6, 0.6, POSITIVE) == 1
-
-    def test_negative_side_uses_the_complement_score(self):
-        assert margin_error(0.7, 0.4, NEGATIVE) == 1
-        assert margin_error(0.2, 0.4, NEGATIVE) == 0
-        assert margin_error(0.6, 0.4, NEGATIVE) == 1
-
-    @pytest.mark.parametrize("score", [-0.1, 1.1])
-    def test_score_outside_unit_interval_rejected(self, score):
-        with pytest.raises(ValidationError, match="score"):
-            margin_error(score, 0.5, POSITIVE)
-
-    @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.5])
-    def test_gamma_outside_open_interval_rejected(self, gamma):
-        with pytest.raises(ValidationError, match="gamma"):
-            margin_error(0.5, gamma, POSITIVE)
 
 
 class TestValidation:

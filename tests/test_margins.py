@@ -11,11 +11,11 @@ from ecmargin import (
     MarginWeights,
     ValidationError,
     decision_logit,
-    margin_objective,
     margins_grid_oracle,
     optimal_margins,
     weights,
 )
+from ecmargin.margins import _margin_objective
 
 counts = st.integers(min_value=1, max_value=10**6)
 
@@ -90,9 +90,9 @@ class TestObjective:
     def test_closed_form_is_the_minimizer(self):
         s = stats(37, 2911)
         best = optimal_margins(s).gamma_plus
-        at_best = margin_objective(best, s)
+        at_best = _margin_objective(best, s)
         for gamma in (0.05, 0.2, best - 1e-4, best + 1e-4, 0.9, 0.99):
-            assert at_best <= margin_objective(gamma, s) + 1e-15
+            assert at_best <= _margin_objective(gamma, s) + 1e-15
 
     @given(
         counts,
@@ -104,26 +104,26 @@ class TestObjective:
     def test_convexity_by_midpoint_chord(self, n_plus, n_minus, a, b):
         s = stats(n_plus, n_minus)
         mid = 0.5 * (a + b)
-        chord = 0.5 * (margin_objective(a, s) + margin_objective(b, s))
-        assert margin_objective(mid, s) <= chord + 1e-12
+        chord = 0.5 * (_margin_objective(a, s) + _margin_objective(b, s))
+        assert _margin_objective(mid, s) <= chord + 1e-12
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.1, 1.5, 0, math.nan])
     def test_gamma_outside_open_interval_rejected(self, gamma):
         with pytest.raises(ValidationError) as scalar:
-            margin_objective(gamma, stats(4, 9))
+            _margin_objective(gamma, stats(4, 9))
         assert str(scalar.value) == f"gamma_plus must lie strictly inside (0,1), got {gamma}"
         # an array names its first bad element, as a float
         with pytest.raises(ValidationError) as array:
-            margin_objective([0.5, gamma, 2.0], stats(4, 9))
+            _margin_objective([0.5, gamma, 2.0], stats(4, 9))
         assert str(array.value) == f"gamma_plus must lie strictly inside (0,1), got {float(gamma)}"
 
     def test_array_of_gamma_is_the_per_point_objective(self):
         s = stats(37, 2911)
         gammas = np.array([1e-9, 0.05, 0.3, 0.5, 0.77, 1.0 - 1e-12])
-        values = margin_objective(gammas, s)
+        values = _margin_objective(gammas, s)
         assert values.dtype == np.float64
-        assert values.tolist() == [margin_objective(float(g), s) for g in gammas]
-        assert type(margin_objective(0.3, s)) is float
+        assert values.tolist() == [_margin_objective(float(g), s) for g in gammas]
+        assert type(_margin_objective(0.3, s)) is float
 
 
 class TestGridOracle:
@@ -142,7 +142,7 @@ class TestGridOracle:
         s = stats(29, 4713)
         step = 1e-3
         oracle = margins_grid_oracle(s, step)
-        assert margin_objective(optimal_margins(s).gamma_plus, s) <= margin_objective(
+        assert _margin_objective(optimal_margins(s).gamma_plus, s) <= _margin_objective(
             oracle.gamma_plus, s
         )
 
@@ -159,7 +159,7 @@ class TestGridOracle:
         # of step 1/101 the points 50/101 and 51/101 round to the same value
         s, step = stats(9, 9), 1.0 / 101.0
         first, second = 50 * step, 51 * step
-        assert margin_objective(first, s) == margin_objective(second, s)
+        assert _margin_objective(first, s) == _margin_objective(second, s)
         assert margins_grid_oracle(s, step).gamma_plus == first == reference_grid_gamma(s, step)
 
     # below 1e-6 the grid would pass 10^6 points; 5e-324 makes 1/step inf

@@ -12,17 +12,13 @@ from ecmargin import (
     PrecisionRecallCurve,
     ResourceLimitError,
     ScoreSet,
-    UndefinedPrecisionError,
     ValidationError,
     audit,
     average_precision,
     load_scores,
-    positive_precisions,
     pr_curve,
-    precision_at,
     ranking_error,
     ranking_error_bruteforce,
-    recall_at,
 )
 from ecmargin import _fork, metrics
 from ecmargin.metrics import _line_chunks, _parse_plain
@@ -171,23 +167,6 @@ class TestIdentitySemantics:
             assert hash(a) == hash(a)
 
 
-class TestTailStatistics:
-    def test_recall_counts_strictly_above(self):
-        assert recall_at(EXAMPLE, 0.4) == 0.5
-        assert recall_at(EXAMPLE, 0.39) == 1.0
-
-    def test_precision_at_threshold(self):
-        assert precision_at(EXAMPLE, 0.45, alpha=1.0) == 0.5 / (0.5 + 0.5)
-
-    def test_precision_undefined_above_all_scores(self):
-        with pytest.raises(UndefinedPrecisionError):
-            precision_at(EXAMPLE, 0.95, alpha=1.0)
-
-    def test_nonpositive_alpha_rejected(self):
-        with pytest.raises(ValidationError):
-            precision_at(EXAMPLE, 0.4, alpha=0.0)
-
-
 class TestAveragePrecision:
     def test_worked_example(self):
         """Two positives at 0.9 and 0.4 against negatives at 0.5 and 0.1."""
@@ -197,7 +176,7 @@ class TestAveragePrecision:
 
     def test_per_positive_terms_average_to_ap(self, rng):
         s = ScoreSet(positives=rng.random(40), negatives=rng.random(60))
-        terms = positive_precisions(s, alpha=2.0)
+        terms = metrics._precisions(s, 2.0)
         assert float(np.mean(terms)) == average_precision(s, alpha=2.0)
 
     def test_ge_convention_keeps_tied_positive_inclusive(self):
@@ -540,13 +519,16 @@ class TestLoadScoresMatchesRowLoop:
             patch.setattr(metrics, "_PARSE_CHUNK_BYTES", chunk_bytes)
             check_against_row_loop(tmp_path_factory)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_same_values_or_same_error_across_the_parse_split(self, tmp_path_factory, cpus):
+    @pytest.mark.parametrize("child", ["failed", "forked"])
+    def test_same_values_or_same_error_across_the_parse_split(self, tmp_path_factory, child):
         """The same 400 files, each body of 2 rows or more cut in two, the
-        second part parsed by a forked child when a second CPU is usable."""
+        second part parsed by a forked child, or in this process after the
+        first when the fork fails."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(metrics, "_PARSE_SPLIT_MIN_ROWS", 2)
-            patch.setattr(_fork, "usable_cpus", lambda: cpus)
+            patch.setattr(_fork, "usable_cpus", lambda: 2)
+            if child == "failed":
+                patch.setattr(_fork, "_fork", lambda produce: None)
             check_against_row_loop(tmp_path_factory)
 
     def test_plain_file_takes_the_vectorized_pass(self, tmp_path, rng):
@@ -633,10 +615,11 @@ class TestChunkBoundaries:
 
 
 class TestParseSplit:
-    """A plain body of _PARSE_SPLIT_MIN_ROWS rows or more is cut at the first
-    newline at or past its middle, and a forked child parses the rows after
-    the cut; a row that is not plain on either side of the cut sends the
-    whole file to the row loop."""
+    """When a fork is available, a plain body of _PARSE_SPLIT_MIN_ROWS rows
+    or more is cut at the first newline at or past its middle, and a forked
+    child parses the rows after the cut; a row that is not plain on either
+    side of the cut sends the whole file to the row loop.  On one CPU the
+    body is not cut."""
 
     ROW = "0.123456,1\n"  # every row has this length, so the cut stays put
 
@@ -644,10 +627,9 @@ class TestParseSplit:
     def small_split(self, monkeypatch):
         monkeypatch.setattr(metrics, "_PARSE_SPLIT_MIN_ROWS", 2)
 
-    def cut_row(self, monkeypatch, rows: int) -> int:
-        """The index of the first row after the cut, seen from the spans the
-        parser is handed on one CPU."""
-        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+    def spans(self, monkeypatch, data: bytes) -> tuple[list, object]:
+        """The (start, stop) spans _parse_plain hands the parser in this
+        process, and its result."""
         spans = []
         real = metrics._parse_span
 
@@ -656,8 +638,20 @@ class TestParseSplit:
             return real(data, start, stop, *arrays)
 
         monkeypatch.setattr(metrics, "_parse_span", recording)
-        assert _parse_plain((_HEADER + self.ROW * rows).encode()) is not None
+        result = _parse_plain(data)
         monkeypatch.setattr(metrics, "_parse_span", real)
+        return spans, result
+
+    def cut_row(self, monkeypatch, rows: int) -> int:
+        """The index of the first row after the cut, seen from the spans the
+        parser is handed when the fork fails, so that both parts are parsed
+        in this process."""
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        real_fork = _fork._fork
+        monkeypatch.setattr(_fork, "_fork", lambda produce: None)
+        spans, result = self.spans(monkeypatch, (_HEADER + self.ROW * rows).encode())
+        monkeypatch.setattr(_fork, "_fork", real_fork)
+        assert result is not None
         (start, cut), (after, end) = spans
         assert (start, after, end) == (len(_HEADER), cut, len(_HEADER) + len(self.ROW) * rows)
         return (cut - start) // len(self.ROW)
@@ -693,6 +687,17 @@ class TestParseSplit:
             assert _load_outcome(load_scores, str(path)) == _load_outcome(
                 reference_load_scores, str(path)
             )
+
+    def test_one_cpu_parses_the_body_in_one_span(self, monkeypatch):
+        """Not cut, so the rows after a bad second row are never handed to a
+        second parse."""
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+        for second in (self.ROW, "0.123456,2\n"):
+            data = (_HEADER + self.ROW + second + self.ROW * 40).encode()
+            spans, result = self.spans(monkeypatch, data)
+            assert spans == [(len(_HEADER), len(data))]
+            assert (result is None) == (second != self.ROW)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_last_row_longer_than_the_body_before_it_is_not_split(self, monkeypatch, cpus):

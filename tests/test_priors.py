@@ -9,11 +9,9 @@ from ecmargin import (
     ClassEntry,
     ClassStats,
     InputFormatError,
-    UnknownClassError,
     ValidationError,
     all_class_stats,
     background_count,
-    class_stats,
     load_counts,
 )
 
@@ -27,17 +25,28 @@ COUNTS = ClassCounts(
 )
 
 
+def class_stats(counts, class_id, background):
+    """One class's stats on their own, from the definition n_plus = n_c and
+    n_minus = (all foreground + background) - n_c, or that class's error."""
+    if background < 0:
+        raise ValidationError(f"background must be >= 0, got {background}")
+    (n_plus,) = [e.instance_count for e in counts.entries if e.class_id == class_id]
+    n_minus = counts.total_foreground() + background - n_plus
+    if n_plus < 1:
+        raise ValidationError(
+            f"class {class_id} has zero instances; margins are undefined for empty classes"
+        )
+    if n_minus < 1:
+        raise ValidationError(
+            f"class {class_id} has no negatives (n_minus={n_minus}); need at least one other sample"
+        )
+    return ClassStats(n_plus=n_plus, n_minus=n_minus, alpha=n_minus / n_plus)
+
+
 class TestClassCounts:
     def test_total_foreground(self):
         """Foreground total is the plain sum of instance counts."""
         assert COUNTS.total_foreground() == 16 + 81 + 4607
-
-    def test_get_returns_entry(self):
-        assert COUNTS.get(2).name == "dog"
-
-    def test_get_unknown_id_raises(self):
-        with pytest.raises(UnknownClassError):
-            COUNTS.get(99)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
@@ -103,7 +112,7 @@ class TestBackgroundCount:
 
 class TestClassStatsFromCounts:
     def test_negatives_are_rest_plus_background(self):
-        stats = class_stats(COUNTS, 1, background_count(COUNTS, 1.0))
+        stats = all_class_stats(COUNTS, background_count(COUNTS, 1.0))[1]
         assert stats.n_plus == 16
         assert stats.n_minus == 81 + 4607 + 4704
         assert stats.alpha == stats.n_minus / stats.n_plus
@@ -119,9 +128,9 @@ class TestClassStatsFromCounts:
 
     @pytest.mark.parametrize("seed", range(24))
     def test_all_class_stats_matches_class_stats_per_class(self, seed):
-        """The one-pass all_class_stats gives what class_stats gives class by
-        class in ascending id order: the same stats, or the same first error.
-        The seeds cycle through all-valid counts, zero-count classes, a
+        """The one-pass all_class_stats gives what the reference class_stats
+        above gives class by class in ascending id order: the same stats, or
+        the same first error.  The seeds cycle through all-valid counts, zero-count classes, a
         lowest-id class with no negatives, and a negative background."""
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 30))
@@ -161,7 +170,7 @@ class TestClassStatsFromCounts:
         counts = ClassCounts(entries=(ClassEntry(0, "a", 1), ClassEntry(1, "b", 10**308)))
         background = background_count(counts, 1.0)
         with pytest.raises(ValidationError, match="class 0 has more negatives than fit a float"):
-            class_stats(counts, 0, background)
+            all_class_stats(counts, background)
 
     def test_zero_count_class_rejected(self):
         counts = ClassCounts(
@@ -171,7 +180,7 @@ class TestClassStatsFromCounts:
             )
         )
         with pytest.raises(ValidationError):
-            class_stats(counts, 0, 0)
+            all_class_stats(counts, 0)
 
 
 class TestLoadCounts:
@@ -189,7 +198,7 @@ class TestLoadCounts:
             )
         )
         counts = load_counts(str(path))
-        assert counts.get(1).instance_count == 16
+        assert counts.entries[0] == ClassEntry(1, "cat", 16)
         assert counts.background_ratio == 2.5
 
     def test_csv_roundtrip(self, tmp_path):
@@ -202,7 +211,7 @@ class TestLoadCounts:
     def test_format_inferred_from_extension(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("id,name,instance_count\n1,cat,16\n")
-        assert load_counts(str(path)).get(1).name == "cat"
+        assert load_counts(str(path)).entries == (ClassEntry(1, "cat", 16),)
 
     @pytest.mark.parametrize("ratio", [True, False, "1.0"])
     def test_json_background_ratio_that_is_not_a_number_rejected(self, tmp_path, ratio):

@@ -22,7 +22,6 @@ from ecmargin import (
     evaluate,
     generate,
     log_weight_ratio,
-    measured_background_ratio,
     optimal_margins,
     rare_tercile,
     run_experiment,
@@ -236,9 +235,6 @@ class TestGenerate:
     def test_counts_follow_the_zipf_prior(self, small_dataset):
         assert small_dataset.class_counts == zipf_class_counts(3, 150, 1.0)
         assert small_dataset.n_background == 150
-
-    def test_background_ratio_is_exact(self, small_dataset):
-        assert measured_background_ratio(small_dataset) == 1.0
 
     def test_labels_are_blocked_by_class_then_background(self, small_dataset):
         labels = small_dataset.labels
