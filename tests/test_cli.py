@@ -915,6 +915,25 @@ class TestSplitCurveWriter:
         assert body == reference_curve_rows(tmp_path / "scores.csv", self.ALPHA)
         assert body.count("\n") == rows
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_bad_label_on_data_row_two_is_one_line_three_error(
+        self, capsys, monkeypatch, tmp_path, forks, cpus
+    ):
+        """A file long enough to cut, with a bad label before the middle:
+        exit 2 and the row loop's one error line, on one CPU (no cut, no
+        child) as with a child parsing the second half."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(metrics, "_PARSE_SPLIT_MIN_ROWS", 2)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        lines = split_curve_scores(200).splitlines(keepends=True)
+        lines[2] = lines[2].replace(",0\n", ",2\n")
+        (tmp_path / "bad.csv").write_text("".join(lines))
+        argv = ["metrics", "--scores", "bad.csv", "--alpha", "3", "--pr-curve", "pr.csv"]
+        code, out, err = run_cli(capsys, argv)
+        assert_no_children()
+        assert_input_error(code, out, err, "bad.csv: line 3: label must be 1 or 0, got '2'")
+        assert len(forks) == cpus - 1
+
     @pytest.mark.parametrize("rows", [k * 5 + d for k in (1, 2, 3) for d in (-1, 0, 1)])
     def test_every_chunking_gives_the_per_row_bytes(
         self, capsys, monkeypatch, tmp_path, forks, rows

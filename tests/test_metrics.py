@@ -656,15 +656,15 @@ class TestParseSplit:
         assert (start, after, end) == (len(_HEADER), cut, len(_HEADER) + len(self.ROW) * rows)
         return (cut - start) // len(self.ROW)
 
+    # a row the vectorized pass refuses, and the row loop's error for it
+    BAD_ROWS = [
+        ("0.123456,2", "label must be 1 or 0, got '2'"),
+        ("1.234567,0", "score 1.234567 outside [0,1]"),
+        ("0.12.456,1", "field 'score' is not a number: '0.12.456'"),
+    ]
+
     @pytest.mark.parametrize("side", ["before", "after"])
-    @pytest.mark.parametrize(
-        "bad_row, message",
-        [
-            ("0.123456,2", "label must be 1 or 0, got '2'"),
-            ("1.234567,0", "score 1.234567 outside [0,1]"),
-            ("0.12.456,1", "field 'score' is not a number: '0.12.456'"),
-        ],
-    )
+    @pytest.mark.parametrize("bad_row, message", BAD_ROWS)
     def test_a_bad_row_next_to_the_cut_gets_the_row_loop_error(
         self, tmp_path, monkeypatch, side, bad_row, message
     ):
@@ -698,6 +698,42 @@ class TestParseSplit:
             spans, result = self.spans(monkeypatch, data)
             assert spans == [(len(_HEADER), len(data))]
             assert (result is None) == (second != self.ROW)
+
+    @pytest.mark.parametrize("taken", ["one CPU", "forked", "fork failed"])
+    @pytest.mark.parametrize("bad_row, message", BAD_ROWS)
+    def test_a_bad_second_row_gets_the_same_error_on_every_path(
+        self, tmp_path, monkeypatch, forks, taken, bad_row, message
+    ):
+        """A bad row well before the cut: on one CPU the body is one span and
+        its parse ends there; a forked child, or a failed fork that leaves
+        both parts to this process, gives the same row loop error."""
+        path = tmp_path / "scores.csv"
+        path.write_text(_HEADER + self.ROW + bad_row + "\n" + self.ROW.replace(",1", ",0") * 40)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1 if taken == "one CPU" else 2)
+        if taken == "fork failed":
+            monkeypatch.setattr(_fork, "_fork", lambda produce: None)
+        with pytest.raises(InputFormatError) as info:
+            load_scores(str(path))
+        assert str(info.value) == f"{path}: line 3: {message}"
+        assert len(forks) == (taken == "forked")
+
+    @pytest.mark.parametrize("rows", [3, 4, 41, 1000])
+    def test_the_child_writes_its_rows_where_this_process_reads_them(
+        self, monkeypatch, forks, rows
+    ):
+        """The forked child parses the rows after the cut into the map made
+        before the fork, and nothing is copied back: this process reads every
+        row as the one-span parse on one CPU gives it."""
+        lines = [f"{j * 7919 % 1000 / 1000:.3f},{j % 3 % 2}\n" for j in range(rows)]
+        data = (_HEADER + "".join(lines)).encode()
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        one_span = _parse_plain(data)
+        assert forks == []
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        scores, is_pos = _parse_plain(data)
+        assert len(forks) == 1
+        assert scores.tolist() == one_span[0].tolist() == [float(x[:5]) for x in lines]
+        assert is_pos.tolist() == one_span[1].tolist() == [x.endswith("1\n") for x in lines]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_last_row_longer_than_the_body_before_it_is_not_split(self, monkeypatch, cpus):

@@ -236,6 +236,13 @@ class TestGenerate:
         assert small_dataset.class_counts == zipf_class_counts(3, 150, 1.0)
         assert small_dataset.n_background == 150
 
+    def test_background_ratio_is_exact(self, small_dataset):
+        """background_fraction f leaves f / (1 - f) background samples per
+        foreground one."""
+        assert small_dataset.n_background == sum(small_dataset.class_counts)
+        other = generate(replace(SMALL, background_fraction=0.75))
+        assert other.n_background == 3 * sum(other.class_counts)
+
     def test_labels_are_blocked_by_class_then_background(self, small_dataset):
         labels = small_dataset.labels
         row = 0
