@@ -77,9 +77,10 @@ def _fork(produce) -> tuple[int, io.BufferedReader] | None:
         if os.getpid() != parent:  # an interrupt reached the child before pid was bound
             pid = 0
         else:
-            # The child may exist already: Python 3.12 raises its fork warning,
-            # when made an error, after forking, and an interrupt can land
-            # before pid is bound.  Its pid comes first on the pipe; reap it.
+            # The child may exist already: an interrupt can land after forking,
+            # before pid is bound.  (CPython clears its own fork warning, even
+            # when a filter makes it an error, so that never raises here.)
+            # Its pid comes first on the pipe; reap it.
             os.close(write_fd)
             with open(read_fd, "rb") as pipe:
                 header = pipe.readline()

@@ -18,7 +18,8 @@ bytes, numpy arrays of one entry per row or curve point, and the forked
 workers' results, their halves of the parse and of the curve, not with a
 Python object per row.  Every command opens its output files before it reads
 or computes anything, and refuses an output path that names an input file or
-another output.
+another output; a command that exits 2 on its input leaves every output path
+as it was.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -93,7 +95,7 @@ def _emit_document(args, config: dict, body: dict, rows: list[dict], out) -> Non
 
 def _same_file(a: str, b: str) -> bool:
     """Whether a and b name one regular file, or one path that is not a file
-    yet, so that opening either for writing empties the other."""
+    yet, so that writing either overwrites the other."""
     if os.path.exists(a) and os.path.exists(b):
         return os.path.isfile(a) and os.path.samefile(a, b)
     return os.path.realpath(a) == os.path.realpath(b)
@@ -101,7 +103,7 @@ def _same_file(a: str, b: str) -> bool:
 
 def _check_outputs(args, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> None:
     """Refuse an output path that names an input file or an earlier output,
-    before anything is opened: opening it would empty that file."""
+    before anything is opened: writing it would overwrite that file."""
     paths = [(dest, getattr(args, dest)) for dest in inputs + outputs]
     paths = [(dest, path) for dest, path in paths if path is not None]
     for i, (dest, path) in enumerate(paths):
@@ -111,10 +113,32 @@ def _check_outputs(args, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> N
                 raise EcmError(f"{flags[0]} {path} names the same file as {flags[1]}")
 
 
+@contextlib.contextmanager
 def _open_output(path: str | None):
-    """path opened for writing, or a null context when it is None.  Every
-    command opens its files before it computes, so a bad path fails first."""
-    return contextlib.nullcontext() if path is None else open(path, "w", encoding="utf-8")
+    """path opened for writing, or None when it is None.  Every command opens
+    its files before it computes, so a bad path fails first.  The file is
+    opened without truncating and written from its start, and a regular file
+    is cut at the end of what was written only when the command finishes
+    with exit 0 or 1; a FIFO or a device is never truncated.  When the
+    command raises instead, a file this run created is removed and an
+    existing one is not cut, so an input error, raised before anything is
+    written, leaves every output path as it was."""
+    if path is None:
+        yield None
+        return
+    try:
+        fd, created = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+    except FileExistsError:
+        fd, created = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), False
+    with open(fd, "w", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except BaseException:
+            if created:
+                os.unlink(path)
+            raise
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _emit_report(payload: dict, out) -> None:

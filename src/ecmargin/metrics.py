@@ -19,8 +19,9 @@ only when ``_fork.available()``, the one cut rule it shares with the PR-curve
 writer: then a forked child (``_fork.share``) parses the rows after the first
 newline past the body's middle into the same shared map of the arrays and
 returns only whether they were plain, with the same values as a parse in one
-process; otherwise the body is parsed in one piece, which stops at the first
-chunk with a row that is not plain.  Any other file goes through ``priors.read_csv``, the
+process, and is killed as soon as a row before the cut is found not plain;
+otherwise the body is parsed in one piece, which stops at the first chunk with
+a row that is not plain.  Any other file goes through ``priors.read_csv``, the
 CSV reader it shares with the count files.
 """
 
@@ -313,6 +314,10 @@ def _parse_span(data: bytes, start: int, stop: int, scores, is_pos) -> bool:
     return True
 
 
+class _NotPlain(Exception):
+    """A row before the cut is not plain."""
+
+
 def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """(scores, is_positive) when every row of ``data`` is plain ``<score>,<0|1>\\n``.
 
@@ -326,7 +331,7 @@ def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     or past its middle, and a forked child parses the rows after the cut into
     the same shared map while this process parses those before it;
     np.loadtxt parses each row on its own, so the values do not depend on the
-    cut.
+    cut.  A row before the cut that is not plain kills the child at once.
     """
     if not data.startswith(_HEADER) or not data.endswith(b"\n") or len(data) == len(_HEADER):
         return None
@@ -343,14 +348,18 @@ def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     scores = np.frombuffer(shared, count=rows)
     is_pos = np.frombuffer(shared, dtype=bool, count=rows, offset=8 * rows)
 
+    def parse_head():
+        if not _parse_span(data, start, cut, scores[:head], is_pos[:head]):
+            raise _NotPlain  # so that share kills a child still parsing the tail
+
     def parse_tail():
         return _parse_span(data, cut, len(data), scores[head:], is_pos[head:])
 
-    plain, tail_plain = _fork.share(
-        lambda: _parse_span(data, start, cut, scores[:head], is_pos[:head]),
-        parse_tail if cut < len(data) else None,
-    )
-    return (scores, is_pos) if plain and tail_plain is not False else None
+    try:
+        _, tail_plain = _fork.share(parse_head, parse_tail if cut < len(data) else None)
+    except _NotPlain:
+        return None
+    return None if tail_plain is False else (scores, is_pos)
 
 
 def _parse_rows(path: str, data: bytes) -> tuple[list[float], list[float]]:

@@ -83,19 +83,15 @@ class ClassStats:
             raise ValidationError(f"alpha {self.alpha} is not n_minus/n_plus = {expected}")
 
 
-def load_counts(path: str, format: str | None = None) -> ClassCounts:
-    """Load per-class counts from a JSON or CSV file.
+def load_counts(path: str) -> ClassCounts:
+    """Load per-class counts from a CSV file when the path ends in ``.csv``
+    (any case), and from a JSON file otherwise.
 
     JSON schema: {"categories": [{"id", "name", "instance_count"}, ...],
     "background_ratio": <optional number>}.  CSV schema: header
-    ``id,name,instance_count`` and one row per class.  When ``format`` is
-    None it is inferred from the file extension.
+    ``id,name,instance_count`` and one row per class.
     """
-    if format is None:
-        format = "csv" if str(path).lower().endswith(".csv") else "json"
-    if format not in ("json", "csv"):
-        raise ValidationError(f"format must be 'json' or 'csv', got {format!r}")
-    return _load_json(path) if format == "json" else _load_csv(path)
+    return _load_csv(path) if str(path).lower().endswith(".csv") else _load_json(path)
 
 
 def read_json(path: str):

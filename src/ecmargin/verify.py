@@ -535,14 +535,6 @@ def _merge(units: list[tuple[str, int | None]], results: list, trials: int) -> l
     return reports
 
 
-def run_suite(name: str, trials: int = 1000, seed: int = 0) -> dict:
-    """Run one named suite and return its report, the same report that the
-    suite gives inside ``all``."""
-    if name not in SUITES:
-        raise ValidationError(f"suite must be one of {SUITES}, got {name!r}")
-    return run(name, trials, seed)["suites"][0]
-
-
 def run(suite: str = "all", trials: int = 1000, seed: int = 0) -> dict:
     """Run one named suite (or all) and return a JSON-safe report dict: its
     arguments, its suite reports and whether all passed.  The units up to

@@ -1,5 +1,6 @@
 import csv
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -699,23 +700,37 @@ class TestParseSplit:
             assert spans == [(len(_HEADER), len(data))]
             assert (result is None) == (second != self.ROW)
 
-    @pytest.mark.parametrize("taken", ["one CPU", "forked", "fork failed"])
+    @pytest.mark.parametrize("taken", ["one CPU", "forked", "fork failed", "slow child"])
     @pytest.mark.parametrize("bad_row, message", BAD_ROWS)
     def test_a_bad_second_row_gets_the_same_error_on_every_path(
         self, tmp_path, monkeypatch, forks, taken, bad_row, message
     ):
         """A bad row well before the cut: on one CPU the body is one span and
         its parse ends there; a forked child, or a failed fork that leaves
-        both parts to this process, gives the same row loop error."""
+        both parts to this process, gives the same row loop error.  A child
+        still parsing the tail is killed, not waited for."""
         path = tmp_path / "scores.csv"
         path.write_text(_HEADER + self.ROW + bad_row + "\n" + self.ROW.replace(",1", ",0") * 40)
         monkeypatch.setattr(_fork, "usable_cpus", lambda: 1 if taken == "one CPU" else 2)
         if taken == "fork failed":
             monkeypatch.setattr(_fork, "_fork", lambda produce: None)
+        if taken == "slow child":
+            parent, real = os.getpid(), metrics._parse_span
+
+            def slow_in_the_child(*args):
+                if os.getpid() != parent:
+                    time.sleep(10)
+                return real(*args)
+
+            monkeypatch.setattr(metrics, "_parse_span", slow_in_the_child)
+        start = time.monotonic()
         with pytest.raises(InputFormatError) as info:
             load_scores(str(path))
+        assert time.monotonic() - start < 2
         assert str(info.value) == f"{path}: line 3: {message}"
-        assert len(forks) == (taken == "forked")
+        assert len(forks) == (taken in ("forked", "slow child"))
+        with pytest.raises(ChildProcessError):  # no child left
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("rows", [3, 4, 41, 1000])
     def test_the_child_writes_its_rows_where_this_process_reads_them(

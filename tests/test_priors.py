@@ -277,9 +277,3 @@ class TestLoadCounts:
         path.write_bytes(b'{"categories": ' + b"[" * 200_000)
         with pytest.raises(InputFormatError, match="nested too deeply"):
             load_counts(str(path))
-
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "counts.json"
-        path.write_text("{}")
-        with pytest.raises(ValidationError):
-            load_counts(str(path), format="xml")

@@ -45,10 +45,6 @@ class TestRun:
         merged = full_report["suites"][SUITES.index(suite)]
         assert json.dumps(solo["suites"][0]) == json.dumps(merged)
 
-    def test_run_suite_gives_its_slice_of_the_full_run(self, full_report):
-        reports = [verify.run_suite(name, 40, 42) for name in reversed(SUITES)]
-        assert reports[::-1] == full_report["suites"]
-
     def test_units_are_the_sandwich_blocks_then_whole_suites(self):
         assert verify._units(SUITES, 120) == [
             ("bounds", 0), ("bounds", 1), ("bounds", 2), *((name, None) for name in SUITES)
@@ -78,7 +74,7 @@ class TestRun:
             return real_block(rng, trials)
 
         monkeypatch.setattr(verify, "_sandwich_block", counting_block)
-        sandwich, *checks = verify.run_suite("bounds", trials, 9)["checks"]
+        sandwich, *checks = verify.run("bounds", trials, 9)["suites"][0]["checks"]
         assert drawn == sizes
         assert sandwich["detectors"] == trials
         assert sandwich["violations"] == sum(v for v, _ in blocks) == 0
@@ -98,11 +94,6 @@ class TestRun:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValidationError, match="suite"):
             run_verification("everything", trials=10, seed=0)
-
-    @pytest.mark.parametrize("name", ["all", "everything"])
-    def test_run_suite_runs_one_named_suite(self, name):
-        with pytest.raises(ValidationError, match="suite must be one of"):
-            verify.run_suite(name, trials=10, seed=0)
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_nonpositive_trials_rejected(self, trials):
@@ -186,7 +177,7 @@ def corrupt_kernel(monkeypatch, name, shape, corrupt):
 
 
 def gradient_checks():
-    report = verify.run_suite("gradients", TRIALS, 0)
+    report = verify.run("gradients", TRIALS, 0)["suites"][0]
     return {c["name"]: c for c in report["checks"]}
 
 
