@@ -201,9 +201,13 @@ class Dataset:
 
 
 def generate(config: SyntheticConfig) -> Dataset:
-    """Deterministic synthetic long-tail dataset for the given config."""
+    """Deterministic synthetic long-tail dataset for the given config.
+
+    Every block of rows is drawn, scaled and shifted in place, so the
+    features and labels are the only arrays of the dataset's size.  Raises
+    NumericalError when a feature is past the float range.
+    """
     n_fg = int(math.floor(config.total_samples * (1.0 - config.background_fraction) + 0.5))
-    n_bg = config.total_samples - n_fg
     if config.num_classes > n_fg:
         raise ValidationError(
             f"num_classes {config.num_classes} exceeds the {n_fg} foreground "
@@ -219,17 +223,23 @@ def generate(config: SyntheticConfig) -> Dataset:
     features = np.empty((config.total_samples, config.feature_dim))
     labels = np.empty(config.total_samples, dtype=np.int64)
     row = 0
-    for c, n_c in enumerate(counts):
-        features[row : row + n_c] = means[c] + config.noise_sigma * rng.standard_normal(
-            (n_c, config.feature_dim)
-        )
-        labels[row : row + n_c] = c
-        row += n_c
-    # broad background blob at the origin, twice the class noise scale
-    features[row:] = 2.0 * config.noise_sigma * rng.standard_normal(
-        (n_bg, config.feature_dim)
-    )
-    labels[row:] = BACKGROUND_LABEL
+    # an overflow ends in the NumericalError below, not a numpy warning; the
+    # features are checked, since a scale past the float range (2.0 *
+    # noise_sigma can be) makes infinities with no floating-point flag
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, n_c in enumerate(counts):
+            block = rng.standard_normal(out=features[row : row + n_c])
+            block *= config.noise_sigma
+            block += means[c]
+            labels[row : row + n_c] = c
+            row += n_c
+        # broad background blob at the origin, twice the class noise scale
+        background = rng.standard_normal(out=features[row:])
+        background *= 2.0 * config.noise_sigma
+        labels[row:] = BACKGROUND_LABEL
+        finite = math.isfinite(features.min()) and math.isfinite(features.max())
+    if not finite:
+        raise NumericalError("non-finite features from generate")
     return Dataset(features=features, labels=labels, class_counts=counts, config=config)
 
 
@@ -399,7 +409,9 @@ def _train_block(dataset, tcfg, train_idx, rng, params, delta, m, lo, hi):
 
     The block allocates its batch buffers once, with min(batch_size,
     n_train) rows: a batch of r rows steps in their first r rows, with no
-    elementwise temporary, and the update is in place.
+    elementwise temporary, and the update is in place.  It allocates its
+    epoch buffers once too, the training rows' features and the block's
+    one-hot labels, and gathers every epoch's shuffled rows into them.
 
     Returns the parameters at each checkpoint after epoch 0, each epoch's sum
     over its batches of the block's loss sum divided by the class count, and
@@ -415,14 +427,18 @@ def _train_block(dataset, tcfg, train_idx, rng, params, delta, m, lo, hi):
     # an epoch's batches have two sizes at most: a full one and the last
     buffers = {r: _first_rows(full, r) for r in (min(size, n), n - (n - 1) // size * size)}
     classes = np.arange(lo, hi)
+    x_epoch = np.empty((n, dataset.features.shape[1]))
+    pos_epoch = np.empty((n, classes.size), dtype=bool)
     saved = tcfg.checkpoint_epochs()
     checkpoints = []
     loss_sums = np.zeros(tcfg.epochs)
     for epoch in range(1, tcfg.epochs + 1):
-        # each epoch's rows and labels gathered once; every batch is a slice of them
+        # each epoch's rows and labels gathered once; every batch is a slice
+        # of them.  Every row is one of train_idx, so "clip" never clips; it
+        # spares the copy of out that take makes in its default mode.
         rows = train_idx[rng.permutation(n)]
-        x_epoch = dataset.features.take(rows, axis=0)
-        pos_epoch = dataset.labels.take(rows)[:, None] == classes
+        dataset.features.take(rows, axis=0, out=x_epoch, mode="clip")
+        np.equal(dataset.labels.take(rows)[:, None], classes, out=pos_epoch)
         loss_sum = 0.0
         for start in range(0, n, size):
             x = x_epoch[start : start + size]
@@ -559,11 +575,16 @@ def evaluate(
     """Balanced per-class evaluation of a parameter snapshot (default: final).
 
     Classes with no positives in the evaluation split are logged and left out
-    of the report and its mean.
+    of the report and its mean.  When the split is every row in order, as
+    without a holdout, it reads the dataset's own arrays; otherwise it
+    gathers the split's rows.
     """
     snapshot = model.params if params is None else params
-    features = dataset.features[model.eval_indices]
-    labels = dataset.labels[model.eval_indices]
+    if np.array_equal(model.eval_indices, np.arange(dataset.labels.size)):
+        features, labels = dataset.features, dataset.labels
+    else:
+        features = dataset.features[model.eval_indices]
+        labels = dataset.labels[model.eval_indices]
     logits = _forward(model.kind, snapshot, model.temperature, features)[0]
 
     per_class = []

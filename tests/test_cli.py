@@ -1279,13 +1279,18 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
-        "config",
-        [{"learning_rate": 1e308}, {"class_separation": 1e300, "epochs": 3}],
-        ids=["learning-rate", "class-separation"],
+        "config,message",
+        [
+            ({"learning_rate": 1e308}, "non-finite training loss at epoch 1"),
+            ({"class_separation": 1e300, "epochs": 3}, "non-finite training loss at epoch 1"),
+            ({"noise_sigma": 1e308, "epochs": 1}, "non-finite features from generate"),
+        ],
+        ids=["learning-rate", "class-separation", "noise-sigma"],
     )
-    def test_an_overflow_exits_two_with_one_error_line(self, tmp_path, config, cpus):
-        """The trainer turns an overflow into its non-finite loss error; no
-        numpy warning, from this process or the forked block, reaches stderr."""
+    def test_an_overflow_exits_two_with_one_error_line(self, tmp_path, config, message, cpus):
+        """The generator and the trainer turn an overflow into their
+        non-finite errors; no numpy warning, from this process or the forked
+        block, reaches stderr."""
         path = tmp_path / "train.json"
         path.write_text(json.dumps(config))
         code = (
@@ -1296,7 +1301,6 @@ class TestTrainCommand:
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
         argv = [sys.executable, "-c", code, "train", "--config", str(path)]
         proc = subprocess.run(argv, capture_output=True, text=True, env=env)
-        message = "non-finite training loss at epoch 1"
         assert_input_error(proc.returncode, proc.stdout, proc.stderr, message)
 
     @pytest.mark.parametrize(

@@ -11,7 +11,9 @@ import pytest
 
 from ecmargin import (
     BACKGROUND_LABEL,
+    Dataset,
     MarginWeights,
+    NumericalError,
     ResourceLimitError,
     SyntheticConfig,
     TrainConfig,
@@ -302,6 +304,43 @@ class TestGenerate:
 
     def test_arrays_at_the_size_cap_accepted(self):
         SyntheticConfig(total_samples=MAX_ARRAY_ELEMENTS // 20, feature_dim=20)
+
+    def test_generate_holds_only_the_arrays_it_returns(self):
+        """Each class's rows and the background's are drawn, scaled and
+        shifted in place: the traced peak is the features and labels plus
+        128 kB (the small arrays and numpy's 8192-element ufunc buffer, which
+        the broadcast shift uses), where one temporary of class 0's block
+        (18 470 rows, 2.4 MB) or of the background's (3.2 MB) would
+        overshoot."""
+        config = SyntheticConfig(num_classes=2, total_samples=50_000, seed=1)
+        tracemalloc.start()
+        try:
+            dataset = generate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dataset.class_counts[0] == 18_470
+        assert peak < dataset.features.nbytes + dataset.labels.nbytes + 131_072
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"noise_sigma": 1e308},
+            {"noise_sigma": 1e308, "class_separation": 1e308},
+            # the two foreground rows stay finite; only the background's
+            # scale, 2.0 * noise_sigma, is past the float range
+            {
+                "noise_sigma": 1e308, "num_classes": 2, "total_samples": 4, "feature_dim": 2,
+                "seed": 1,
+            },
+        ],
+        ids=["noise", "noise-and-separation", "background-scale"],
+    )
+    def test_features_past_the_float_range_raise(self, kwargs):
+        """NumericalError, and no overflow warning (an error under the test
+        settings)."""
+        with pytest.raises(NumericalError, match="^non-finite features from generate$"):
+            generate(replace(SMALL, **kwargs))
 
 
 class TestTraining:
@@ -636,6 +675,25 @@ class TestBatchStep:
         alphas = dataset_alphas(small_dataset)
         assert evaluate(huge, small_dataset, alphas) == evaluate(whole, small_dataset, alphas)
 
+    def test_a_block_gathers_every_epoch_into_one_buffer(self):
+        """Each epoch's rows are gathered into the buffers the block allocated
+        at its start: over 4 epochs the traced peak stays below 1.5 epoch
+        gathers (the 64 feature columns of the training rows and the block's
+        2 one-hot label columns), where a new gather beside the last one would
+        hold two."""
+        dataset = generate(replace(SMALL, total_samples=4000, feature_dim=64))
+        tcfg = TrainConfig(epochs=4, seed=1)
+        args = block_inputs(dataset, tcfg, default_margin_weights(dataset))
+        n_train = args[0].size
+        gather = n_train * 64 * 8 + n_train * 2
+        tracemalloc.start()
+        try:
+            sandbox._train_block(dataset, tcfg, *args, 0, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gather <= peak < 1.5 * gather
+
     @pytest.mark.parametrize("loss", LOSSES)
     def test_a_linear_step_allocates_only_its_two_matrix_products(self, small_dataset, loss):
         """The forward logits (rows x classes) and the weight gradient
@@ -727,6 +785,43 @@ class TestEvaluation:
         ss = class_score_set(logits, small_dataset.labels, 0)
         assert ss.n_plus == small_dataset.class_counts[0]
         assert ss.n_plus + ss.n_minus == 300
+
+    def test_a_split_of_every_row_is_read_without_a_copy(self, monkeypatch):
+        """A holdout-0 model evaluates every row, so evaluate reads the
+        dataset's own arrays: with 256 features and 2 classes the features
+        are 128 times the logits, and the traced peak stays below one copy
+        of them."""
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        dataset = generate(replace(SMALL, num_classes=2, total_samples=4000, feature_dim=256))
+        model = train(dataset, TrainConfig(epochs=1, seed=2), default_margin_weights(dataset))
+        alphas = dataset_alphas(dataset)
+        tracemalloc.start()
+        try:
+            evaluate(model, dataset, alphas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dataset.features.nbytes
+
+    def test_a_split_of_n_rows_with_a_repeat_evaluates_those_rows(self, trained, small_dataset):
+        """eval_indices as many as the rows, with row 0 (class 0) in place of
+        the last (background): the report is that of those rows indexed by
+        hand, not that of every row."""
+        model, report = trained
+        n = small_dataset.labels.size
+        rows = np.arange(n)
+        rows[-1] = 0
+        by_hand = Dataset(
+            features=small_dataset.features[rows],
+            labels=small_dataset.labels[rows],
+            class_counts=small_dataset.class_counts,
+            config=small_dataset.config,
+        )
+        alphas = dataset_alphas(small_dataset)
+        got = evaluate(replace(model, eval_indices=rows), small_dataset, alphas)
+        assert got == evaluate(replace(model, eval_indices=np.arange(n)), by_hand, alphas)
+        assert got != report
+        assert got.per_class[0].n_plus == small_dataset.class_counts[0] + 1
 
     def test_missing_alpha_rejected(self, trained, small_dataset):
         model, _ = trained
