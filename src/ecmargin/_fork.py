@@ -4,7 +4,10 @@ runs mine().
 
 The child pickles what theirs() returns onto a pipe, and this process loads it
 straight off the pipe.  A child starts only when ``available()``: a fork
-exists, it is safe (no other thread is alive) and a second CPU can run it.
+exists, no other Python thread is alive (``threading.active_count()``) and a
+second CPU can run it.  That count misses OpenBLAS's worker pool, started by
+``import numpy``, which is still safe: OpenBLAS's fork handler stops the pool
+before the fork, and each process restarts it at its next large product.
 When no child started, or the child failed (raised, was killed, or sent a
 truncated pickle), theirs() runs here after mine(), so the results never
 depend on the fork.  When mine() raises, the child is killed; it is reaped

@@ -399,8 +399,7 @@ def variational_max_oracle(alpha: float, tau: float, n: int = 2000) -> float:
         i, j = pair
         raise NumericalError(
             f"perturbation test failed: moving {delta} from bin {i} to bin {j} "
-            f"raises the objective by {best_gain / n:.3e} (alpha={alpha}, tau={tau})",
-            last_iterate=g,
+            f"raises the objective by {best_gain / n:.3e} (alpha={alpha}, tau={tau})"
         )
     return obj
 

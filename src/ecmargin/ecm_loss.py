@@ -44,6 +44,8 @@ from .margins import MarginWeights
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
+# focal_ecm_loss's defaults, which the sandbox's focal_ecm loss also trains with
+_FOCAL = {"focal_gamma": 2.0, "focal_alpha": 0.25}
 
 
 @dataclass(frozen=True)
@@ -205,8 +207,8 @@ def focal_ecm_loss(
     label: str,
     w: MarginWeights,
     m: float = 1.0,
-    focal_gamma: float = 2.0,
-    focal_alpha: float = 0.25,
+    focal_gamma: float = _FOCAL["focal_gamma"],
+    focal_alpha: float = _FOCAL["focal_alpha"],
 ) -> LossEval:
     """ECM loss with focal modulation.
 

@@ -23,12 +23,4 @@ class ResourceLimitError(EcmError, RuntimeError):
 
 
 class NumericalError(EcmError, RuntimeError):
-    """A numerical procedure failed to converge or detected an inconsistency.
-
-    Attributes carry the last iterate so callers can diagnose:
-        last_iterate: the final decision variable (numpy array or scalar), if any
-    """
-
-    def __init__(self, message: str, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """A numerical procedure failed to converge or detected an inconsistency."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _fork
 from .bounds import audit, slope_m, SLOPE_MODES
-from .ecm_loss import _ecm_value_grad, _focal_value_grad, _workspace, log_weight_ratio
+from .ecm_loss import _FOCAL, _ecm_value_grad, _focal_value_grad, _workspace, log_weight_ratio
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .margins import MarginWeights, optimal_margins, weights
 from .metrics import ScoreSet
@@ -367,7 +367,7 @@ def _split_indices(dataset: Dataset, tcfg: TrainConfig) -> tuple[np.ndarray, np.
 def _loss_kernel(loss):
     """The kernel a loss trains with, looked up when a block starts."""
     if loss == "focal_ecm":
-        return functools.partial(_focal_value_grad, focal_gamma=2.0, focal_alpha=0.25)
+        return functools.partial(_focal_value_grad, **_FOCAL)
     return _ecm_value_grad
 
 
@@ -553,8 +553,10 @@ class TrainReport:
 
 
 def _unit_scores(raw: np.ndarray) -> np.ndarray:
-    """Monotone rescale of logits into [0,1]; AP and R are rank statistics, so
-    this changes nothing while avoiding sigmoid saturation ties."""
+    """Monotone rescale of logits into [0,1], which avoids sigmoid saturation
+    ties.  The order is kept, but logits closer than about (hi - lo) * 2**-53
+    can tie: [-10, 1e-17, 2e-17, 10] becomes [0, 0.5, 0.5, 1].  AP and R are
+    rank statistics, so such a tie can move them."""
     lo = float(raw.min())
     hi = float(raw.max())
     if hi == lo:

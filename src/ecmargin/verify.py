@@ -1,14 +1,15 @@
 """Seeded property-verification suites behind ``verify`` in the CLI.
 
-Each suite draws its randomness from a child of one SeedSequence, indexed by
-suite name, so a suite produces the same stream whether it runs alone or as
-part of ``all``.  A run is a list of independent units (``_units``): the
-bounds sandwich in fixed blocks of ``_SANDWICH_BLOCK`` trials, block b drawing
-from child b of the bounds suite's SeedSequence, then the rest of the bounds
-suite and each other suite whole.  ``run`` deals them to this process and a
-forked child and merges them exactly in unit order, so every caller gets the
-serial report.  Reports are plain dicts of JSON-safe scalars with no
-timestamps: identical inputs give byte-identical serialized reports.
+A run is a list of independent units (``_units``), each ``(suite, block,
+trials)``: the bounds sandwich in fixed blocks of ``_SANDWICH_BLOCK`` trials,
+then the rest of the bounds suite and each other suite whole.  Each unit's
+stream is made from its spawn key under the run's seed: ``(i,)`` for suite i
+of ``SUITES`` whole and ``(i, b)`` for sandwich block b, the children that
+``SeedSequence(seed).spawn`` would give, so a suite produces the same stream
+whether it runs alone or as part of ``all``.  ``run`` deals the units to this
+process and a forked child and merges them exactly in unit order, so every
+caller gets the serial report.  Reports are plain dicts of JSON-safe scalars
+with no timestamps: identical inputs give byte-identical serialized reports.
 """
 
 from __future__ import annotations
@@ -474,49 +475,42 @@ def plan(suite: str, trials: int, seed: int) -> tuple[str, ...]:
     return SUITES if suite == "all" else (suite,)
 
 
-def _units(names: tuple[str, ...], trials: int) -> list[tuple[str, int | None]]:
+def _units(names: tuple[str, ...], trials: int) -> list[tuple[str, int | None, int]]:
     """The independent units a run of the suites ``names`` is made of, in
-    the order their results merge: (suite, block) for each block of the
-    bounds sandwich, then (suite, None) for the rest of the bounds suite and
-    for each other suite whole."""
-    blocks = -(-trials // _SANDWICH_BLOCK) if "bounds" in names else 0
-    return [("bounds", b) for b in range(blocks)] + [(name, None) for name in names]
+    the order their results merge, each (suite, block, trials): ("bounds", b,
+    its trials) for each block b of the bounds sandwich, then (suite, None,
+    trials) for the rest of the bounds suite and for each other suite whole."""
+    starts = range(0, trials, _SANDWICH_BLOCK) if "bounds" in names else ()
+    blocks = [("bounds", b, min(_SANDWICH_BLOCK, trials - start)) for b, start in enumerate(starts)]
+    return blocks + [(name, None, trials) for name in names]
 
 
-def _run_unit(unit: tuple[str, int | None], trials: int, seed: int):
+def _run_unit(unit: tuple[str, int | None, int], seed: int):
     """The result of one unit of ``_units``: (violations, min_slack) for a
-    sandwich block, else the suite's report.  Each unit draws from its own
-    stream, so its result does not depend on which process runs it or what
-    ran before."""
-    name, block = unit
-    stream = np.random.SeedSequence(seed).spawn(len(SUITES))[SUITES.index(name)]
-    if block is None:
-        return _RUNNERS[name](np.random.default_rng(stream), trials)
-    rng = np.random.default_rng(stream.spawn(-(-trials // _SANDWICH_BLOCK))[block])
-    return _sandwich_block(rng, min(_SANDWICH_BLOCK, trials - block * _SANDWICH_BLOCK))
+    sandwich block, else the suite's report.  Each unit draws from the stream
+    of its own spawn key, so its result does not depend on which process runs
+    it or what ran before."""
+    name, block, trials = unit
+    key = (SUITES.index(name),) if block is None else (SUITES.index(name), block)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return _RUNNERS[name](rng, trials) if block is None else _sandwich_block(rng, trials)
 
 
-def _cost(unit: tuple[str, int | None], trials: int) -> float:
-    name, block = unit
-    if block is None:
-        return _TRIAL_S[name] * trials
-    return _TRIAL_S["sandwich"] * min(_SANDWICH_BLOCK, trials - block * _SANDWICH_BLOCK)
-
-
-def _cut(units: list[tuple[str, int | None]], trials: int) -> int:
+def _cut(units: list[tuple[str, int | None, int]]) -> int:
     """How many units, from the first, this process runs: the shortest prefix
     whose estimated cost reaches half the total."""
-    costs = list(itertools.accumulate(_cost(unit, trials) for unit in units))
+    unit_costs = (_TRIAL_S[name if block is None else "sandwich"] * n for name, block, n in units)
+    costs = list(itertools.accumulate(unit_costs))
     return bisect.bisect_left(costs, costs[-1] / 2.0) + 1
 
 
-def _merge(units: list[tuple[str, int | None]], results: list, trials: int) -> list[dict]:
+def _merge(units: list[tuple[str, int | None, int]], results: list) -> list[dict]:
     """The suite reports of the units' results, in unit order: the sandwich
     blocks' partials merge into the sandwich check, which leads the bounds
     suite's checks."""
     violations, min_slack = 0, math.inf
     reports = []
-    for (name, block), result in zip(units, results, strict=True):
+    for (name, block, trials), result in zip(units, results, strict=True):
         if block is not None:
             violations += result[0]
             min_slack = min(min_slack, result[1])
@@ -544,13 +538,13 @@ def run(suite: str = "all", trials: int = 1000, seed: int = 0) -> dict:
     units = _units(plan(suite, trials, seed), trials)
 
     def run_units(part) -> list:
-        return [_run_unit(unit, trials, seed) for unit in part]
+        return [_run_unit(unit, seed) for unit in part]
 
-    cut = _cut(units, trials)
+    cut = _cut(units)
     here, there = units[:cut], units[cut:]
     theirs = (lambda: run_units(there)) if there else None
     results, rest = _fork.share(lambda: run_units(here), theirs)
-    reports = _merge(units, results + (rest or []), trials)
+    reports = _merge(units, results + (rest or []))
     return {
         "suite": suite,
         "trials": trials,

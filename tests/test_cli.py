@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -717,7 +718,7 @@ class SplitCommand:
             self.work = (verify, "_run_unit")
             # at --trials 20 the one sandwich block is about half the
             # estimated cost, so it is the parent's whole prefix
-            self.own_share = lambda unit, trials, seed: unit == ("bounds", 0)
+            self.own_share = lambda unit, seed: unit == ("bounds", 0, 20)
 
     def run(self, cpus):
         """((exit, stdout, stderr), the output file's bytes) on cpus usable CPUs."""
@@ -1068,10 +1069,10 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "_sandwich_block", failing_short_block)
         real_unit, parent, here = verify._run_unit, os.getpid(), []
 
-        def recording_unit(unit, trials, seed):
+        def recording_unit(unit, seed):
             if os.getpid() == parent:
                 here.append(unit)
-            return real_unit(unit, trials, seed)
+            return real_unit(unit, seed)
 
         monkeypatch.setattr(verify, "_run_unit", recording_unit)
         argv = ["verify", "--suite", "bounds", "--trials", "120", "--seed", "4"]
@@ -1082,7 +1083,7 @@ class TestVerifyCommand:
             runs.append(run_cli(capsys, argv))
             assert len(forks) == cpus - 1
             assert_no_children()
-        assert here == [("bounds", 0), ("bounds", 1)]  # the child ran block 2 and the rest
+        assert here == [("bounds", 0, 50), ("bounds", 1, 50)]  # the child ran block 2 and the rest
         assert runs[0] == runs[1]
         code, out, err = runs[1]
         assert (code, err) == (1, "")
@@ -1113,10 +1114,12 @@ class TestVerifyCommand:
         argv = ["verify", "--suite", suite, "--trials", "120", "--seed", "9"]
         expected = self.library_text(argv)
         units = verify._units(verify.plan(suite, 120, 9), 120)
-        assert units[:4] == [("bounds", 0), ("bounds", 1), ("bounds", 2), ("bounds", None)]
+        assert units[:4] == [
+            ("bounds", 0, 50), ("bounds", 1, 50), ("bounds", 2, 20), ("bounds", None, 120)
+        ]
         monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
         for cut in range(len(units) + 1):
-            monkeypatch.setattr(verify, "_cut", lambda units, trials: cut)
+            monkeypatch.setattr(verify, "_cut", lambda units: cut)
             del forks[:]
             assert run_cli(capsys, argv) == (0, expected, ""), f"cut {cut}"
             assert len(forks) == int(cut < len(units))
@@ -1131,9 +1134,12 @@ class TestVerifyCommand:
         assert json.loads(out)["suites"][0]["checks"][0]["detectors"] == trials
 
     def test_the_cut_reaches_half_the_estimated_cost(self):
+        """A unit's estimated cost is its kind's seconds per trial times its
+        own trials: a sandwich block's, or the whole suite's."""
         units = verify._units(verify.SUITES, 1000)
-        costs = [verify._cost(unit, 1000) for unit in units]
-        cut = verify._cut(units, 1000)
+        per_trial = [verify._TRIAL_S["sandwich" if b is not None else n] for n, b, _ in units]
+        costs = [s * trials for s, (_, _, trials) in zip(per_trial, units)]
+        cut = verify._cut(units)
         assert sum(costs[: cut - 1]) < sum(costs) / 2 <= sum(costs[:cut])
         assert units[cut - 1][0] == "bounds" and units[cut - 1][1] is not None
 
@@ -1194,6 +1200,46 @@ class TestTrainCommand:
         assert doc["config"]["train"]["seed"] == 3
         assert doc["config"]["train"]["epochs"] == 4
         assert len(doc["loss_curve"]) == 4
+
+    def test_a_class_with_no_evaluation_positives_is_left_out(self, capsys, tmp_path):
+        """Here classes 15-19 have no positives in the holdout split; the
+        report leaves them out, its mean too, and the run still succeeds."""
+        flat = {"holdout_fraction": 0.3, "total_samples": 400, "epochs": 2}
+        (tmp_path / "train.json").write_text(json.dumps(flat))
+        code, out, _ = run_cli(capsys, ["train", "--config", str(tmp_path / "train.json")])
+        doc = json.loads(out)
+        scfg = sandbox.SyntheticConfig(**doc["config"]["synthetic"])
+        tcfg = sandbox.TrainConfig(**doc["config"]["train"])
+        dataset = sandbox.generate(scfg)
+        _, eval_idx = sandbox._split_indices(dataset, tcfg)
+        present = sorted(set(dataset.labels[eval_idx].tolist()) - {sandbox.BACKGROUND_LABEL})
+        assert present == list(range(15))
+        assert [p["class_id"] for p in doc["per_class"]] == present
+        assert doc["mean_ap"] == float(np.mean([p["ap"] for p in doc["per_class"]]))
+        assert (code, doc["bound_audit"]) == (0, True)
+
+    def test_a_failing_audit_exits_one_with_the_full_report(
+        self, capsys, monkeypatch, train_config_file
+    ):
+        """A class outside its bounds fails the audit: exit 1, and stdout is
+        still the whole report, with that class and "bound_audit": false."""
+        argv = ["train", "--config", train_config_file]
+        _, passing, _ = run_cli(capsys, argv)
+        real_experiment = cli.run_experiment
+
+        def failing_class_1(scfg, tcfg):
+            model, report = real_experiment(scfg, tcfg)
+            per_class = list(report.per_class)
+            per_class[1] = dataclasses.replace(per_class[1], within_bounds=False)
+            return model, dataclasses.replace(report, per_class=tuple(per_class))
+
+        monkeypatch.setattr(cli, "run_experiment", failing_class_1)
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 1
+        expected = json.loads(passing)
+        expected["per_class"][1]["within_bounds"] = False
+        expected["bound_audit"] = False
+        assert json.loads(out) == expected
 
     def test_output_is_byte_deterministic(self, capsys, train_config_file):
         _, first, _ = run_cli(capsys, ["train", "--config", train_config_file])

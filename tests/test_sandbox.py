@@ -1,5 +1,6 @@
 import copy
 import functools
+import inspect
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from ecmargin import (
     weights,
     zipf_class_counts,
 )
-from ecmargin import _fork, sandbox
+from ecmargin import _fork, focal_ecm_loss, sandbox
 from ecmargin.ecm_loss import _ecm_value_grad, _focal_value_grad
 from ecmargin.sandbox import LOSSES, MAX_ARRAY_ELEMENTS, class_score_set
 
@@ -719,6 +720,12 @@ class TestBatchStep:
         logits_bytes = x.shape[0] * 3 * 8
         assert logits_bytes <= peak < 1.5 * logits_bytes
 
+    def test_focal_ecm_trains_with_the_focal_loss_defaults(self):
+        defaults = inspect.signature(focal_ecm_loss).parameters
+        kernel = sandbox._loss_kernel("focal_ecm")
+        assert kernel.func is _focal_value_grad
+        assert kernel.keywords == {k: defaults[k].default for k in ("focal_gamma", "focal_alpha")}
+
     @pytest.mark.parametrize("loss", LOSSES)
     @pytest.mark.parametrize("model", list(MODELS))
     def test_the_step_gradient_matches_central_differences(self, small_dataset, loss, model):
@@ -822,6 +829,13 @@ class TestEvaluation:
         assert got == evaluate(replace(model, eval_indices=np.arange(n)), by_hand, alphas)
         assert got != report
         assert got.per_class[0].n_plus == small_dataset.class_counts[0] + 1
+
+    def test_a_failing_class_fails_the_audit(self, trained):
+        _, report = trained
+        assert bound_audit(report)
+        out = replace(report.per_class[1], within_bounds=False)
+        failing = replace(report, per_class=(report.per_class[0], out, *report.per_class[2:]))
+        assert not bound_audit(failing)
 
     def test_missing_alpha_rejected(self, trained, small_dataset):
         model, _ = trained

@@ -47,9 +47,10 @@ class TestRun:
 
     def test_units_are_the_sandwich_blocks_then_whole_suites(self):
         assert verify._units(SUITES, 120) == [
-            ("bounds", 0), ("bounds", 1), ("bounds", 2), *((name, None) for name in SUITES)
+            ("bounds", 0, 50), ("bounds", 1, 50), ("bounds", 2, 20),
+            *((name, None, 120) for name in SUITES),
         ]
-        assert verify._units(("margins",), 120) == [("margins", None)]
+        assert verify._units(("margins",), 120) == [("margins", None, 120)]
 
     @pytest.mark.parametrize("trials,sizes", [(1, [1]), (50, [50]), (120, [50, 50, 20])])
     def test_sandwich_block_b_draws_from_child_b_of_the_bounds_stream(
@@ -81,11 +82,70 @@ class TestRun:
         assert sandwich["min_slack"] == min(s for _, s in blocks)
         assert checks == rest["checks"]
 
+    @staticmethod
+    def drawing_units(monkeypatch):
+        """On one CPU, make every unit record four words drawn from its
+        generator and pass: the sandwich blocks' in block order under
+        "sandwich", each whole suite's under its name."""
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        drawn = {"sandwich": []}
+
+        def block(rng, trials):
+            drawn["sandwich"].append(rng.integers(2**63, size=4).tolist())
+            return 0, 0.0
+
+        def suite(name):
+            def runner(rng, trials):
+                drawn[name] = rng.integers(2**63, size=4).tolist()
+                return {"suite": name, "passed": True, "checks": []}
+
+            return runner
+
+        monkeypatch.setattr(verify, "_sandwich_block", block)
+        for name in SUITES:
+            monkeypatch.setitem(verify._RUNNERS, name, suite(name))
+        return drawn
+
+    @pytest.mark.parametrize("seed", [0, 42, 2024])
+    @pytest.mark.parametrize("trials", [120, 1000, 10_000])
+    def test_each_unit_draws_from_its_child_of_the_seed_tree(self, monkeypatch, seed, trials):
+        """Sandwich block b draws what child b of the bounds suite's child
+        draws, and each whole suite what its own child draws, however many
+        blocks the run has."""
+        drawn = self.drawing_units(monkeypatch)
+        verify.run("all", trials, seed)
+        suites = np.random.SeedSequence(seed).spawn(len(SUITES))
+        blocks = suites[SUITES.index("bounds")].spawn(-(-trials // verify._SANDWICH_BLOCK))
+
+        def words(child):
+            return np.random.default_rng(child).integers(2**63, size=4).tolist()
+
+        assert drawn["sandwich"] == [words(child) for child in blocks]
+        for name, child in zip(SUITES, suites):
+            assert drawn[name] == words(child), name
+
+    @pytest.mark.parametrize("trials", [100, 10_000])
+    def test_each_unit_makes_one_seed_sequence(self, monkeypatch, trials):
+        """A unit makes its SeedSequence from its spawn key, so a run makes
+        one per unit, not one per block for every block."""
+        self.drawing_units(monkeypatch)
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            made = 0
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                type(self).made += 1
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        verify.run("bounds", trials, 7)
+        assert CountingSeedSequence.made == len(verify._units(("bounds",), trials))
+
     def test_sandwich_partials_merge_exactly(self):
         """Counts add and slacks take the min, in whichever blocks they fall."""
         parts = verify._units(("bounds",), 120)
         rest = {"suite": "bounds", "passed": True, "checks": [{"name": "rest", "passed": True}]}
-        (bounds,) = verify._merge(parts, [(1, 0.5), (0, -0.25), (2, 0.125), rest], 120)
+        (bounds,) = verify._merge(parts, [(1, 0.5), (0, -0.25), (2, 0.125), rest])
         sandwich = bounds["checks"][0]
         assert (sandwich["detectors"], sandwich["violations"], sandwich["min_slack"]) == (120, 3, -0.25)
         assert (bounds["passed"], sandwich["passed"]) == (False, False)
@@ -145,16 +205,16 @@ class TestDeal:
         expected = run_verification("all", 120, 9)
         real_unit, parent, here = verify._run_unit, os.getpid(), []
 
-        def recording_unit(unit, trials, seed):
+        def recording_unit(unit, seed):
             if os.getpid() == parent:
                 here.append(unit)
-            return real_unit(unit, trials, seed)
+            return real_unit(unit, seed)
 
         monkeypatch.setattr(verify, "_run_unit", recording_unit)
         monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
         assert run_verification("all", 120, 9) == expected
         units = verify._units(SUITES, 120)
-        assert here == units[: verify._cut(units, 120)] == [("bounds", 0), ("bounds", 1)]
+        assert here == units[: verify._cut(units)] == [("bounds", 0, 50), ("bounds", 1, 50)]
         assert len(forks) == 1
 
 
