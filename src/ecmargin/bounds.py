@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._choices import SLOPE_MODES
 from .errors import NumericalError, ValidationError
 from .metrics import ScoreSet, _check_alpha, _count_above, _precisions, ranking_error
-
-SLOPE_MODES = ("unit", "lower", "upper", "meet")
 
 
 def _check_r(r: float) -> float:

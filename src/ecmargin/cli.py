@@ -20,43 +20,25 @@ Python object per row.  Every command opens its output files before it reads
 or computes anything, and refuses an output path that names an input file or
 another output; a command that exits 2 on its input leaves every output path
 as it was.
+
+Building the parser needs no numpy, so the module imports only that much;
+each handler imports the modules it runs.  ``--version``, ``--help``, a usage
+error and ``margins`` never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import io
-import json
 import math
 import os
 import stat
 import sys
 
-import numpy as np
-
-from . import __version__, _fork, verify
-from .bounds import SLOPE_MODES, envelope
+from . import __version__
+from ._choices import HALF, SLOPE_MODES, STRICT, SUITES
 from .errors import EcmError, ValidationError
-from .margins import optimal_margins, weights
-from .metrics import (
-    HALF,
-    STRICT,
-    _check_alpha,
-    average_precision,
-    load_scores,
-    pr_curve,
-    ranking_error,
-)
-from .priors import all_class_stats, background_count, load_counts, read_json
-from .sandbox import (
-    SyntheticConfig,
-    TrainConfig,
-    bound_audit,
-    run_experiment,
-)
 
 _CURVE_STEPS = 100
 # Forking a child to format the second half of the PR curve pays for itself
@@ -75,10 +57,14 @@ _CONFIG_TYPES = {
 
 
 def _json_text(payload: dict) -> str:
+    import json
+
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _config_comment(config: dict) -> str:
+    import json
+
     return "# " + json.dumps(config, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -151,6 +137,8 @@ def _emit_report(payload: dict, out) -> None:
 
 
 def _csv_text(config: dict, header: list[str], rows) -> str:
+    import csv
+
     buf = io.StringIO()
     buf.write(_config_comment(config))
     writer = csv.writer(buf, lineterminator="\n")
@@ -178,6 +166,9 @@ def _resolved(args, command: str, **extra) -> dict:
 
 
 def _cmd_margins(args) -> int:
+    from .margins import optimal_margins, weights
+    from .priors import all_class_stats, background_count, load_counts
+
     ratio = args.background_ratio
     if ratio is not None and not 0.0 <= ratio < math.inf:
         raise EcmError(f"--background-ratio must be >= 0 and finite, got {ratio}")
@@ -216,6 +207,12 @@ def _cmd_margins(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    import dataclasses
+
+    import numpy as np
+
+    from .bounds import envelope
+
     if args.r is None and args.emit_curve is None:
         raise EcmError("provide --r for a point evaluation and/or --emit-curve <path>")
     if args.r is None and args.out is not None:
@@ -250,6 +247,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    from .metrics import _check_alpha, average_precision, load_scores, pr_curve, ranking_error
+
     try:
         alpha = _check_alpha(args.alpha)
     except ValidationError:
@@ -288,6 +287,8 @@ def _curve_rows(curve, lo: int, hi: int) -> str:
     through repr, and recall, which steps only at a positive's score, is
     formatted once per run of equal values with the commas around it and that
     text repeated over the run."""
+    import numpy as np
+
     recall = curve.recall[lo:hi]
     starts = np.flatnonzero(np.concatenate([[True], recall[1:] != recall[:-1]]))
     text = np.array([f",{x!r}," for x in recall[starts].tolist()], dtype=object)
@@ -309,6 +310,8 @@ def _write_pr_curve(fh, head: str, curve) -> None:
     rows at a time.  When a fork is available, a long curve's second half is
     formatted by a forked child, whose chunks are written after the first
     half's."""
+    from . import _fork
+
     rows = curve.thresholds.size
     cut = rows // 2 if rows >= _SPLIT_MIN_ROWS and _fork.available() else rows
     theirs = (lambda: list(_curve_chunks(curve, cut, rows))) if cut < rows else None
@@ -318,6 +321,8 @@ def _write_pr_curve(fh, head: str, curve) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     _require_json_format(args, "verify")
     verify.plan(args.suite, args.trials, args.seed)  # before --out is opened
     config = _resolved(args, "verify", suite=args.suite, trials=args.trials)
@@ -328,6 +333,8 @@ def _cmd_verify(args) -> int:
 
 
 def _dataclass_from(flat: dict, cls, overrides: dict) -> object:
+    import dataclasses
+
     names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {k: v for k, v in flat.items() if k in names}
     kwargs.update({k: v for k, v in overrides.items() if k in names})
@@ -335,6 +342,12 @@ def _dataclass_from(flat: dict, cls, overrides: dict) -> object:
 
 
 def _cmd_train(args) -> int:
+    import dataclasses
+    import json
+
+    from .priors import read_json
+    from .sandbox import SyntheticConfig, TrainConfig, bound_audit, run_experiment
+
     _require_json_format(args, "train")
     flat = {} if args.config is None else read_json(args.config)
     if not isinstance(flat, dict):
@@ -479,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--suite",
-        choices=("all",) + verify.SUITES,
+        choices=("all",) + SUITES,
         default="all",
         help="which suite to run (default all)",
     )

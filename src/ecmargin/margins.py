@@ -6,15 +6,15 @@ subject to gamma+ + gamma- = 1, which gives the closed form
     gamma+ = n-^(1/4) / (n+^(1/4) + n-^(1/4)).
 
 Fourth roots are computed as sqrt(sqrt(x)) so that exact cases (16 -> 2,
-81 -> 3) stay exact in floating point.
+81 -> 3) stay exact in floating point.  Only the grid oracle and its
+objective import numpy, so the closed form, and ``ecmargin margins``, run
+without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 from .priors import ClassStats
@@ -83,6 +83,8 @@ def _margin_objective(gamma_plus, stats: ClassStats):
     Strictly convex in gamma_plus on (0,1).  A float for a float, an array
     for an array of gamma_plus.
     """
+    import numpy as np
+
     g = np.asarray(gamma_plus, dtype=np.float64)
     if (outside := np.flatnonzero(~((0.0 < g) & (g < 1.0)))).size:
         bad = gamma_plus if g.ndim == 0 else g.flat[outside[0]]
@@ -94,6 +96,8 @@ def _margin_objective(gamma_plus, stats: ClassStats):
 def margins_grid_oracle(stats: ClassStats, step: float) -> Margins:
     """Brute-force argmin of the objective (1/g+) n+^(-1/2) + (1/(1-g+)) n-^(-1/2)
     over g+ in {k * step < 1 : k >= 1}; ties go low."""
+    import numpy as np
+
     # the grid holds 1/step floats, so step has a floor
     if not 1e-6 <= step <= 1e-2:
         raise ValidationError(f"step must lie in [1e-6, 1e-2], got {step}")

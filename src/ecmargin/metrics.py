@@ -33,11 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fork
+from ._choices import HALF, STRICT
 from .errors import InputFormatError, ResourceLimitError, ValidationError
 from .priors import read_csv
-
-HALF = "half"
-STRICT = "strict"
 
 _BRUTEFORCE_PAIR_LIMIT = 10**8
 

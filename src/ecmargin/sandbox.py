@@ -20,9 +20,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _fork
-from .bounds import audit, slope_m, SLOPE_MODES
-from .ecm_loss import _FOCAL, _ecm_value_grad, _focal_value_grad, _workspace, log_weight_ratio
+from ._choices import SLOPE_MODES
+from .bounds import audit, slope_m
 from .errors import NumericalError, ResourceLimitError, ValidationError
+from .losses import _FOCAL, _ecm_value_grad, _focal_value_grad, _workspace, log_weight_ratio
 from .margins import MarginWeights, optimal_margins, weights
 from .metrics import ScoreSet
 from .priors import ClassStats

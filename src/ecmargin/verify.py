@@ -21,16 +21,11 @@ import math
 import numpy as np
 
 from . import _fork, bounds as bnd
-from .ecm_loss import _ecm_value_grad, _focal_value_grad, decision_logit, log_weight_ratio
+from ._choices import STRICT, SUITES
 from .errors import ValidationError
+from .losses import _ecm_value_grad, _focal_value_grad, decision_logit, log_weight_ratio
 from .margins import Margins, margins_grid_oracle, optimal_margins, weights
-from .metrics import (
-    STRICT,
-    ScoreSet,
-    average_precision,
-    ranking_error,
-    ranking_error_bruteforce,
-)
+from .metrics import ScoreSet, average_precision, ranking_error, ranking_error_bruteforce
 from .priors import ClassStats
 
 _SANDWICH_ALPHAS = (0.1, 1.0, 10.0, 1000.0)
@@ -430,17 +425,17 @@ def _run_oracles(rng: np.random.Generator, trials: int) -> dict:
     return _suite_report("oracles", checks)
 
 
-# One runner per suite.  The "bounds" entry runs only that suite's checks
-# after the sandwich, whose blocks are units of their own (_units); the key
-# keeps the suite's name because the benchmark wraps this table by suite.
-_RUNNERS = {
-    "bounds": _run_bounds,
-    "gradients": _run_gradients,
-    "estimators": _run_estimators,
-    "margins": _run_margins,
-    "oracles": _run_oracles,
-}
-SUITES = tuple(_RUNNERS)
+# One runner per suite, in the order of SUITES.  The "bounds" entry runs only
+# that suite's checks after the sandwich, whose blocks are units of their own
+# (_units); the key keeps the suite's name because the benchmark wraps this
+# table by suite.
+_RUNNERS = dict(
+    zip(
+        SUITES,
+        (_run_bounds, _run_gradients, _run_estimators, _run_margins, _run_oracles),
+        strict=True,
+    )
+)
 
 
 # 100 times criterion 02's 10^4 detectors: a run's unit list grows with its

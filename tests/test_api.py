@@ -1,11 +1,16 @@
+import ast
+import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import pytest
+
 import ecmargin
-from ecmargin import bounds, ecm_loss, errors, margins, metrics, priors, sandbox, verify
+from ecmargin import bounds, errors, losses, margins, metrics, priors, sandbox, verify
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,7 +34,7 @@ REMOVED = (
     "recall_at",
     "surrogate_score",
 )
-MODULES = (ecmargin, bounds, ecm_loss, errors, margins, metrics, priors, sandbox)
+MODULES = (ecmargin, bounds, errors, losses, margins, metrics, priors, sandbox, verify)
 # what bench/worker.py wraps by name, module by module
 BENCH_WRAPPED = {
     sandbox: ("generate", "default_margin_weights", "train", "evaluate", "bound_audit"),
@@ -44,6 +49,7 @@ def test_every_exported_name_resolves_once():
 
 
 def test_removed_names_are_gone():
+    assert all(isinstance(module, types.ModuleType) for module in MODULES)
     for name in REMOVED:
         assert name not in ecmargin.__all__
         for module in MODULES:
@@ -84,17 +90,117 @@ def test_readme_python_blocks_run_in_order():
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
 
 
-def test_runtime_imports_only_numpy_and_the_standard_library():
-    # compare before and after: site hooks may load third-party modules at start-up
-    code = (
-        "import sys; before = set(sys.modules); import ecmargin.cli; "
-        "print('\\n'.join(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))"
-    )
+# A fresh interpreter runs ENTRY in a directory holding INPUTS and writes the
+# exit code that the action sets and the modules it loaded; site hooks may
+# load third-party modules at start-up, so only those loaded after them count.
+ENTRY = """\
+import sys
+before = set(sys.modules)
+code = None
+{action}
+with open("loaded.txt", "w") as fh:
+    fh.write(repr((code, sorted(set(sys.modules) - before))))
+"""
+RUN_MAIN = """\
+from ecmargin.cli import main
+try:
+    code = main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+"""
+INPUTS = {
+    "counts.json": json.dumps(
+        {"categories": [{"id": 1, "name": "a", "instance_count": 4},
+                        {"id": 2, "name": "b", "instance_count": 9}]}
+    ),
+    "counts.csv": "id,name,instance_count\n1,a,4\n2,b,9\n",
+    "scores.csv": "score,label\n0.9,1\n0.4,1\n0.5,0\n0.1,0\n",
+    "train.json": json.dumps(
+        {"num_classes": 3, "total_samples": 400, "feature_dim": 4, "epochs": 2, "seed": 3}
+    ),
+}
+COMMANDS = {
+    "margins-json": ["margins", "--counts", "counts.json"],
+    "margins-csv": ["margins", "--counts", "counts.csv"],
+    "bounds": ["bounds", "--alpha", "2", "--r", "0.1"],
+    "metrics": ["metrics", "--scores", "scores.csv", "--alpha", "3"],
+    "verify": ["verify", "--suite", "margins", "--trials", "10"],
+    "train": ["train", "--config", "train.json"],
+}
+
+
+def loaded_by(tmp_path, action: str) -> tuple[object, list[str]]:
+    """(code, the modules loaded) after a fresh interpreter in tmp_path ran
+    action, a block of code that may set code."""
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
     # the child imports this same copy of the package
     env = {**os.environ, "PYTHONPATH": str(Path(ecmargin.__file__).parent.parent)}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout.split()
-    assert "ecmargin" in out and "numpy" in out
-    allowed = set(sys.stdlib_module_names) | {"numpy", "ecmargin"}
-    assert sorted(set(out) - allowed) == []
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY.format(action=action)],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval((tmp_path / "loaded.txt").read_text())
+
+
+@pytest.mark.parametrize("module", ["ecmargin", "ecmargin.cli"])
+def test_importing_loads_no_numpy(tmp_path, module):
+    _, loaded = loaded_by(tmp_path, f"import {module}")
+    assert module in loaded and "numpy" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["margins", "--help"], 0),
+        (["train", "--bogus"], 2),
+        (COMMANDS["margins-json"], 0),
+        (COMMANDS["margins-csv"], 0),
+    ],
+    ids=["version", "help", "margins-help", "usage-error", "margins-json", "margins-csv"],
+)
+def test_what_needs_no_numpy_loads_none(tmp_path, argv, exit_code):
+    code, loaded = loaded_by(tmp_path, RUN_MAIN.format(argv=argv))
+    assert code == exit_code
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("command", ["bounds", "metrics"])
+def test_bounds_and_metrics_load_neither_sandbox_nor_verify(tmp_path, command):
+    code, loaded = loaded_by(tmp_path, RUN_MAIN.format(argv=COMMANDS[command]))
+    assert code == 0
+    assert {"ecmargin.sandbox", "ecmargin.verify"} & set(loaded) == set()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_runtime_imports_only_numpy_and_the_standard_library(tmp_path, command):
+    code, loaded = loaded_by(tmp_path, RUN_MAIN.format(argv=COMMANDS[command]))
+    assert code == 0
+    # numpy.random's Cython extensions register Cython's own modules,
+    # cython_runtime and _cython_<version>
+    cython = re.compile(r"cython_runtime|_cython_\w+")
+    top = {name.partition(".")[0] for name in loaded if not cython.fullmatch(name)}
+    assert sorted(top - set(sys.stdlib_module_names) - {"numpy", "ecmargin"}) == []
+
+
+def test_every_name_resolves_to_its_module_after_train(tmp_path):
+    """With the kernels module already imported by a train run, every public
+    name is its defining module's object, and dir and star-import see them."""
+    check = RUN_MAIN.format(argv=COMMANDS["train"]) + """\
+import importlib
+import ecmargin
+assert callable(ecmargin.ecm_loss)
+for name, (module, attr) in ecmargin._SOURCE.items():
+    source = importlib.import_module("ecmargin." + module)
+    assert getattr(ecmargin, name) is getattr(source, attr), name
+assert set(ecmargin.__all__) <= set(dir(ecmargin))
+namespace = {}
+exec("from ecmargin import *", namespace)
+assert set(ecmargin.__all__) <= set(namespace), set(ecmargin.__all__) - set(namespace)
+"""
+    code, loaded = loaded_by(tmp_path, check)
+    assert code == 0
+    assert "ecmargin.losses" in loaded

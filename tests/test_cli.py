@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -18,10 +19,12 @@ from ecmargin import (
     ScoreSet,
     __version__,
     _fork,
+    bounds,
     cli,
     load_scores,
     metrics,
     pr_curve,
+    priors,
     sandbox,
     slope_m,
     verify,
@@ -646,7 +649,7 @@ class TestSplitCurveWriter:
         curve four times as long peaks no higher."""
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
-        monkeypatch.setattr(cli, "load_scores", lambda path: ScoreSet([0.9], [0.1]))
+        monkeypatch.setattr(metrics, "load_scores", lambda path: ScoreSet([0.9], [0.1]))
         (tmp_path / "scores.csv").write_text("score,label\n0.9,1\n0.1,0\n")
         argv = ["metrics", "--scores", "scores.csv", "--alpha", "3", "--pr-curve", "pr.csv"]
         peaks = []
@@ -656,7 +659,7 @@ class TestSplitCurveWriter:
                 recall=np.arange(1, rows + 1) / rows,
                 precision=np.linspace(1 / 3, 2 / 3, rows),
             )
-            monkeypatch.setattr(cli, "pr_curve", lambda ss, alpha: curve)
+            monkeypatch.setattr(metrics, "pr_curve", lambda ss, alpha: curve)
             tracemalloc.start()
             try:
                 code, _, err = run_cli(capsys, argv)
@@ -901,10 +904,11 @@ class TestOutputsOpenedFirst:
         "argv, reader",
         [
             (["metrics", "--scores", "scores.csv", "--alpha", "3", "--pr-curve", "pr.csv",
-              "--out", "no/doc.json"], "load_scores"),
+              "--out", "no/doc.json"], (metrics, "load_scores")),
             (["bounds", "--alpha", "3", "--r", "0.2", "--emit-curve", "curve.csv",
               "--out", "no/doc.json"], None),
-            (["margins", "--counts", "counts.json", "--out", "no/doc.json"], "load_counts"),
+            (["margins", "--counts", "counts.json", "--out", "no/doc.json"],
+             (priors, "load_counts")),
         ],
         ids=["metrics", "bounds", "margins"],
     )
@@ -912,7 +916,7 @@ class TestOutputsOpenedFirst:
         self, capsys, monkeypatch, tmp_path, argv, reader
     ):
         if reader is not None:
-            monkeypatch.setattr(cli, reader, lambda *args: pytest.fail(f"{reader} ran"))
+            monkeypatch.setattr(*reader, lambda *args: pytest.fail(f"{reader[1]} ran"))
         files = self.files(tmp_path)
         assert_input_error(*run_cli(capsys, argv), "no/doc.json")
         assert self.files(tmp_path) == files
@@ -1225,7 +1229,7 @@ class TestTrainCommand:
         still the whole report, with that class and "bound_audit": false."""
         argv = ["train", "--config", train_config_file]
         _, passing, _ = run_cli(capsys, argv)
-        real_experiment = cli.run_experiment
+        real_experiment = sandbox.run_experiment
 
         def failing_class_1(scfg, tcfg):
             model, report = real_experiment(scfg, tcfg)
@@ -1233,7 +1237,7 @@ class TestTrainCommand:
             per_class[1] = dataclasses.replace(per_class[1], within_bounds=False)
             return model, dataclasses.replace(report, per_class=tuple(per_class))
 
-        monkeypatch.setattr(cli, "run_experiment", failing_class_1)
+        monkeypatch.setattr(sandbox, "run_experiment", failing_class_1)
         code, out, _ = run_cli(capsys, argv)
         assert code == 1
         expected = json.loads(passing)
@@ -1496,3 +1500,16 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--alpha", "1", "--r", "0.5", "--colour", "red"])
         assert exc.value.code == 2
+
+    def test_parser_choices_are_the_library_modes(self):
+        """The parser states no choice list of its own: each is the tuple the
+        library checks against."""
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+        def choices(command, dest):
+            return next(a.choices for a in commands.choices[command]._actions if a.dest == dest)
+
+        assert choices("bounds", "mode") == bounds.SLOPE_MODES
+        assert choices("metrics", "ties") == (metrics.HALF, metrics.STRICT)
+        assert choices("verify", "suite") == ("all",) + verify.SUITES

@@ -25,7 +25,7 @@ from ecmargin import (
     optimal_margins,
     weights,
 )
-from ecmargin.ecm_loss import _ecm_value_grad, _focal_value_grad, _workspace
+from ecmargin.losses import _ecm_value_grad, _focal_value_grad, _workspace
 
 BALANCED = MarginWeights(w_plus=2.0, w_minus=2.0)
 SKEWED = weights(optimal_margins(ClassStats(n_plus=16, n_minus=81, alpha=81 / 16)))

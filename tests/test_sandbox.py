@@ -34,7 +34,7 @@ from ecmargin import (
     zipf_class_counts,
 )
 from ecmargin import _fork, focal_ecm_loss, sandbox
-from ecmargin.ecm_loss import _ecm_value_grad, _focal_value_grad
+from ecmargin.losses import _ecm_value_grad, _focal_value_grad
 from ecmargin.sandbox import LOSSES, MAX_ARRAY_ELEMENTS, class_score_set
 
 SMALL = SyntheticConfig(
