@@ -13,7 +13,9 @@ long plain scores file in one child, and with ``--pr-curve`` another formats
 the second half of a long curve.
 
 ``metrics`` parses a plain scores file, and writes the PR curve, in fixed-size
-chunks with the same bytes as in one piece.  Its memory grows with the file's
+chunks with the same bytes as in one piece.  The curve's numbers are repr's
+bytes, written from whole numpy columns by ``_reprs.cells``, which takes repr
+itself for a value it cannot decide exactly.  Its memory grows with the file's
 bytes, numpy arrays of one entry per row or curve point, and the forked
 workers' results, their halves of the parse and of the curve, not with a
 Python object per row.  Every command opens its output files before it reads
@@ -282,21 +284,24 @@ def _cmd_metrics(args) -> int:
 
 def _curve_rows(curve, lo: int, hi: int) -> str:
     """Rows lo..hi-1 of the PR-curve CSV.  csv.writer writes a float as its
-    repr, so these are _csv_text's bytes.  The rows are joined from one list
-    of cells filled a column at a time: thresholds and precisions are mapped
-    through repr, and recall, which steps only at a positive's score, is
-    formatted once per run of equal values with the commas around it and that
-    text repeated over the run."""
+    repr, so these are _csv_text's bytes.  Each row is a fixed-width line of
+    bytes, its three cells zero-padded by _reprs.cells, which writes repr's
+    bytes from whole columns; the nonzero bytes of all lines, gathered in
+    one pass, are the text.  Recall, which steps only at a positive's score,
+    is formatted once per run of equal values and repeated over the run."""
     import numpy as np
+
+    from ._reprs import WIDTH, cells
 
     recall = curve.recall[lo:hi]
     starts = np.flatnonzero(np.concatenate([[True], recall[1:] != recall[:-1]]))
-    text = np.array([f",{x!r}," for x in recall[starts].tolist()], dtype=object)
-    cells = ["\n"] * (4 * recall.size)
-    cells[0::4] = map(repr, curve.thresholds[lo:hi].tolist())
-    cells[1::4] = np.repeat(text, np.diff(starts, append=recall.size)).tolist()
-    cells[2::4] = map(repr, curve.precision[lo:hi].tolist())
-    return "".join(cells)
+    runs = np.empty((starts.size, WIDTH), dtype=np.uint8)
+    cells(recall[starts], runs, ",")
+    lines = np.empty((recall.size, 3, WIDTH), dtype=np.uint8)
+    cells(curve.thresholds[lo:hi], lines[:, 0], ",")
+    lines[:, 1] = np.repeat(runs, np.diff(starts, append=recall.size), axis=0)
+    cells(curve.precision[lo:hi], lines[:, 2], "\n")
+    return lines[lines != 0].tobytes().decode("ascii")
 
 
 def _curve_chunks(curve, lo: int, hi: int):

@@ -124,6 +124,9 @@ COMMANDS = {
     "margins-csv": ["margins", "--counts", "counts.csv"],
     "bounds": ["bounds", "--alpha", "2", "--r", "0.1"],
     "metrics": ["metrics", "--scores", "scores.csv", "--alpha", "3"],
+    "metrics-pr-curve": [
+        "metrics", "--scores", "scores.csv", "--alpha", "3", "--pr-curve", "pr.csv"
+    ],
     "verify": ["verify", "--suite", "margins", "--trials", "10"],
     "train": ["train", "--config", "train.json"],
 }
@@ -173,6 +176,17 @@ def test_bounds_and_metrics_load_neither_sandbox_nor_verify(tmp_path, command):
     code, loaded = loaded_by(tmp_path, RUN_MAIN.format(argv=COMMANDS[command]))
     assert code == 0
     assert {"ecmargin.sandbox", "ecmargin.verify"} & set(loaded) == set()
+
+
+@pytest.mark.parametrize("command", ["import", *COMMANDS])
+def test_only_the_pr_curve_loads_its_formatter(tmp_path, command):
+    """The PR curve's float formatter is loaded by metrics --pr-curve alone."""
+    if command == "import":
+        code, loaded = loaded_by(tmp_path, "import ecmargin.cli")
+    else:
+        code, loaded = loaded_by(tmp_path, RUN_MAIN.format(argv=COMMANDS[command]))
+    assert code in (None, 0)
+    assert ("ecmargin._reprs" in loaded) == (command == "metrics-pr-curve")
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))

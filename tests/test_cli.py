@@ -504,15 +504,15 @@ SPLIT = cli._SPLIT_MIN_ROWS
 PARSE_SPLIT = metrics._PARSE_SPLIT_MIN_ROWS
 
 
-def curve_scores(rows: int, positive) -> str:
+def curve_scores(rows: int, positive, scale: float = 1.0) -> str:
     """A scores file whose PR curve has exactly ``rows`` rows.  It has rows + 1
-    samples with descending distinct scores, sample j positive when
-    positive(j); curve row j counts samples 0..j above its threshold, the
-    score of sample j + 1, so recall steps at row j exactly when sample j is
-    positive."""
+    samples with descending distinct scores below scale, sample j positive
+    when positive(j); curve row j counts samples 0..j above its threshold,
+    the score of sample j + 1, so recall steps at row j exactly when sample j
+    is positive."""
     lines = ["score,label\n"]
     for j in range(rows + 1):
-        lines.append(f"{(rows + 1 - j) / (rows + 2)!r},{int(positive(j))}\n")
+        lines.append(f"{scale * (rows + 1 - j) / (rows + 2)!r},{int(positive(j))}\n")
     return "".join(lines)
 
 
@@ -592,6 +592,30 @@ class TestSplitCurveWriter:
         assert comment.startswith("# {") and header == "threshold,recall,precision"
         assert body == reference_curve_rows(tmp_path / "scores.csv", self.ALPHA)
         assert body.count("\n") == rows
+
+    @pytest.mark.parametrize(
+        "text, rows",
+        [
+            ("score,label\n0.5,1\n0.5,0\n0.5,0\n", 0),
+            (curve_scores(SPLIT, lambda j: j % 3 == 0, scale=1e-6), SPLIT),
+        ],
+        ids=["all-scores-equal", "scientific-thresholds"],
+    )
+    def test_edge_curves_give_the_per_row_bytes(
+        self, capsys, monkeypatch, tmp_path, forks, text, rows
+    ):
+        """A curve of no rows, and one whose thresholds all print in
+        scientific notation, long enough to split."""
+        scores = tmp_path / "scores.csv"
+        scores.write_text(text)
+        for cpus in (1, 2, 8):
+            del forks[:]
+            (code, out, err), data = self.run_metrics(capsys, monkeypatch, tmp_path, rows, cpus)
+            assert (code, err) == (0, "")
+            assert len(forks) == (int(rows >= SPLIT) if cpus >= 2 else 0)
+            body = data.decode().split("\n", 2)[2]
+            assert body == reference_curve_rows(scores, self.ALPHA)
+            assert body.count("\n") == body.count("e-") == rows
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_bad_label_on_data_row_two_is_one_line_three_error(
