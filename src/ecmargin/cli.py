@@ -46,7 +46,7 @@ _CURVE_STEPS = 100
 # Forking a child to format the second half of the PR curve pays for itself
 # only from this many rows on (the measurement is in CHANGES.md).
 _SPLIT_MIN_ROWS = 10_000
-# The curve is formatted and written this many rows at a time, so the strings
+# The curve is formatted and written this many rows at a time, so the bytes
 # held at once do not grow with the curve (the measurement is in CHANGES.md).
 _CURVE_CHUNK_ROWS = 16_384
 # the JSON values a train config field of each annotated type accepts
@@ -282,13 +282,14 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _curve_rows(curve, lo: int, hi: int) -> str:
-    """Rows lo..hi-1 of the PR-curve CSV.  csv.writer writes a float as its
-    repr, so these are _csv_text's bytes.  Each row is a fixed-width line of
-    bytes, its three cells zero-padded by _reprs.cells, which writes repr's
-    bytes from whole columns; the nonzero bytes of all lines, gathered in
-    one pass, are the text.  Recall, which steps only at a positive's score,
-    is formatted once per run of equal values and repeated over the run."""
+def _curve_rows(curve, lo: int, hi: int) -> bytes:
+    """Rows lo..hi-1 of the PR-curve CSV, as ASCII bytes.  csv.writer writes
+    a float as its repr, so these are _csv_text's bytes.  Each row is a
+    fixed-width line of bytes, its three cells zero-padded by _reprs.cells,
+    which writes repr's bytes from whole columns; the nonzero bytes of all
+    lines, gathered in one pass, are the text.  Recall, which steps only at
+    a positive's score, is formatted once per run of equal values and
+    repeated over the run."""
     import numpy as np
 
     from ._reprs import WIDTH, cells
@@ -301,7 +302,7 @@ def _curve_rows(curve, lo: int, hi: int) -> str:
     cells(curve.thresholds[lo:hi], lines[:, 0], ",")
     lines[:, 1] = np.repeat(runs, np.diff(starts, append=recall.size), axis=0)
     cells(curve.precision[lo:hi], lines[:, 2], "\n")
-    return lines[lines != 0].tobytes().decode("ascii")
+    return lines[lines != 0].tobytes()
 
 
 def _curve_chunks(curve, lo: int, hi: int):
@@ -312,17 +313,21 @@ def _curve_chunks(curve, lo: int, hi: int):
 
 def _write_pr_curve(fh, head: str, curve) -> None:
     """head, then the curve's rows, to the open text file fh, one chunk of
-    rows at a time.  When a fork is available, a long curve's second half is
-    formatted by a forked child, whose chunks are written after the first
-    half's."""
+    rows at a time; the rows go to its binary buffer.  When a fork is
+    available, a long curve's second half is formatted by a forked child,
+    whose chunks are written after the first half's.  The child returns its
+    chunks as a list, not joined: one bytes object of the whole half would
+    be held twice at once, in the child by the join and here by the
+    unpickling, about 10 MB more in each at 10**6 rows."""
     from . import _fork
 
     rows = curve.thresholds.size
     cut = rows // 2 if rows >= _SPLIT_MIN_ROWS and _fork.available() else rows
     theirs = (lambda: list(_curve_chunks(curve, cut, rows))) if cut < rows else None
     fh.write(head)
-    _, rest = _fork.share(lambda: fh.writelines(_curve_chunks(curve, 0, cut)), theirs)
-    fh.writelines(rest or ())
+    fh.flush()
+    _, rest = _fork.share(lambda: fh.buffer.writelines(_curve_chunks(curve, 0, cut)), theirs)
+    fh.buffer.writelines(rest or ())
 
 
 def _cmd_verify(args) -> int:

@@ -14,7 +14,13 @@ negative; the positives' own counts come from their runs of equal scores.
 
 ``load_scores`` parses a plain file in fixed-size chunks of bytes, so besides
 the file's bytes it holds two arrays of one entry per row and one chunk's
-temporaries, not a Python object per row.  A long plain file is cut in two
+temporaries, not a Python object per row.  A chunk whose score fields are
+all at most 16 bytes is read a word at a time: each field's last 16 bytes
+become two little-endian uint64 words, whose digits are combined eight at a
+time (Lemire's "Number parsing at a gigabyte per second") and divided once
+by a power of ten, which is exact (Clinger's fast path); a chunk with a
+longer field goes to ``np.loadtxt``.  Either way each score is float()'s
+value of its field.  A long plain file is cut in two
 only when ``_fork.available()``, the one cut rule it shares with the PR-curve
 writer: then a forked child (``_fork.share``) parses the rows after the first
 newline past the body's middle into the same shared map of the arrays and
@@ -40,15 +46,20 @@ from .priors import read_csv
 _BRUTEFORCE_PAIR_LIMIT = 10**8
 
 _HEADER = b"score,label\n"
-# bytes a plain data row `<score>,<0|1>\n` may hold: score digits and '.', ',' and '\n'
-_PLAIN_BYTES = np.zeros(256, dtype=bool)
-_PLAIN_BYTES[list(b"0123456789.,\n")] = True
+# The word parse reads the last 16 bytes of a score field as two
+# little-endian uint64 words.  Every operand stays uint64: numpy 1.24 turns
+# uint64 mixed with int64 into float64.  _FIELD[k] masks the last k bytes of
+# a word, its most significant.
+_FIELD = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)
+_BIT4 = np.uint64(0x1010101010101010)
+_NIBBLES = np.uint64(0x0F0F0F0F0F0F0F0F)
+_POW10 = np.array([float(10**k) for k in range(16)])  # exact: each is below 2**53
 # The plain pass checks and parses the body about this many bytes at a time,
 # each chunk ending just after a newline (the measurement is in CHANGES.md).
 _PARSE_CHUNK_BYTES = 1 << 18
 # Forking a child to parse the second half of a plain body pays for itself
 # only from this many rows on (the measurement is in CHANGES.md).
-_PARSE_SPLIT_MIN_ROWS = 100_000
+_PARSE_SPLIT_MIN_ROWS = 200_000
 
 
 def _check_alpha(alpha: float) -> float:
@@ -277,37 +288,114 @@ def _line_chunks(data: bytes, start: int, stop: int, size: int):
         start = end
 
 
+def _word_digits(words: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, dots) of one word per row, whose last byte is the last of a
+    field of ``width`` bytes of digits and '.': the integer that the field's
+    last min(width, 8) bytes spell, a '.' read as a 0 digit, and bit 4 of
+    each of those bytes that is a '.'."""
+    field = _FIELD[np.clip(width, 0, 8)]
+    # bit 4 is set in the digits 0x30..0x39 and clear in '.', 0x2E
+    dots = ~words & field & _BIT4
+    # '.' + 2 is '0', and the low nibble of a digit is its value
+    d = (words + (dots >> np.uint64(3))) & field & _NIBBLES
+    # the first byte is the most significant: pairs, then quads, then all 8
+    d *= np.uint64(2561)
+    d >>= np.uint64(8)
+    d &= np.uint64(0x00FF00FF00FF00FF)
+    d *= np.uint64(6553601)
+    d >>= np.uint64(16)
+    d &= np.uint64(0x0000FFFF0000FFFF)
+    d *= np.uint64(42949672960001)
+    d >>= np.uint64(32)
+    return d, dots
+
+
+def _parse_words(body: np.ndarray, ends: np.ndarray, width: np.ndarray) -> np.ndarray | None:
+    """The scores of a chunk whose lines end at ``ends`` and whose score
+    fields, ``width`` <= 16 bytes each, hold only digits and '.', read a
+    word at a time as float() reads them; None when a field holds two dots
+    or is only '.', which float() rejects.
+
+    A field is read as V, the integer its digits spell with the '.' as a 0
+    digit, and F, the number of digits after the '.'.  With only 0s before
+    the '.', V is the number the digits after it spell, of at most 15
+    digits, so V < 2**53 and 10**F are exact doubles and the one division
+    V / 10**F is the correctly rounded value (Clinger's fast path).  Any
+    other digit before the '.' makes the field 1 or more: exactly 1 when
+    V = 10**(F + 1), for which the division gives exactly 10.0, and more
+    than 10 otherwise, which the range check refuses.  With no '.', V is the
+    field's value, exact up to 2**53 and refused above 1."""
+    padded = np.zeros(16 + body.size, dtype=np.uint8)
+    padded[16:] = body
+    # words[i] is padded[i:i + 8], named little-endian so that a big-endian
+    # host reads the same words; a row's field ends just before its ','
+    words = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    value, dots = _word_digits(words[ends + 6], width)
+    several = dots & (dots - np.uint64(1))
+    place = dots.astype(np.float64)
+    if width.max() > 8:
+        high, high_dots = _word_digits(words[ends - 2], width - 8)
+        value += high * np.uint64(10**8)
+        several |= high_dots & (high_dots - np.uint64(1))
+        several |= np.minimum(dots, high_dots)  # a '.' in each word
+        place += high_dots.astype(np.float64) * 2.0**-64
+    has_dot = place != 0.0
+    if several.any() or (has_dot & (width == 1)).any():
+        return None
+    # a '.' at byte j of the 16 before the ',' makes place 2**(8*j - 60),
+    # whose frexp exponent 8*j - 59 gives the 15 - j digits after the '.'
+    after = (61 - np.frexp(place)[1]) >> 3
+    after[~has_dot] = 0
+    scores = value / _POW10[after]
+    scores[has_dot & (scores == 10.0)] = 1.0
+    return scores
+
+
 def _parse_span(data: bytes, start: int, stop: int, scores, is_pos) -> bool:
     """Check and parse the whole rows of data[start:stop] into scores and
     is_pos, one entry per row, one chunk of rows at a time.  False when this
-    pass cannot prove every row plain; the entries are then unspecified."""
+    pass cannot prove every row plain; the entries are then unspecified.
+
+    A chunk whose score fields are all at most 16 bytes is read a word at a
+    time (_parse_words); a chunk with a longer field goes to np.loadtxt.
+    Both give float()'s value for every field, so the scores do not depend
+    on where the chunks end."""
     row = 0
     for lo, hi in _line_chunks(data, start, stop, _PARSE_CHUNK_BYTES):
         body = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
         ends = np.flatnonzero(body == ord("\n"))
-        # each line has >= 1 score byte, the only ',' just before a 0/1 label
+        width = np.diff(ends, prepend=-1) - 3
+        labels = body[ends - 1]
+        # each line has >= 1 score byte, the only ',' just before a 0/1 label;
+        # every other byte is a digit or '.': from '.' to '9', but not '/'
         if not (
-            _PLAIN_BYTES[body].all()
-            and (np.diff(ends, prepend=-1) >= 4).all()
+            width.min() >= 1
             and np.count_nonzero(body == ord(",")) == ends.size
             and (body[ends - 2] == ord(",")).all()
-            and ((body[ends - 1] == ord("0")) | (body[ends - 1] == ord("1"))).all()
+            and np.count_nonzero(body >= ord(".")) == body.size - 2 * ends.size
+            and not (body > ord("9")).any()
+            and not (body == ord("/")).any()
+            and ((labels == ord("0")) | (labels == ord("1"))).all()
         ):
             return False
-        try:
-            part = np.loadtxt(
-                data[lo:hi].decode("ascii").splitlines(),
-                delimiter=",",
-                usecols=0,
-                comments=None,
-                ndmin=1,
-            )
-        except ValueError:  # '.', '1.2.3': float() rejects these too
-            return False
-        if not ((part >= 0.0) & (part <= 1.0)).all():
+        if width.max() <= 16:
+            part = _parse_words(body, ends, width)
+        else:
+            try:
+                part = np.loadtxt(
+                    data[lo:hi].decode("ascii").splitlines(),
+                    delimiter=",",
+                    usecols=0,
+                    comments=None,
+                    ndmin=1,
+                )
+            except ValueError:  # '.', '1.2.3': float() rejects these too
+                part = None
+        # no '-' can make a score negative
+        if part is None or not (part <= 1.0).all():
             return False
         scores[row : row + ends.size] = part
-        is_pos[row : row + ends.size] = body[ends - 1] == ord("1")
+        is_pos[row : row + ends.size] = labels == ord("1")
         row += ends.size
     return True
 
@@ -327,9 +415,10 @@ def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     into arrays sized from the newline count.  When a fork is available, a
     body of _PARSE_SPLIT_MIN_ROWS rows or more is cut at the first newline at
     or past its middle, and a forked child parses the rows after the cut into
-    the same shared map while this process parses those before it;
-    np.loadtxt parses each row on its own, so the values do not depend on the
-    cut.  A row before the cut that is not plain kills the child at once.
+    the same shared map while this process parses those before it; each
+    score is float()'s value of its field, whichever route read its chunk,
+    so the values do not depend on the cut.  A row before the cut that is
+    not plain kills the child at once.
     """
     if not data.startswith(_HEADER) or not data.endswith(b"\n") or len(data) == len(_HEADER):
         return None

@@ -523,11 +523,12 @@ def split_curve_scores(rows: int) -> str:
     return curve_scores(rows, lambda j: j == 0 or (j % 3 == 0 and j not in near_cut))
 
 
-def reference_curve_rows(scores_path, alpha: float) -> str:
-    """The curve rows as the single in-process writer formatted them, row by row."""
+def reference_curve_rows(scores_path, alpha: float) -> bytes:
+    """The curve rows as the single in-process writer formatted them, row by
+    row, encoded as ASCII."""
     curve = pr_curve(load_scores(scores_path), alpha)
     columns = (curve.thresholds.tolist(), curve.recall.tolist(), curve.precision.tolist())
-    return "".join([f"{t!r},{rec!r},{prec!r}\n" for t, rec, prec in zip(*columns)])
+    return "".join([f"{t!r},{rec!r},{prec!r}\n" for t, rec, prec in zip(*columns)]).encode("ascii")
 
 
 def assert_no_children():
@@ -588,10 +589,10 @@ class TestSplitCurveWriter:
             outputs.add((out, data))
         assert len(outputs) == 1
         _, data = outputs.pop()
-        comment, header, body = data.decode().split("\n", 2)
-        assert comment.startswith("# {") and header == "threshold,recall,precision"
+        comment, header, body = data.split(b"\n", 2)
+        assert comment.startswith(b"# {") and header == b"threshold,recall,precision"
         assert body == reference_curve_rows(tmp_path / "scores.csv", self.ALPHA)
-        assert body.count("\n") == rows
+        assert body.count(b"\n") == rows
 
     @pytest.mark.parametrize(
         "text, rows",
@@ -613,9 +614,9 @@ class TestSplitCurveWriter:
             (code, out, err), data = self.run_metrics(capsys, monkeypatch, tmp_path, rows, cpus)
             assert (code, err) == (0, "")
             assert len(forks) == (int(rows >= SPLIT) if cpus >= 2 else 0)
-            body = data.decode().split("\n", 2)[2]
+            body = data.split(b"\n", 2)[2]
             assert body == reference_curve_rows(scores, self.ALPHA)
-            assert body.count("\n") == body.count("e-") == rows
+            assert body.count(b"\n") == body.count(b"e-") == rows
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_bad_label_on_data_row_two_is_one_line_three_error(
@@ -662,14 +663,14 @@ class TestSplitCurveWriter:
                 )
                 assert (code, err) == (0, "")
                 assert len(forks) == (1 if cpus >= 2 else 0)
-                body = data.decode().split("\n", 2)[2]
+                body = data.split(b"\n", 2)[2]
                 assert body == reference_curve_rows(scores, self.ALPHA)
-                assert body.count("\n") == rows
+                assert body.count(b"\n") == rows
                 if runs is not None:
-                    assert len({line.split(",")[1] for line in body.splitlines()}) == runs
+                    assert len({line.split(b",")[1] for line in body.splitlines()}) == runs
 
     def test_memory_does_not_grow_with_the_curve(self, capsys, monkeypatch, tmp_path):
-        """With no fork, the writer holds one chunk of rows as strings, so a
+        """With no fork, the writer holds one chunk of rows as bytes, so a
         curve four times as long peaks no higher."""
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import parse_sweep
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -466,6 +467,12 @@ ODD_SCORE = st.sampled_from(
 )
 ODD_LABEL = st.sampled_from(["+1", "1.0", "yes", " 1", "0 ", '"1"', "", "2"])
 PLAIN_ROW = st.tuples(PLAIN_SCORE, st.sampled_from(["0", "1"])).map(",".join)
+# fixed-point scores of 0..15 decimals: fields of 1 and 3..17 bytes, so most
+# chunks are read two words per row, and a few go to np.loadtxt
+FIXED_SCORE = st.tuples(st.floats(min_value=0.0, max_value=1.0), st.integers(0, 15)).map(
+    lambda xd: f"{xd[0]:.{xd[1]}f}"
+)
+FIXED_ROW = st.tuples(FIXED_SCORE, st.sampled_from(["0", "1"])).map(",".join)
 ODD_ROW = st.one_of(
     st.tuples(ODD_SCORE, st.sampled_from(["0", "1"])).map(",".join),
     st.tuples(PLAIN_SCORE, ODD_LABEL).map(",".join),
@@ -474,9 +481,9 @@ ODD_ROW = st.one_of(
 
 
 @st.composite
-def score_files(draw) -> bytes:
+def score_files(draw, plain_row=PLAIN_ROW) -> bytes:
     """Mostly plain score,label files, some with a few odd rows or another layout."""
-    rows = draw(st.lists(PLAIN_ROW, max_size=25))
+    rows = draw(st.lists(plain_row, max_size=25))
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         rows.insert(draw(st.integers(0, len(rows))), draw(ODD_ROW))
     header = draw(st.sampled_from(
@@ -493,9 +500,13 @@ def score_files(draw) -> bytes:
     return data
 
 
-def check_against_row_loop(tmp_path_factory):
-    """load_scores gives the reference's values or error on 400 score files,
-    the same files on every call."""
+def fixed_decimal_files():
+    return score_files(FIXED_ROW)
+
+
+def check_against_row_loop(tmp_path_factory, score_files=score_files):
+    """load_scores gives the reference's values or error on 400 files that
+    score_files() draws, the same files on every call."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(data=score_files())
@@ -531,6 +542,26 @@ class TestLoadScoresMatchesRowLoop:
             if child == "failed":
                 patch.setattr(_fork, "_fork", lambda produce: None)
             check_against_row_loop(tmp_path_factory)
+
+    def test_fixed_decimal_files(self, tmp_path_factory):
+        """400 files whose plain rows hold 0..15 decimals, so widths 9..16
+        are drawn often."""
+        check_against_row_loop(tmp_path_factory, fixed_decimal_files)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 4, 9, 23])
+    def test_fixed_decimal_files_in_tiny_chunks(self, tmp_path_factory, chunk_bytes):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_PARSE_CHUNK_BYTES", chunk_bytes)
+            check_against_row_loop(tmp_path_factory, fixed_decimal_files)
+
+    @pytest.mark.parametrize("child", ["failed", "forked"])
+    def test_fixed_decimal_files_across_the_parse_split(self, tmp_path_factory, child):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_PARSE_SPLIT_MIN_ROWS", 2)
+            patch.setattr(_fork, "usable_cpus", lambda: 2)
+            if child == "failed":
+                patch.setattr(_fork, "_fork", lambda produce: None)
+            check_against_row_loop(tmp_path_factory, fixed_decimal_files)
 
     def test_plain_file_takes_the_vectorized_pass(self, tmp_path, rng):
         k = rng.integers(0, 10**6, size=3000)
@@ -613,6 +644,136 @@ class TestChunkBoundaries:
         scores, _ = _parse_plain(data)
         assert scores[5] == float(long_score)
         self.same_as_reference(tmp_path, text)
+
+
+def refuse_loadtxt(*args, **kwargs):
+    raise AssertionError("a chunk went to np.loadtxt")
+
+
+def span_outcome(fields: list[str]):
+    """float()'s values of the fields, or None when float() rejects one or
+    reads it above 1; and _parse_span's values of a body of those fields,
+    or None when it refuses the body."""
+    try:
+        want = [float(f) for f in fields]
+    except ValueError:
+        want = None
+    if want is not None and max(want) > 1.0:
+        want = None
+    body = "".join(f"{f},{j % 2}\n" for j, f in enumerate(fields)).encode()
+    parsed = parse_sweep.parse(body, len(fields))
+    return want, None if parsed is None else parsed[0].tolist()
+
+
+class TestWordParse:
+    """A chunk whose score fields are all at most 16 bytes is read a word
+    at a time, one word per row when none is over 8 bytes and two words
+    otherwise; each value must be float()'s, bit for bit, and each field
+    float() rejects or reads above 1 must send the body to the row loop.
+    np.loadtxt made to raise proves that no such chunk goes to it."""
+
+    @pytest.fixture(autouse=True)
+    def no_loadtxt(self, monkeypatch):
+        monkeypatch.setattr(np, "loadtxt", refuse_loadtxt)
+
+    @pytest.mark.parametrize("family", list(parse_sweep.FAMILIES))
+    def test_every_family_matches_float(self, family):
+        """About 5 * 10**5 seeded fields over the three families, widths
+        1..8, 1..16 and 9..16 (about 1.5 s on a 2-vCPU machine);
+        parse_sweep.py runs them at 10**7."""
+        rng = np.random.default_rng([34, len(family)])
+        lo, hi = parse_sweep.FAMILIES[family]
+        for _ in range(3):
+            assert parse_sweep.check(rng, 55_000, lo, hi) == []
+
+    def test_refused_fields_are_refused(self):
+        assert parse_sweep.check_refused(np.random.default_rng(35), 2000) == []
+
+    @pytest.mark.parametrize(
+        "field",
+        ["0", "1", "0.", "1.", ".5", "0007", "00000001", "0.000001", ".0000009",
+         "1.00000000000000", "0000000000000001", "0.99999999999999", ".000000000000001",
+         "000000000000001.", "0.30000000000000", "5.", "0007.", "1.00000000000001",
+         "1.0000001", "1000000000000000", "9999999999999999", "0000000000000002",
+         ".", "..", "1.2.3", ".0.", "0.1234567.8", "0.000000.0000001", "0.0.0"],
+    )
+    @pytest.mark.parametrize("next_to", [None, "0.12345678901234"], ids=["alone", "two words"])
+    def test_a_field_gets_floats_verdict(self, field, next_to):
+        """Alone, and next to a 16-byte field, so that a short field is read
+        two words per row too."""
+        assert len(field) <= 16
+        fields = [field] if next_to is None else [next_to, field, next_to]
+        want, got = span_outcome(fields)
+        assert got == want
+        if want is not None:
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("template", [b"%c0.5", b"0.%c5", b"0.5%c", b"0%c0"])
+    def test_a_byte_that_is_not_a_digit_or_dot_is_refused(self, template):
+        """Every other byte value, in a score field ('-0.5', '0.5e') or in
+        place of its '.' ('0/0', which read as '0.0' with its '/' as the
+        '.' + 1 would be 1.0), sends the body to the row loop, also where
+        float() reads the field."""
+        for byte in sorted(set(range(256)) - set(b"0123456789.")):
+            field = template % byte
+            body = b"0.25,1\n" + field + b",0\n0.75,1\n"
+            assert parse_sweep.parse(body, 3) is None, field
+
+    def test_a_benchmark_shaped_file_takes_the_word_parse(self, monkeypatch):
+        """10**5 six-decimal rows, parsed in one span and across the split:
+        every chunk is read word by word."""
+        rng = np.random.default_rng(36)
+        k = np.rint(rng.beta(2.0, 4.0, 10**5) * 1e6).astype(np.int64)
+        labels = rng.random(k.size) < 0.05
+        lines = [f"{a // 10**6}.{a % 10**6:06d}" for a in k.tolist()]
+        data = (_HEADER + "".join(
+            f"{x},{int(y)}\n" for x, y in zip(lines, labels.tolist())
+        )).encode()
+        for cpus in (1, 2):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+            scores, is_pos = _parse_plain(data)
+            assert scores.tobytes() == np.array([float(x) for x in lines]).tobytes()
+            assert np.array_equal(is_pos, labels)
+
+    def test_a_17_byte_field_sends_its_chunk_to_loadtxt(self, monkeypatch):
+        """One 17-byte field among short ones: its chunk alone goes to
+        np.loadtxt, with the same values."""
+        monkeypatch.setattr(metrics, "_PARSE_CHUNK_BYTES", 64)
+        calls = []
+
+        def counting_loadtxt(*args, **kwargs):
+            calls.append(args[0])
+            return REAL_LOADTXT(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        fields = [f"0.{j:06d}" for j in range(20)]
+        fields[13] = "0.123456789012345"
+        data = (_HEADER + "".join(f"{f},{j % 2}\n" for j, f in enumerate(fields))).encode()
+        scores, _ = _parse_plain(data)
+        assert scores.tobytes() == np.array([float(f) for f in fields]).tobytes()
+        assert len(calls) == 1 and "0.123456789012345,1" in calls[0]
+        assert len(calls[0]) < len(fields)
+
+    def test_a_repr_file_takes_loadtxt(self, monkeypatch):
+        """17-digit repr fields: every chunk goes to np.loadtxt, with the
+        same values."""
+        calls = []
+
+        def counting_loadtxt(*args, **kwargs):
+            calls.append(1)
+            return REAL_LOADTXT(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        values = np.random.default_rng(37).uniform(1e-4, 1.0, 40_000).tolist()
+        data = (_HEADER + "".join(f"{x!r},{j % 2}\n" for j, x in enumerate(values))).encode()
+        scores, _ = _parse_plain(data)
+        assert scores.tolist() == values
+        chunks = list(_line_chunks(data, len(_HEADER), len(data), metrics._PARSE_CHUNK_BYTES))
+        assert len(calls) == len(chunks) > 1
+
+
+REAL_LOADTXT = np.loadtxt
 
 
 class TestParseSplit:

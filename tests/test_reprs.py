@@ -40,13 +40,13 @@ def curve(tmp_path_factory):
     return pr_curve(load_scores(str(path)), 19.0)
 
 
-def curve_text(curve) -> str:
-    return "".join(cli._curve_chunks(curve, 0, curve.thresholds.size))
+def curve_text(curve) -> bytes:
+    return b"".join(cli._curve_chunks(curve, 0, curve.thresholds.size))
 
 
-def per_row_text(curve) -> str:
+def per_row_text(curve) -> bytes:
     columns = (curve.thresholds.tolist(), curve.recall.tolist(), curve.precision.tolist())
-    return "".join([f"{t!r},{r!r},{p!r}\n" for t, r, p in zip(*columns)])
+    return "".join([f"{t!r},{r!r},{p!r}\n" for t, r, p in zip(*columns)]).encode("ascii")
 
 
 def test_a_whole_curve_is_its_per_row_repr(curve):
