@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _fork
 from ._choices import HALF, STRICT
-from .errors import InputFormatError, ResourceLimitError, ValidationError
+from .errors import InputFormatError, NumericalError, ResourceLimitError, ValidationError
 from .priors import read_csv
 
 _BRUTEFORCE_PAIR_LIMIT = 10**8
@@ -69,13 +69,10 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _sorted_side(name: str, values) -> np.ndarray:
+def _sorted_side(values) -> np.ndarray:
     """One side's scores as a new flat float64 array, sorted ascending, with
-    -0.0 turned into 0.0."""
+    -0.0 turned into 0.0.  NaN sorts last, so the two ends bound every score."""
     arr = np.sort(np.asarray(values, dtype=np.float64), axis=None)
-    # NaN sorts last, so the two ends bound every score
-    if arr.size and not (arr[0] >= 0.0 and arr[-1] <= 1.0):
-        raise ValidationError(f"{name} scores must lie in [0,1]")
     arr += 0.0  # -0.0 + 0.0 is 0.0, so a run of equal scores has one sign
     return arr
 
@@ -98,8 +95,14 @@ class ScoreSet:
     negatives: np.ndarray
 
     def __post_init__(self):
-        pos = _sorted_side("positive", self.positives)
-        neg = _sorted_side("negative", self.negatives)
+        pos, neg = _sorted_side(self.positives), _sorted_side(self.negatives)
+        for name, side in (("positive", pos), ("negative", neg)):
+            if side.size and not (side[0] >= 0.0 and side[-1] <= 1.0):
+                raise ValidationError(f"{name} scores must lie in [0,1]")
+        self._rank(pos, neg)
+
+    def _rank(self, pos: np.ndarray, neg: np.ndarray) -> None:
+        """Store the sorted sides and take their rank counts."""
         # P_k is n+ minus the index where s_k's run of equal positives starts
         first = np.arange(pos.size)
         first[1:][pos[1:] == pos[:-1]] = 0
@@ -129,6 +132,20 @@ class ScoreSet:
 
     def swapped(self) -> "ScoreSet":
         return ScoreSet(positives=self.negatives, negatives=self.positives)
+
+
+def _real_score_set(positives, negatives, source: str) -> ScoreSet:
+    """A ScoreSet of any finite reals, such as raw logits: the rank counts, all
+    that average_precision, ranking_error and bounds.audit read, need no [0,1]
+    scale, and only those may take it.  A value that is not finite raises
+    NumericalError naming ``source``."""
+    pos, neg = _sorted_side(positives), _sorted_side(negatives)
+    for side in (pos, neg):
+        if side.size and not (math.isfinite(side[0]) and math.isfinite(side[-1])):
+            raise NumericalError(f"non-finite {source}")
+    s = object.__new__(ScoreSet)
+    s._rank(pos, neg)
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,12 +181,9 @@ class PrecisionRecallCurve:
             raise ValidationError("recall must be non-decreasing as threshold drops")
 
 
-def _require_positives(s: ScoreSet):
+def _require_both_sides(s: ScoreSet):
     if s.n_plus == 0:
         raise ValidationError("score set has no positives")
-
-
-def _require_negatives(s: ScoreSet):
     if s.n_minus == 0:
         raise ValidationError("score set has no negatives")
 
@@ -185,8 +199,7 @@ def average_precision(s: ScoreSet, alpha: float) -> float:
     For positive score s_k: prec_k = (P_k/n+) / (P_k/n+ + alpha * N_k/n-), with
     P_k = #positives >= s_k and N_k = #negatives >= s_k.  O(n log n).
     """
-    _require_positives(s)
-    _require_negatives(s)
+    _require_both_sides(s)
     return float(np.mean(_precisions(s, _check_alpha(alpha))))
 
 
@@ -225,8 +238,7 @@ def ranking_error(s: ScoreSet, ties: str = HALF) -> float:
     Reads the pair counts the ScoreSet took when it was built, by binary
     search of the sorted sides: O(n log n) once per set, O(1) here.
     """
-    _require_positives(s)
-    _require_negatives(s)
+    _require_both_sides(s)
     return _ranking_from_counts(s._pairs_less, s._pairs_tied, s.n_plus * s.n_minus, ties)
 
 
@@ -236,8 +248,7 @@ def ranking_error_bruteforce(s: ScoreSet, ties: str = HALF) -> float:
     Both estimators reduce to the same integer pair counts before the single
     float division, so agreement is exact.
     """
-    _require_positives(s)
-    _require_negatives(s)
+    _require_both_sides(s)
     n_pairs = s.n_plus * s.n_minus
     if n_pairs > _BRUTEFORCE_PAIR_LIMIT:
         raise ResourceLimitError(
@@ -257,8 +268,7 @@ def pr_curve(s: ScoreSet, alpha: float) -> PrecisionRecallCurve:
     many samples lie above it, and one binary search into the positives
     splits that count into the two tails.
     """
-    _require_positives(s)
-    _require_negatives(s)
+    _require_both_sides(s)
     alpha = _check_alpha(alpha)
     both = np.concatenate([s.positives, s.negatives])
     both.sort(kind="stable")  # two sorted runs: one merge

@@ -25,7 +25,7 @@ from .bounds import audit, slope_m
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .losses import _FOCAL, _ecm_value_grad, _focal_value_grad, _workspace, log_weight_ratio
 from .margins import MarginWeights, optimal_margins, weights
-from .metrics import ScoreSet
+from .metrics import ScoreSet, _real_score_set
 from .priors import ClassStats
 
 log = logging.getLogger(__name__)
@@ -410,9 +410,9 @@ def _train_block(dataset, tcfg, train_idx, rng, params, delta, m, lo, hi):
 
     The block allocates its batch buffers once, with min(batch_size,
     n_train) rows: a batch of r rows steps in their first r rows, with no
-    elementwise temporary, and the update is in place.  It allocates its
-    epoch buffers once too, the training rows' features and the block's
-    one-hot labels, and gathers every epoch's shuffled rows into them.
+    elementwise temporary, and the update is in place.  It builds its
+    classes' one-hot label rows once, and gathers every epoch's shuffled rows
+    of those and of the features into epoch buffers it allocates once.
 
     Returns the parameters at each checkpoint after epoch 0, each epoch's sum
     over its batches of the block's loss sum divided by the class count, and
@@ -427,19 +427,19 @@ def _train_block(dataset, tcfg, train_idx, rng, params, delta, m, lo, hi):
     full = _batch_buffers(min(size, n), delta[lo:hi], m[lo:hi])
     # an epoch's batches have two sizes at most: a full one and the last
     buffers = {r: _first_rows(full, r) for r in (min(size, n), n - (n - 1) // size * size)}
-    classes = np.arange(lo, hi)
+    one_hot = dataset.labels[:, None] == np.arange(lo, hi)
     x_epoch = np.empty((n, dataset.features.shape[1]))
-    pos_epoch = np.empty((n, classes.size), dtype=bool)
+    pos_epoch = np.empty((n, hi - lo), dtype=bool)
     saved = tcfg.checkpoint_epochs()
     checkpoints = []
     loss_sums = np.zeros(tcfg.epochs)
     for epoch in range(1, tcfg.epochs + 1):
-        # each epoch's rows and labels gathered once; every batch is a slice
-        # of them.  Every row is one of train_idx, so "clip" never clips; it
-        # spares the copy of out that take makes in its default mode.
+        # each epoch's rows gathered once; every batch is a slice of them.
+        # Every row is one of train_idx, so "clip" never clips; it spares the
+        # copy of out that take makes in its default mode.
         rows = train_idx[rng.permutation(n)]
         dataset.features.take(rows, axis=0, out=x_epoch, mode="clip")
-        np.equal(dataset.labels.take(rows)[:, None], classes, out=pos_epoch)
+        one_hot.take(rows, axis=0, out=pos_epoch, mode="clip")
         loss_sum = 0.0
         for start in range(0, n, size):
             x = x_epoch[start : start + size]
@@ -553,29 +553,19 @@ class TrainReport:
         return asdict(self)
 
 
-def _unit_scores(raw: np.ndarray) -> np.ndarray:
-    """Monotone rescale of logits into [0,1], which avoids sigmoid saturation
-    ties.  The order is kept, but logits closer than about (hi - lo) * 2**-53
-    can tie: [-10, 1e-17, 2e-17, 10] becomes [0, 0.5, 0.5, 1].  AP and R are
-    rank statistics, so such a tie can move them."""
-    lo = float(raw.min())
-    hi = float(raw.max())
-    if hi == lo:
-        return np.full(raw.shape, 0.5)
-    return (raw - lo) / (hi - lo)
-
-
 def class_score_set(logits: np.ndarray, labels: np.ndarray, class_id: int) -> ScoreSet:
-    """ScoreSet for one class head: its samples positive, everything else negative."""
+    """ScoreSet of one head's raw logits (``metrics._real_score_set``), the
+    class's samples positive; a non-finite logit raises NumericalError."""
     mask = labels == class_id
-    scores = _unit_scores(logits[:, class_id])
-    return ScoreSet(positives=scores[mask], negatives=scores[~mask])
+    column = logits[:, class_id]
+    return _real_score_set(column[mask], column[~mask], f"logit of class {class_id} in evaluate")
 
 
 def evaluate(
     model: Model, dataset: Dataset, alphas: dict[int, float], params: dict | None = None
 ) -> TrainReport:
-    """Balanced per-class evaluation of a parameter snapshot (default: final).
+    """Balanced per-class evaluation of a parameter snapshot (default: final),
+    each class ranked by its raw logits (``class_score_set``).
 
     Classes with no positives in the evaluation split are logged and left out
     of the report and its mean.  When the split is every row in order, as
@@ -594,10 +584,10 @@ def evaluate(
     for c in range(dataset.num_classes):
         if c not in alphas:
             raise ValidationError(f"no alpha supplied for class {c}")
-        if not np.any(labels == c):
+        ss = class_score_set(logits, labels, c)
+        if not ss.n_plus:
             log.warning("class %d has no positives in the evaluation split; skipped", c)
             continue
-        ss = class_score_set(logits, labels, c)
         (a,) = audit(ss, [alphas[c]])
         per_class.append(
             PerClassReport(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ecmargin import (
     InputFormatError,
+    NumericalError,
     PrecisionRecallCurve,
     ResourceLimitError,
     ScoreSet,
@@ -108,6 +109,19 @@ class TestScoreSet:
         sides = {"positives": [0.5], "negatives": [0.5], f"{side}s": scores}
         with pytest.raises(ValidationError, match=rf"^{side} scores must lie in \[0,1\]$"):
             ScoreSet(**sides)
+
+    @pytest.mark.parametrize("side", ["positives", "negatives"])
+    @pytest.mark.parametrize("at", [0, 2, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_real_sets_rank_any_finite_reals_and_reject_the_rest(self, side, at, bad):
+        """The private path for raw logits takes the public constructor's
+        rank counts of reals outside [0,1], and reads the same two ends of
+        each sorted side for a value that is not finite."""
+        reals, others = [-3.0, 0.3, 0.3, 7.0, 1e300], [-1e300, 0.3, 2.0, 7.0]
+        assert_rank_counts(metrics._real_score_set(reals, others, "x"), reals, others)
+        sides = {"positives": reals, "negatives": others, side: np.insert(reals, at, bad)}
+        with pytest.raises(NumericalError, match=r"^non-finite x$"):
+            metrics._real_score_set(sides["positives"], sides["negatives"], "x")
 
     def test_empty_sides_build(self):
         for pos, neg in (([], [0.3]), ([0.3], []), ([], [])):

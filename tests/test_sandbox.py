@@ -33,7 +33,7 @@ from ecmargin import (
     weights,
     zipf_class_counts,
 )
-from ecmargin import _fork, focal_ecm_loss, sandbox
+from ecmargin import _fork, focal_ecm_loss, ranking_error_bruteforce, sandbox
 from ecmargin.losses import _ecm_value_grad, _focal_value_grad
 from ecmargin.sandbox import LOSSES, MAX_ARRAY_ELEMENTS, class_score_set
 
@@ -135,8 +135,10 @@ def block_inputs(dataset, tcfg, margins):
 
 
 def reference_block(dataset, tcfg, train_idx, rng, params, delta, m, lo, hi):
-    """_train_block as it was before the batch step wrote into buffers: every
-    step allocates its z, the kernel's temporaries and the update."""
+    """_train_block as it was before the batch step wrote into buffers and
+    before the block built its one-hot label rows once: every step allocates
+    its z, the kernel's temporaries and the update, and every epoch compares
+    its shuffled labels with the block's classes."""
     if tcfg.loss == "focal_ecm":
         kernel = functools.partial(sandbox._focal_value_grad, focal_gamma=2.0, focal_alpha=0.25)
     else:
@@ -792,6 +794,42 @@ class TestEvaluation:
         ss = class_score_set(logits, small_dataset.labels, 0)
         assert ss.n_plus == small_dataset.class_counts[0]
         assert ss.n_plus + ss.n_minus == 300
+
+    def test_logits_closer_than_a_rescale_step_keep_their_order(self):
+        """Unit weights make class 0's logits the first feature column,
+        [-10, 1e-17, 2e-17, 10], with the positive on 2e-17.  A rescale into
+        [0,1] would tie 1e-17 and 2e-17 at 0.5; the raw order puts one
+        negative above the positive and none tied, so R = 1/3 and, at
+        alpha 3, AP = 1 / (1 + 3 * 1/3) = 1/2."""
+        features = np.array([[-10.0, 0.0], [1e-17, 0.0], [2e-17, 0.0], [10.0, 1.0]])
+        labels = np.array([BACKGROUND_LABEL, BACKGROUND_LABEL, 0, 1])
+        dataset = Dataset(
+            features=features,
+            labels=labels,
+            class_counts=(1, 1),
+            config=SyntheticConfig(num_classes=2, total_samples=4, feature_dim=2),
+        )
+        rows = np.arange(4)
+        model = sandbox.Model(
+            kind="linear", params={"w": np.eye(2)}, temperature=None, loss_curve=(),
+            checkpoints=(), train_indices=rows, eval_indices=rows,
+        )
+        report = evaluate(model, dataset, {0: 3.0, 1: 3.0})
+        first = report.per_class[0]
+        assert (first.n_plus, first.n_minus) == (1, 3)
+        assert first.ranking_error == 1 / 3
+        assert first.ranking_error == ranking_error_bruteforce(class_score_set(features, labels, 0))
+        assert first.ap == 0.5
+        second = report.per_class[1]
+        assert (second.ap, second.ranking_error) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_logit_raises_naming_evaluate(self, trained, small_dataset, bad):
+        model, _ = trained
+        params = {key: value.copy() for key, value in model.params.items()}
+        params["w"][0, 1] = bad
+        with pytest.raises(NumericalError, match=r"^non-finite logit of class 1 in evaluate$"):
+            evaluate(model, small_dataset, dataset_alphas(small_dataset), params=params)
 
     def test_a_split_of_every_row_is_read_without_a_copy(self, monkeypatch):
         """A holdout-0 model evaluates every row, so evaluate reads the
